@@ -54,9 +54,10 @@ def _reaction(u_int: np.ndarray, phi_int: np.ndarray, spec: ProblemSpec) -> np.n
     return spec.lam * (spec.h(u_int) - floored ** (-spec.nu))
 
 
-def _residual(u: Field, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator) -> float:
-    m_val = spec.m(energy(u, op))
-    lhs = m_val * (op.apply_full(u)[1:-1])
+def _residual(
+    u: Field, energy_u: float, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
+) -> float:
+    lhs = spec.m(energy_u) * (op.apply_full(u)[1:-1])
     rhs = _reaction(u[1:-1], pair.phi[1:-1], spec)
     return float(np.abs(lhs - rhs).max())
 
@@ -115,6 +116,7 @@ def solve_between(
             from_super=from_super,
         )
     u = (pair.xi if from_super else pair.phi).copy()
+    energy_u = energy(u, op)
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals: list[float] = []
     activity: list[int] = []
@@ -123,8 +125,7 @@ def solve_between(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        m_k = spec.m(energy(u, op))
-        rhs = _reaction(u[1:-1], pair.phi[1:-1], spec) / m_k
+        rhs = _reaction(u[1:-1], pair.phi[1:-1], spec) / spec.m(energy_u)
         v = op.solve_interior(rhs)
         outside = int(np.count_nonzero((v < pair.phi - eps) | (v > pair.xi + eps)))
         activity.append(outside)
@@ -134,7 +135,8 @@ def solve_between(
             damped += 1
         step = float(np.abs(v - u).max())
         u = v
-        residuals.append(_residual(u, pair, spec, op))
+        energy_u = energy(u, op)
+        residuals.append(_residual(u, energy_u, pair, spec, op))
         if step <= tol * (1.0 + float(np.abs(u).max())) and residuals[-1] <= 100.0 * tol:
             converged = True
             break
@@ -148,8 +150,8 @@ def solve_between(
         residual_history=tuple(residuals),
         u=u,
         sandwich_ok=sandwich_ok,
-        energy_final=energy(u, op),
-        kirchhoff_coeff_final=float(spec.m(energy(u, op))),
+        energy_final=energy_u,
+        kirchhoff_coeff_final=float(spec.m(energy_u)),
         positive=bool(np.all(u[1:-1] > 0.0)),
         projection_activity=tuple(activity),
         damped_steps=damped,

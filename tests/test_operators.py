@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import classical_e
 from psifrac import (
@@ -91,17 +92,50 @@ class TestEigenpair:
                 lams.append(principal_eigenpair(assemble_composed(spec), tol=1e-9).lambda1)
             assert lams[0] > lams[1] > lams[2]
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(alpha=1.0, psi="identity", grid_n=257),
+            dict(alpha=1.0, psi="exp_minus_one", grid_n=257),
+            dict(alpha=0.75, beta=0.5, grid_n=257),
+            dict(alpha=0.75, beta=1.0, grid_n=257),
+            dict(alpha=0.9, beta=0.5, grid_n=129),
+        ],
+    )
+    def test_matches_dense_eigensolver(self, kw):
+        # oracle: the smallest-|lambda| eigenpair of the dense interior
+        # block, oriented and sup-normalized like principal_eigenpair; at
+        # alpha = 1 the bottom pair is only 0.2% apart, which a loose
+        # stopping rule would hide
+        op = assemble_composed(make_spec(**kw))
+        eig = principal_eigenpair(op, tol=1e-10)
+        vals, vecs = scipy.linalg.eig(op.interior_block())
+        k = int(np.argmin(np.abs(vals)))
+        lam, vec = vals[k].real, vecs[:, k].real
+        vec = vec / vec[np.argmax(np.abs(vec))]
+        assert abs(eig.lambda1 - lam) <= 1e-10 * abs(lam)
+        assert np.abs(eig.psi1[1:-1] - vec).max() <= 1e-8
+
+    def test_lu_solve_count_is_bounded(self):
+        # a count, not a timing: at alpha = 1 the bottom eigenvalue ratio is
+        # 1.002, so plain inverse iteration would need hundreds of solves
+        op = assemble_composed(make_spec(alpha=1.0, grid_n=1025))
+        assert principal_eigenpair(op, tol=1e-10).iterations <= 40
+
     def test_nonconvergence_raises(self, small_op):
         with pytest.raises(RuntimeError, match="did not converge"):
             principal_eigenpair(small_op, tol=1e-13, max_iter=3)
 
     def test_complex_bottom_pair_is_diagnosed(self):
         # this combination has a complex-conjugate pair at the bottom of
-        # the spectrum; real inverse iteration cannot settle and says so
+        # the spectrum, which shows up as a complex Ritz value
         spec = make_spec(alpha=0.6, beta=0.5, psi="log1p", grid_n=33)
         op = assemble_composed(spec)
         with pytest.raises(RuntimeError, match="complex pair"):
             principal_eigenpair(op, tol=1e-9, max_iter=2000)
+        # the diagnosis needs no long iteration budget
+        with pytest.raises(RuntimeError, match="complex pair"):
+            principal_eigenpair(op, tol=1e-9, max_iter=50)
 
 
 class TestEProblem:
