@@ -217,5 +217,13 @@ def energy(u: Field, op: ComposedOperator) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise ValueError(f"field length {u.shape} does not match grid size {op.n}")
-    du = op.d_left.entries @ u
-    return float(np.trapezoid(du * du, op.spec.grid.x))
+    return energy_of_derivative(op.d_left.entries @ u, op)
+
+
+def energy_of_derivative(d_u: np.ndarray, op: ComposedOperator) -> float:
+    """The energy of u from its nodal left derivative d_u = D_left u.
+
+    For callers that need d_u anyway: the quadrature is `energy`'s own, so
+    the result is bitwise the same without a second matrix-vector product.
+    """
+    return float(np.trapezoid(d_u * d_u, op.spec.grid.x))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import SubSuperPair, TentBasis
 from .core import Field, ProblemSpec
-from .operators import ComposedOperator, energy
+from .operators import ComposedOperator, energy, energy_of_derivative
 
 __all__ = ["SolveReport", "picard_step", "solve_between", "comparison_check"]
 
@@ -62,6 +62,14 @@ def _residual(
     return float(np.abs(lhs - rhs).max())
 
 
+def _frozen_solve(
+    u: Field, energy_u: float, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
+) -> Field:
+    """The linear solve of one Picard step, with M frozen at energy_u, before projection."""
+    rhs = _reaction(u[1:-1], pair.phi[1:-1], spec) / spec.m(energy_u)
+    return op.solve_interior(rhs)
+
+
 def picard_step(
     u_k: Field, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
 ) -> Field:
@@ -72,10 +80,7 @@ def picard_step(
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     if np.any(u_k < pair.phi - eps) or np.any(u_k > pair.xi + eps):
         raise ValueError("iterate must lie in the order interval [phi, xi]")
-    m_k = spec.m(energy(u_k, op))
-    rhs = _reaction(u_k[1:-1], pair.phi[1:-1], spec) / m_k
-    v = op.solve_interior(rhs)
-    return np.clip(v, pair.phi, pair.xi)
+    return np.clip(_frozen_solve(u_k, energy(u_k, op), pair, spec, op), pair.phi, pair.xi)
 
 
 def solve_between(
@@ -94,6 +99,13 @@ def solve_between(
     raised.  Residual non-monotonicity over 50-step windows switches on
     damped averaging, which is counted in the report.  `verified=False`
     records that the caller skipped (or failed) pair verification.
+
+    An iterate that repeats bitwise (step exactly 0) is a fixed point of
+    the projected map, as it is below mu1 once u is pinned at phi.  Every
+    later iteration would recompute the same solve, projection count and
+    residual, so they are recorded without being recomputed; the report,
+    its iteration count, residual history and damped steps included, is
+    the same as if each iteration had been solved.
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
@@ -123,20 +135,26 @@ def solve_between(
     damped = 0
     damping_on = False
     converged = False
+    step = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        rhs = _reaction(u[1:-1], pair.phi[1:-1], spec) / spec.m(energy_u)
-        v = op.solve_interior(rhs)
-        outside = int(np.count_nonzero((v < pair.phi - eps) | (v > pair.xi + eps)))
-        activity.append(outside)
-        v = np.clip(v, pair.phi, pair.xi)
+        if step == 0.0:
+            # u repeated bitwise, and the solve, clip, count and residual are
+            # functions of u alone (damping too: 0.5 * (u + u) == u)
+            activity.append(activity[-1])
+            residuals.append(residuals[-1])
+        else:
+            v = _frozen_solve(u, energy_u, pair, spec, op)
+            activity.append(int(np.count_nonzero((v < pair.phi - eps) | (v > pair.xi + eps))))
+            v = np.clip(v, pair.phi, pair.xi)
+            if damping_on:
+                v = 0.5 * (v + u)
+            step = float(np.abs(v - u).max())
+            u = v
+            energy_u = energy(u, op)
+            residuals.append(_residual(u, energy_u, pair, spec, op))
         if damping_on:
-            v = 0.5 * (v + u)
             damped += 1
-        step = float(np.abs(v - u).max())
-        u = v
-        energy_u = energy(u, op)
-        residuals.append(_residual(u, energy_u, pair, spec, op))
         if step <= tol * (1.0 + float(np.abs(u).max())) and residuals[-1] <= 100.0 * tol:
             converged = True
             break
@@ -187,10 +205,10 @@ def comparison_check(
             raise ValueError("both fields must vanish at the boundary nodes")
     if basis is None:
         basis = TentBasis(spec)
-    m1 = spec.m(energy(theta1, op))
-    m2 = spec.m(energy(theta2, op))
-    b1 = m1 * basis.bilinear(op.d_left.entries @ theta1)
-    b2 = m2 * basis.bilinear(op.d_left.entries @ theta2)
+    d1 = op.d_left.entries @ theta1
+    d2 = op.d_left.entries @ theta2
+    b1 = spec.m(energy_of_derivative(d1, op)) * basis.bilinear(d1)
+    b2 = spec.m(energy_of_derivative(d2, op)) * basis.bilinear(d2)
     slack = 1e-9 * (1.0 + float(np.abs(b2).max()))
     if not np.all(b1 <= b2 + slack):
         return "hypothesis-fails"

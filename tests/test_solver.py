@@ -1,19 +1,57 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import newton_fd_bvp
+import psifrac.operators
+from oracles import newton_fd_bvp, picard_reference
 from psifrac import (
+    SolveReport,
     build_pair,
     comparison_check,
     make_spec,
     picard_step,
+    principal_eigenpair,
+    solve_e,
     solve_between,
 )
 from psifrac.analysis import SubSuperPair, TentBasis
 from psifrac.core import Nonlinearity, NonlinearityKind
 from psifrac.operators import assemble_composed
+
+KIRCHHOFF = {
+    "constant": {},
+    "affine": dict(zeta0=1.0, zeta_inf=2.0),
+    "saturating": dict(zeta0=1.0, zeta_inf=2.0),
+}
+
+
+@functools.cache
+def _problem(n, m):
+    """The alpha = 1 problem at grid size n and Kirchhoff kind m: spec, op, eig, e."""
+    spec = make_spec(alpha=1.0, nu=0.5, grid_n=n, m=m, **KIRCHHOFF[m])
+    op = assemble_composed(spec)
+    return spec, op, principal_eigenpair(op, tol=1e-9), solve_e(op)
+
+
+def _at(n, m, lam, nu=0.5):
+    """Spec, operator and pair of `_problem(n, m)` at lambda and nu, r mid-window."""
+    spec, op, eig, e = _problem(n, m)
+    spec = dataclasses.replace(spec, lam=lam, nu=nu)
+    r = 0.5 * (1.0 / (1.0 + nu) + 1.0)
+    return spec, dataclasses.replace(op, spec=spec), build_pair(spec, eig, e, r)
+
+
+def assert_same_report(got, want):
+    for f in dataclasses.fields(SolveReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "u":
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +140,28 @@ class TestSolveBetween:
         # damped-averaging fallback is exercised and recorded
         assert res.damped_steps > 0
 
+    def test_pinned_iterate_is_not_recomputed(
+        self, catalog_spec, catalog_eig, catalog_e, catalog_op, monkeypatch
+    ):
+        # below mu1 the first step lands on phi and every later one repeats
+        # it bitwise; the report still counts all 120 iterations and the
+        # damping switch, but only the iterations up to the repeat solve
+        spec = dataclasses.replace(catalog_spec, lam=5.0)
+        op = dataclasses.replace(catalog_op, spec=spec)
+        pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
+        solves = []
+        lu_solve = psifrac.operators.lu_solve
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return lu_solve(*args, **kwargs)
+
+        monkeypatch.setattr(psifrac.operators, "lu_solve", counting)
+        res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
+        assert len(solves) <= 5
+        assert res.iterations == 120
+        assert res.damped_steps > 0
+
     def test_degenerate_pair_returns_zero(self, catalog_spec, catalog_op):
         n = catalog_spec.grid.n
         pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), r=0.8, zeta=1.0)
@@ -167,6 +227,36 @@ class TestSolveBetween:
             assert res.converged and res.positive
             energies.append(res.energy_final)
         assert all(b >= a for a, b in zip(energies, energies[1:]))
+
+
+class TestMatchesReference:
+    """solve_between against the loop that solves every iteration, bitwise."""
+
+    @pytest.mark.parametrize("from_super", [False, True])
+    @pytest.mark.parametrize("lam", [5.0, 30.0, 90.0])
+    @pytest.mark.parametrize("m", sorted(KIRCHHOFF))
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_catalog_grid(self, n, m, lam, from_super):
+        # with M constant, 5 sits below mu1, 30 in the gap below mu2 and 90
+        # above mu2; affine and saturating M exercise the non-constant freeze
+        spec, op, pair = _at(n, m, lam)
+        kw = dict(tol=1e-10, max_iter=200, from_super=from_super, verified=False)
+        assert_same_report(
+            solve_between(pair, spec, op, **kw), picard_reference(pair, spec, op, **kw)
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lam=st.floats(0.5, 100.0),
+        nu=st.floats(0.05, 0.95),
+        from_super=st.booleans(),
+    )
+    def test_property(self, lam, nu, from_super):
+        spec, op, pair = _at(33, "constant", lam, nu)
+        kw = dict(tol=1e-10, max_iter=120, from_super=from_super, verified=False)
+        assert_same_report(
+            solve_between(pair, spec, op, **kw), picard_reference(pair, spec, op, **kw)
+        )
 
 
 class TestComparisonCheck:
