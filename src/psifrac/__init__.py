@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .calculus import (
     OperatorMatrix,
-    OpTag,
     Side,
     apply,
     frac_integral_matrix,
@@ -71,7 +70,6 @@ __all__ = [
     "make_spec",
     "validate_spec",
     "Side",
-    "OpTag",
     "OperatorMatrix",
     "frac_integral_matrix",
     "first_derivative_matrix",

@@ -178,6 +178,18 @@ class SubSuperPair:
         return bool(np.all(self.phi <= self.xi + 1e-14))
 
 
+def _positive_e(e: Field) -> np.ndarray:
+    """e as a float array, refused unless it is positive on the interior."""
+    e = np.asarray(e, dtype=float)
+    if np.any(e[1:-1] <= 0):
+        # a computed-outcome failure (coarse fractional discretization),
+        # not caller misuse
+        raise RuntimeError(
+            "e is not positive on the interior; cannot scale it into a supersolution"
+        )
+    return e
+
+
 def build_pair(
     spec: ProblemSpec, eig: EigenPair, e: Field, r: float
 ) -> SubSuperPair:
@@ -188,13 +200,7 @@ def build_pair(
     smallest scaling that makes zeta*e >= phi hold exactly.
     """
     phi = build_subsolution(spec.lam, r, spec.nu, eig)
-    e = np.asarray(e, dtype=float)
-    if np.any(e[1:-1] <= 0):
-        # a computed-outcome failure (coarse fractional discretization),
-        # not caller misuse
-        raise RuntimeError(
-            "e is not positive on the interior; cannot scale it into a supersolution"
-        )
+    e = _positive_e(e)
     z = zeta_lambda(spec.h, spec.lam, spec.m.zeta0, float(e.max()))
     ratio = float(np.max(phi[1:-1] / e[1:-1]))
     z = max(z, ratio)
@@ -223,33 +229,33 @@ class TentBasis:
         alpha = spec.order.alpha
         ex = 1.0 - alpha
         du = np.diff(u)
-        ncell = n - 1
-        lv = np.zeros((n - 2, ncell))
-        rv = np.zeros((n - 2, ncell))
+        # kernel table t[k, j] = (u_j - u_k)_+^(1-alpha), built in place; the
+        # kink itself (j == k) is a right-limit, and 0^0 == 1 realizes the
+        # step convention at alpha = 1
+        t = u[None, :] - u[:, None]
+        np.maximum(t, 0.0, out=t)
+        np.power(t, ex, out=t, where=t > 0.0)
+        np.fill_diagonal(t, 0.0**ex)
+        # tent i combines the kernels based at u_{i-1}, u_i, u_{i+1}
+        c0 = 1.0 / du[:-1]
+        c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
+        c2 = 1.0 / du[1:]
         coef_scale = 1.0 / gamma_fn(2.0 - alpha)
-        ul = u[:-1]
-        ur = u[1:]
-        for i in range(1, n - 1):
-            coefs = (
-                1.0 / du[i - 1],
-                -(1.0 / du[i - 1] + 1.0 / du[i]),
-                1.0 / du[i],
-            )
-            bases = (u[i - 1], u[i], u[i + 1])
-            row_l = np.zeros(ncell)
-            row_r = np.zeros(ncell)
-            for c, b in zip(coefs, bases):
-                dl = ul - b
-                # left cell end is a right-limit: include the kink itself
-                # (0^0 == 1 realizes the step convention at alpha = 1)
-                row_l += np.where(dl >= 0.0, c * np.power(np.maximum(dl, 0.0), ex), 0.0)
-                dr = ur - b
-                row_r += np.where(dr > 0.0, c * np.power(np.maximum(dr, 0.0), ex), 0.0)
-            lv[i - 1] = row_l * coef_scale
-            rv[i - 1] = row_r * coef_scale
         half_dx = 0.5 * np.diff(x)
-        self._wl = lv * half_dx
-        self._wr = rv * half_dx
+
+        def weights(cols: slice) -> np.ndarray:
+            w = c0[:, None] * t[:-2, cols]
+            w += c1[:, None] * t[1:-1, cols]
+            w += c2[:, None] * t[2:, cols]
+            w *= coef_scale
+            w *= half_dx
+            return w
+
+        # left cell ends u_j, j < n-1, read the upper triangle; right cell
+        # ends u_{j+1} read the strict upper triangle
+        self._wl = weights(slice(None, -1))
+        np.fill_diagonal(t, 0.0)
+        self._wr = weights(slice(1, None))
         # trapezoid weights of the nodal tent values, for the reaction side
         tw = np.empty(n)
         tw[1:-1] = 0.5 * (x[2:] - x[:-2])
@@ -282,6 +288,42 @@ class VerifyReport:
         return f"{self.side}-pass" if self.passed else f"{self.side}-fail"
 
 
+def _checked_interior(u: np.ndarray, n: int, side: str) -> np.ndarray:
+    """The interior of a field to verify, after the checks every such field passes."""
+    if u.shape != (n,):
+        raise ValueError(f"field length {u.shape} does not match grid size {n}")
+    if side not in ("sub", "super"):
+        raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
+    scale = 1.0 + float(np.abs(u).max())
+    if abs(u[0]) > 1e-12 * scale or abs(u[-1]) > 1e-12 * scale:
+        raise ValueError("field must vanish at both boundary nodes")
+    ui = u[1:-1]
+    if np.any(ui <= 0.0):
+        raise ValueError(
+            "singular-term failure: field must be strictly positive on the interior"
+        )
+    return ui
+
+
+def _verdict(
+    side: str, left: np.ndarray, ui: np.ndarray, spec: ProblemSpec, basis: TentBasis
+) -> VerifyReport:
+    """Margins, tolerance and verdict of a field from its left side and interior values."""
+    react = spec.lam * (spec.h(ui) - ui ** (-spec.nu))
+    right = react * basis.node_weights[1:-1]
+    margins = (right - left) if side == "sub" else (left - right)
+    tol_margin = 1e-8 * (1.0 + float(np.abs(right).max()))
+    worst = int(np.argmin(margins))
+    return VerifyReport(
+        side=side,
+        passed=bool(margins[worst] >= -tol_margin),
+        margins=margins,
+        worst_margin=float(margins[worst]),
+        worst_node=worst + 1,
+        tol_margin=tol_margin,
+    )
+
+
 def verify_weak_inequality(
     u: Field,
     op: ComposedOperator,
@@ -298,36 +340,12 @@ def verify_weak_inequality(
     """
     spec = op.spec
     u = np.asarray(u, dtype=float)
-    n = spec.grid.n
-    if u.shape != (n,):
-        raise ValueError(f"field length {u.shape} does not match grid size {n}")
-    if side not in ("sub", "super"):
-        raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    scale = 1.0 + float(np.abs(u).max())
-    if abs(u[0]) > 1e-12 * scale or abs(u[-1]) > 1e-12 * scale:
-        raise ValueError("field must vanish at both boundary nodes")
-    ui = u[1:-1]
-    if np.any(ui <= 0.0):
-        raise ValueError(
-            "singular-term failure: field must be strictly positive on the interior"
-        )
+    ui = _checked_interior(u, spec.grid.n, side)
     if basis is None:
         basis = TentBasis(spec)
     d_u = op.d_left.entries @ u
     left = spec.m(energy_of_derivative(d_u, op)) * basis.bilinear(d_u)
-    react = spec.lam * (spec.h(ui) - ui ** (-spec.nu))
-    right = react * basis.node_weights[1:-1]
-    margins = (right - left) if side == "sub" else (left - right)
-    tol_margin = 1e-8 * (1.0 + float(np.abs(right).max()))
-    worst = int(np.argmin(margins))
-    return VerifyReport(
-        side=side,
-        passed=bool(margins[worst] >= -tol_margin),
-        margins=margins,
-        worst_margin=float(margins[worst]),
-        worst_node=worst + 1,
-        tol_margin=tol_margin,
-    )
+    return _verdict(side, left, ui, spec, basis)
 
 
 def nonexistence_threshold(lambda1: float, zeta_inf: float, a: float) -> float:
@@ -351,16 +369,38 @@ def empirical_mu2(
     Returns None when no lambda up to lam_max passes.  The existence proof
     guarantees such a threshold exists but gives no formula, so it is
     located empirically.
+
+    Both fields rescale fixed ones: phi = lambda^r * p with p the
+    subsolution at lambda = 1, and xi = zeta * e.  Their left derivatives,
+    energies and tent forms are computed once and scaled at each lambda;
+    the reaction side is evaluated on the fields themselves, after the
+    checks `verify_weak_inequality` makes.  The sub side is checked first,
+    and the pair (with its zeta) is built and xi checked only where it
+    passes.
     """
+    if 1.0 > lam_max + 1e-12:
+        # an empty grid builds and refuses nothing
+        return None
+    n = spec.grid.n
+    # build_pair's refusals, in its order; p is phi at lambda = 1
+    p = build_subsolution(1.0, r, spec.nu, eig)
+    d_e = op.d_left.entries @ _positive_e(e)
     basis = TentBasis(spec)
+    d_p = op.d_left.entries @ p
+    energy_p, form_p = energy_of_derivative(d_p, op), basis.bilinear(d_p)
+    energy_e, form_e = energy_of_derivative(d_e, op), basis.bilinear(d_e)
     lam = 1.0
     while lam <= lam_max + 1e-12:
         trial = dataclasses.replace(spec, lam=lam)
-        trial_op = dataclasses.replace(op, spec=trial)
-        pair = build_pair(trial, eig, e, r)
-        sub = verify_weak_inequality(pair.phi, trial_op, "sub", basis)
-        sup = verify_weak_inequality(pair.xi, trial_op, "super", basis)
-        if sub.passed and sup.passed:
-            return lam
+        s = lam**r
+        # D_left(s * p) = s * D_left p, so its energy is s^2 E(p), its form s B(p)
+        left = spec.m(s * s * energy_p) * (s * form_p)
+        if _verdict("sub", left, _checked_interior(s * p, n, "sub"), trial, basis).passed:
+            pair = build_pair(trial, eig, e, r)
+            z = pair.zeta
+            left = spec.m(z * z * energy_e) * (z * form_e)
+            xi_int = _checked_interior(pair.xi, n, "super")
+            if _verdict("super", left, xi_int, trial, basis).passed:
+                return lam
         lam += step
     return None

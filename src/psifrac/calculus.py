@@ -23,7 +23,6 @@ from .core import Field, FractionalOrder, Grid, PsiFunction
 
 __all__ = [
     "Side",
-    "OpTag",
     "OperatorMatrix",
     "frac_integral_matrix",
     "first_derivative_matrix",
@@ -38,21 +37,11 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-class OpTag(enum.Enum):
-    INT_LEFT = "int_left"
-    INT_RIGHT = "int_right"
-    D1_PSI = "d1_psi"
-    HILFER_LEFT = "hilfer_left"
-    HILFER_RIGHT = "hilfer_right"
-    COMPOSED = "composed"
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense square matrix acting on grid fields, tagged with its meaning."""
+    """Dense square matrix acting on grid fields."""
 
     entries: np.ndarray
-    tag: OpTag
 
     def __post_init__(self):
         e = self.entries
@@ -123,8 +112,8 @@ def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side)
         raise ValueError("invalid grid: " + "; ".join(bad))
     u = psi(grid.x)
     if side is Side.LEFT:
-        return OperatorMatrix(_left_integral_entries(u, order), OpTag.INT_LEFT)
-    return OperatorMatrix(_right_integral_entries(u, order), OpTag.INT_RIGHT)
+        return OperatorMatrix(_left_integral_entries(u, order))
+    return OperatorMatrix(_right_integral_entries(u, order))
 
 
 def _integral_or_identity(u: np.ndarray, order: float, side: Side) -> np.ndarray:
@@ -167,7 +156,7 @@ def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    return OperatorMatrix(_d1_entries(psi(grid.x)), OpTag.D1_PSI)
+    return OperatorMatrix(_d1_entries(psi(grid.x)))
 
 
 def hilfer_derivative_matrix(
@@ -192,8 +181,7 @@ def hilfer_derivative_matrix(
         entries = _integral_or_identity(u, order.g1, side) @ entries
     if order.g2 > 0.0:
         entries = entries @ _integral_or_identity(u, order.g2, side)
-    tag = OpTag.HILFER_LEFT if side is Side.LEFT else OpTag.HILFER_RIGHT
-    return OperatorMatrix(entries, tag)
+    return OperatorMatrix(entries)
 
 
 def hilfer_power_oracle(

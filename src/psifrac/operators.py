@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .calculus import OperatorMatrix, OpTag, Side, hilfer_derivative_matrix
+from .calculus import OperatorMatrix, Side, hilfer_derivative_matrix
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -84,7 +84,7 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     a[-1, :] = 0.0
     a[-1, -1] = 1.0
     lu = lu_factor(a[1:-1, 1:-1])
-    return ComposedOperator(OperatorMatrix(a, OpTag.COMPOSED), left, spec, lu)
+    return ComposedOperator(OperatorMatrix(a), left, spec, lu)
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,25 @@ its own classical three-point stencil with a banded Newton solve, the
 sub-solution crossing is a bracketed root of a closed-form scalar
 inequality, and the closed forms are evaluated straight from special
 functions.  Expected values frozen into tests were computed with these
-routines.  The one exception is `picard_reference`, a frozen copy of the
-straightforward projected Picard loop that recomputes every iteration;
-the package's solver must reproduce its reports bit for bit.
+routines.  The exceptions are frozen copies of straightforward versions
+of package code that the package must reproduce exactly: `picard_reference`,
+the projected Picard loop that recomputes every iteration (reports bit for
+bit); `tent_reference`, the per-tent kernel loop of the verifier's test
+functions (weights bit for bit); and `mu2_reference`, the lambda-scan that
+builds and verifies the full pair at every grid point (the same threshold).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
+from scipy.special import gamma as gamma_fn
 
+from psifrac.analysis import TentBasis, build_pair, verify_weak_inequality
 from psifrac.solver import SolveReport
 
 
@@ -184,3 +190,69 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
         override=not verified,
         from_super=from_super,
     )
+
+
+def tent_reference(spec):
+    """Cell-end weights of the interior tents' left derivatives, one tent at a time.
+
+    Returns (wl, wr, node_weights) as `psifrac.analysis.TentBasis` holds
+    them in `_wl`, `_wr` and `node_weights`: each tent's three shifted
+    kernels are evaluated at every left and right cell end separately.
+    """
+    u = spec.grid.u
+    x = spec.grid.x
+    n = spec.grid.n
+    alpha = spec.order.alpha
+    ex = 1.0 - alpha
+    du = np.diff(u)
+    ncell = n - 1
+    lv = np.zeros((n - 2, ncell))
+    rv = np.zeros((n - 2, ncell))
+    coef_scale = 1.0 / gamma_fn(2.0 - alpha)
+    ul = u[:-1]
+    ur = u[1:]
+    for i in range(1, n - 1):
+        coefs = (
+            1.0 / du[i - 1],
+            -(1.0 / du[i - 1] + 1.0 / du[i]),
+            1.0 / du[i],
+        )
+        bases = (u[i - 1], u[i], u[i + 1])
+        row_l = np.zeros(ncell)
+        row_r = np.zeros(ncell)
+        for c, b in zip(coefs, bases):
+            dl = ul - b
+            # left cell end is a right-limit: include the kink itself
+            # (0^0 == 1 realizes the step convention at alpha = 1)
+            row_l += np.where(dl >= 0.0, c * np.power(np.maximum(dl, 0.0), ex), 0.0)
+            dr = ur - b
+            row_r += np.where(dr > 0.0, c * np.power(np.maximum(dr, 0.0), ex), 0.0)
+        lv[i - 1] = row_l * coef_scale
+        rv[i - 1] = row_r * coef_scale
+    half_dx = 0.5 * np.diff(x)
+    tw = np.empty(n)
+    tw[1:-1] = 0.5 * (x[2:] - x[:-2])
+    tw[0] = 0.5 * (x[1] - x[0])
+    tw[-1] = 0.5 * (x[-1] - x[-2])
+    return lv * half_dx, rv * half_dx, tw
+
+
+def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):
+    """Smallest grid lambda >= 1 at which the full pair verifies on both sides.
+
+    Builds the pair and verifies phi and xi from scratch at every grid
+    point; `psifrac.analysis.empirical_mu2` must return the same value and
+    raise the same errors, whatever work it saves.
+    """
+    basis = TentBasis(spec)
+    lam = 1.0
+    while lam <= lam_max + 1e-12:
+        trial = dataclasses.replace(spec, lam=lam)
+        trial_op = dataclasses.replace(op, spec=trial)
+        pair = build_pair(trial, eig, e, r)
+        sub = verify_weak_inequality(pair.phi, trial_op, "sub", basis)
+        sup = verify_weak_inequality(pair.xi, trial_op, "super", basis)
+        if sub.passed and sup.passed:
+            return lam
+        lam += step
+    return None

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import psifrac.analysis
+from oracles import mu2_reference, tent_reference
 from psifrac import (
+    assemble_composed,
     build_pair,
     build_subsolution,
     build_supersolution,
@@ -12,6 +16,8 @@ from psifrac import (
     linear_majorant,
     make_spec,
     nonexistence_threshold,
+    principal_eigenpair,
+    solve_e,
     verify_weak_inequality,
     zeta_lambda,
 )
@@ -255,6 +261,72 @@ class TestEmpiricalMu2:
             empirical_mu2(catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8, lam_max=5.0)
             is None
         )
+
+    @pytest.mark.parametrize(
+        "n,psi,step,found",
+        [
+            (129, "identity", 0.25, True),
+            (257, "identity", 0.25, True),
+            (129, "log1p", 0.25, False),
+            (257, "identity", 0.5, True),
+        ],
+    )
+    def test_matches_reference(self, n, psi, step, found):
+        spec, op, eig, e = _mu2_problem(n, psi)
+        got = empirical_mu2(spec, op, eig, e, 0.8, step=step)
+        assert got == mu2_reference(spec, op, eig, e, 0.8, step=step)
+        assert (got is not None) == found
+
+    @pytest.mark.parametrize("bad", ["e", "r"])
+    def test_refusals_match_reference(self, bad, catalog_spec, catalog_op, catalog_eig, catalog_e):
+        e, r = catalog_e, 0.8
+        if bad == "e":
+            e = catalog_e.copy()
+            e[5] = -1e-3
+        else:
+            r = 0.6
+        with pytest.raises((ValueError, RuntimeError)) as want:
+            mu2_reference(catalog_spec, catalog_op, catalog_eig, e, r)
+        with pytest.raises(want.type) as got:
+            empirical_mu2(catalog_spec, catalog_op, catalog_eig, e, r)
+        assert str(got.value) == str(want.value)
+
+    def test_zeta_only_where_sub_side_passes(
+        self, catalog_spec, catalog_op, catalog_eig, catalog_e, monkeypatch
+    ):
+        # the sub side fails on every grid point below 77.5, and zeta is
+        # needed only where the super side is checked
+        calls = []
+        zeta = psifrac.analysis.zeta_lambda
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return zeta(*args, **kwargs)
+
+        monkeypatch.setattr(psifrac.analysis, "zeta_lambda", counting)
+        assert empirical_mu2(catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8) == 77.5
+        assert len(calls) <= 2
+
+
+@functools.cache
+def _mu2_problem(n, psi):
+    """The alpha = 1 catalog problem at grid size n and kernel psi: spec, op, eig, e."""
+    spec = make_spec(alpha=1.0, psi=psi, grid_n=n, lam=50.0)
+    op = assemble_composed(spec)
+    return spec, op, principal_eigenpair(op, tol=1e-9), solve_e(op)
+
+
+class TestTentBasis:
+    @pytest.mark.parametrize("n", [33, 257])
+    @pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.75, 0.6])
+    def test_matches_reference(self, alpha, psi, n):
+        spec = make_spec(alpha=alpha, psi=psi, grid_n=n)
+        basis = TentBasis(spec)
+        wl, wr, node_weights = tent_reference(spec)
+        assert np.array_equal(basis._wl, wl)
+        assert np.array_equal(basis._wr, wr)
+        assert np.array_equal(basis.node_weights, node_weights)
 
 
 def test_tent_basis_reproduces_e_chain(catalog_spec, catalog_op, catalog_e):

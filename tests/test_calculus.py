@@ -190,11 +190,11 @@ class TestApply:
             apply(m, np.ones(8))
 
     def test_identity_operator_returns_field(self):
-        from psifrac import OperatorMatrix, OpTag
+        from psifrac import OperatorMatrix
 
         rng = np.random.default_rng(5)
         f = rng.normal(size=16)
-        ident = OperatorMatrix(np.eye(16), OpTag.INT_LEFT)
+        ident = OperatorMatrix(np.eye(16))
         assert apply(ident, f) == pytest.approx(f, abs=0)
 
     def test_cumulative_values(self):

@@ -162,6 +162,19 @@ class TestSolveBetween:
         assert res.iterations == 120
         assert res.damped_steps > 0
 
+    def test_fixed_point_at_rounding_floor_converges(self):
+        # at n = 769 this solve reaches an iterate that repeats bitwise with
+        # no bound active, yet its residual cannot fall below about 1e-8
+        spec, op, eig, e = _problem(769, "constant")
+        spec = dataclasses.replace(spec, lam=96.741)
+        op = dataclasses.replace(op, spec=spec)
+        pair = build_pair(spec, eig, e, 0.8)
+        res = solve_between(pair, spec, op, tol=1e-10, max_iter=200, verified=False)
+        assert res.converged and res.iterations < 200
+        assert res.final_residual > 100.0 * 1e-10
+        assert res.projection_activity[-1] == 0
+        assert res.sandwich_ok and res.positive
+
     def test_degenerate_pair_returns_zero(self, catalog_spec, catalog_op):
         n = catalog_spec.grid.n
         pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), r=0.8, zeta=1.0)
