@@ -53,7 +53,6 @@ class Majorant:
     a: float
     b: float
     s_star: float
-    scan_range: tuple[float, float]
 
 
 def _golden_min(g, lo: float, hi: float, iters: int = 120) -> float:
@@ -108,7 +107,7 @@ def linear_majorant(
         raise ValueError(
             f"majorant slope too small: infimum of a*s - h(s) + s^-nu is {b:.6g} <= 0; raise a"
         )
-    return Majorant(a=a, b=b, s_star=float(s_star), scan_range=(s_min, s_max))
+    return Majorant(a=a, b=b, s_star=float(s_star))
 
 
 def zeta_lambda(
@@ -220,11 +219,14 @@ class TentBasis:
     independent of the type parameter beta.  For alpha = 1 these kernels
     degenerate to steps and the one-sided cell-end convention recovers the
     exact piecewise-constant slopes.
+
+    Both the bilinear form and the tent masses are trapezoid sums in
+    du = psi' dx, the measure in which the right derivative is the adjoint
+    of the left one, so the form of e reproduces the tent masses (A e = 1).
     """
 
     def __init__(self, spec: ProblemSpec):
         u = spec.grid.u
-        x = spec.grid.x
         n = spec.grid.n
         alpha = spec.order.alpha
         ex = 1.0 - alpha
@@ -241,14 +243,14 @@ class TentBasis:
         c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
         c2 = 1.0 / du[1:]
         coef_scale = 1.0 / gamma_fn(2.0 - alpha)
-        half_dx = 0.5 * np.diff(x)
+        half_du = 0.5 * du
 
         def weights(cols: slice) -> np.ndarray:
             w = c0[:, None] * t[:-2, cols]
             w += c1[:, None] * t[1:-1, cols]
             w += c2[:, None] * t[2:, cols]
             w *= coef_scale
-            w *= half_dx
+            w *= half_du
             return w
 
         # left cell ends u_j, j < n-1, read the upper triangle; right cell
@@ -256,11 +258,11 @@ class TentBasis:
         self._wl = weights(slice(None, -1))
         np.fill_diagonal(t, 0.0)
         self._wr = weights(slice(1, None))
-        # trapezoid weights of the nodal tent values, for the reaction side
+        # trapezoid weights (in u) of the nodal tent values, for the reaction side
         tw = np.empty(n)
-        tw[1:-1] = 0.5 * (x[2:] - x[:-2])
-        tw[0] = 0.5 * (x[1] - x[0])
-        tw[-1] = 0.5 * (x[-1] - x[-2])
+        tw[1:-1] = 0.5 * (u[2:] - u[:-2])
+        tw[0] = 0.5 * (u[1] - u[0])
+        tw[-1] = 0.5 * (u[-1] - u[-2])
         self.node_weights = tw
 
     def bilinear(self, d_u: np.ndarray) -> np.ndarray:
@@ -334,7 +336,8 @@ def verify_weak_inequality(
 
     For each interior test function w_i computes
     L_i = M(energy(u)) * int (D_left u)(D_left w_i) and
-    R_i = lambda * int (h(u) - u^-nu) w_i, both by trapezoid quadrature;
+    R_i = lambda * int (h(u) - u^-nu) w_i, both by trapezoid quadrature in
+    the transformed variable psi(x) (energy(u) itself integrates in x);
     the margin is R_i - L_i for side="sub" (must be >= -tol_margin) and
     L_i - R_i for side="super".  tol_margin = 1e-8 * (1 + sup|R|).
     """

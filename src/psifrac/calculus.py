@@ -6,9 +6,12 @@ power kernel (u_i - u)^(a-1) du.  The integrand is interpolated piecewise
 linearly in u and the two moment integrals of each cell are evaluated in
 closed form, so the weakly singular kernel is integrated exactly against
 the interpolant (product integration; no free parameters, no tuning).
+The right-side integral is the left rule applied to the reflected nodes.
 
-Matrix assembly is row-independent; assembled matrices are immutable and
-safe to share.  `apply` is pure.
+Every builder reads the transformed nodes from `grid.u`; its psi argument
+names the map the grid was built with.  Matrix assembly is
+row-independent; assembled matrices are immutable and safe to share.
+`apply` is pure.
 """
 
 from __future__ import annotations
@@ -79,24 +82,17 @@ def _left_integral_entries(u: np.ndarray, order: float) -> np.ndarray:
     return W / gamma_fn(a)
 
 
-def _right_integral_entries(u: np.ndarray, order: float) -> np.ndarray:
-    """Mirror of the left rule: int_{x_i}^{T} (u - u_i)^(a-1) f du."""
-    n = len(u)
-    a = order
-    W = np.zeros((n, n))
-    for i in range(n - 1):
-        uj = u[i:-1]
-        uj1 = u[i + 1 :]
-        big = uj1 - u[i]
-        small = uj - u[i]
-        du = uj1 - uj
-        m0 = (big**a - small**a) / a
-        m1 = u[i] * m0 + (big ** (a + 1) - small ** (a + 1)) / (a + 1)
-        wl = (uj1 * m0 - m1) / du
-        wr = (m1 - uj * m0) / du
-        W[i, i:-1] += wl
-        W[i, i + 1 :] += wr
-    return W / gamma_fn(a)
+def _integral_entries(u: np.ndarray, order: float, side: Side) -> np.ndarray:
+    """The left rule, or the right one as the left rule on the reflected nodes.
+
+    The right integral int_{x_i}^{T} (u - u_i)^(a-1) f du is the left one
+    in the variable -u, whose nodes -u[::-1] increase.  The reflected
+    result is copied back into a C-contiguous array so that the later
+    matrix products run on BLAS.
+    """
+    if side is Side.LEFT:
+        return _left_integral_entries(u, order)
+    return np.ascontiguousarray(_left_integral_entries(-u[::-1], order)[::-1, ::-1])
 
 
 def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side) -> OperatorMatrix:
@@ -110,19 +106,7 @@ def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side)
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    u = psi(grid.x)
-    if side is Side.LEFT:
-        return OperatorMatrix(_left_integral_entries(u, order))
-    return OperatorMatrix(_right_integral_entries(u, order))
-
-
-def _integral_or_identity(u: np.ndarray, order: float, side: Side) -> np.ndarray:
-    # order 0 is the analytic limit of the RL integral: the identity
-    if order == 0.0:
-        return np.eye(len(u))
-    if side is Side.LEFT:
-        return _left_integral_entries(u, order)
-    return _right_integral_entries(u, order)
+    return OperatorMatrix(_integral_entries(grid.u, order, side))
 
 
 def _d1_entries(u: np.ndarray) -> np.ndarray:
@@ -156,7 +140,7 @@ def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    return OperatorMatrix(_d1_entries(psi(grid.x)))
+    return OperatorMatrix(_d1_entries(grid.u))
 
 
 def hilfer_derivative_matrix(
@@ -172,15 +156,15 @@ def hilfer_derivative_matrix(
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    u = psi(grid.x)
+    u = grid.u
     sign = 1.0 if side is Side.LEFT else -1.0
     entries = sign * _d1_entries(u)
     # identity factors (zero-order integrals) are skipped, which also keeps
     # the alpha = 1 entries bit-for-bit equal to the plain stencil matrix
     if order.g1 > 0.0:
-        entries = _integral_or_identity(u, order.g1, side) @ entries
+        entries = _integral_entries(u, order.g1, side) @ entries
     if order.g2 > 0.0:
-        entries = entries @ _integral_or_identity(u, order.g2, side)
+        entries = entries @ _integral_entries(u, order.g2, side)
     return OperatorMatrix(entries)
 
 
@@ -202,7 +186,7 @@ def hilfer_power_oracle(
             f"delta - alpha must be positive (Gamma pole at {arg}); got delta={delta}, "
             f"alpha={order.alpha}"
         )
-    u = psi(grid.x)
+    u = grid.u
     w = u - u[0]
     coef = gamma_fn(delta) / gamma_fn(arg)
     expo = delta - 1.0 - order.alpha

@@ -346,11 +346,3 @@ def make_spec(
         lam=lam,
     )
 
-
-def sublinearity_witness(h: Nonlinearity, s_lo: float = 1.0, s_hi: float = 1e6) -> float:
-    """Ratio of h(s)/s at s_hi to h(s)/s at s_lo; small for sublinear h."""
-    lo = h(s_lo) / s_lo
-    hi = h(s_hi) / s_hi
-    if lo == 0.0:
-        return 0.0
-    return abs(hi / lo)

@@ -45,10 +45,6 @@ class ComposedOperator:
     def n(self) -> int:
         return self.a_full.n
 
-    @property
-    def interior(self) -> slice:
-        return slice(1, self.n - 1)
-
     def interior_block(self) -> np.ndarray:
         return self.a_full.entries[1:-1, 1:-1]
 
@@ -101,7 +97,6 @@ class EigenPair:
     psi1: Field
     iterations: int
     residual: float
-    converged: bool
     positive_interior: bool
 
     @property
@@ -198,7 +193,6 @@ def principal_eigenpair(
         psi1=full,
         iterations=solves,
         residual=resid,
-        converged=True,
         positive_interior=bool(np.all(full[1:-1] > 0.0)),
     )
 

@@ -9,8 +9,10 @@ routines.  The exceptions are frozen copies of straightforward versions
 of package code that the package must reproduce exactly: `picard_reference`,
 the projected Picard loop that recomputes every iteration (reports bit for
 bit); `tent_reference`, the per-tent kernel loop of the verifier's test
-functions (weights bit for bit); and `mu2_reference`, the lambda-scan that
-builds and verifies the full pair at every grid point (the same threshold).
+functions (weights bit for bit); `mu2_reference`, the lambda-scan that
+builds and verifies the full pair at every grid point (the same threshold);
+and `right_integral_reference`, the right-side product-integration rule
+written out on its own (entries bit for bit).
 """
 
 from __future__ import annotations
@@ -30,6 +32,26 @@ from psifrac.solver import SolveReport
 def frac_integral_of_one(u: np.ndarray, order: float) -> np.ndarray:
     """Closed form: the order-a left integral of f=1 is (u - u0)^a / Gamma(a+1)."""
     return (u - u[0]) ** order / math.gamma(order + 1.0)
+
+
+def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
+    """Mirror of the left rule: int_{x_i}^{T} (u - u_i)^(a-1) f du."""
+    n = len(u)
+    a = order
+    W = np.zeros((n, n))
+    for i in range(n - 1):
+        uj = u[i:-1]
+        uj1 = u[i + 1 :]
+        big = uj1 - u[i]
+        small = uj - u[i]
+        du = uj1 - uj
+        m0 = (big**a - small**a) / a
+        m1 = u[i] * m0 + (big ** (a + 1) - small ** (a + 1)) / (a + 1)
+        wl = (uj1 * m0 - m1) / du
+        wr = (m1 - uj * m0) / du
+        W[i, i:-1] += wl
+        W[i, i + 1 :] += wr
+    return W / gamma_fn(a)
 
 
 def classical_e(x: np.ndarray, T: float) -> np.ndarray:

@@ -323,17 +323,21 @@ class TestTentBasis:
     def test_matches_reference(self, alpha, psi, n):
         spec = make_spec(alpha=alpha, psi=psi, grid_n=n)
         basis = TentBasis(spec)
-        wl, wr, node_weights = tent_reference(spec)
+        # the weights integrate in u: the reference on a grid whose x is u
+        in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
+        wl, wr, node_weights = tent_reference(in_u)
         assert np.array_equal(basis._wl, wl)
         assert np.array_equal(basis._wr, wr)
         assert np.array_equal(basis.node_weights, node_weights)
 
 
-def test_tent_basis_reproduces_e_chain(catalog_spec, catalog_op, catalog_e):
+@pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])
+def test_tent_basis_reproduces_e_chain(psi):
     # the cell-based quadrature against closed-form tent derivatives must
-    # see A e = 1: the bilinear form of e against every tent is close to
-    # the tent's mass
-    basis = TentBasis(catalog_spec)
-    vals = basis.bilinear(catalog_op.d_left.entries @ catalog_e)
+    # see A e = 1 for every kernel: the bilinear form of e against every
+    # tent is the tent's mass, both integrated in u
+    spec, op, _, e = _mu2_problem(257, psi)
+    basis = TentBasis(spec)
+    vals = basis.bilinear(op.d_left.entries @ e)
     mass = basis.node_weights[1:-1]
-    assert np.abs(vals - mass).max() < 1e-3 * mass.max()
+    assert np.abs(vals - mass).max() < 1e-10 * mass.max()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import frac_integral_of_one
+from oracles import frac_integral_of_one, right_integral_reference
 from psifrac import (
     FractionalOrder,
     Grid,
@@ -147,6 +147,32 @@ class TestHilferDerivative:
         )
         hi = g.n - max(2, int(np.ceil(0.05 * g.n)))
         assert np.abs(apply(m, f) - want)[1:hi].max() < 1e-4
+
+
+class TestRightReflection:
+    """The right side is the left rule on reflected nodes, bit for bit the direct rule."""
+
+    @pytest.mark.parametrize("order", [0.05, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [9, 100, 513])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_integral_matches_reference(self, psi, n, order):
+        g = grid_for(psi, n=n)
+        got = frac_integral_matrix(g, psi, order, Side.RIGHT).entries
+        assert np.array_equal(got, right_integral_reference(g.u, order))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_derivative_matches_three_factor_reference(self, psi, alpha, beta):
+        g = grid_for(psi, n=100)
+        order = FractionalOrder(alpha, beta)
+        want = -1.0 * first_derivative_matrix(g, psi).entries
+        if order.g1 > 0.0:
+            want = right_integral_reference(g.u, order.g1) @ want
+        if order.g2 > 0.0:
+            want = want @ right_integral_reference(g.u, order.g2)
+        got = hilfer_derivative_matrix(g, psi, order, Side.RIGHT).entries
+        assert np.array_equal(got, want)
 
 
 class TestPowerOracle:

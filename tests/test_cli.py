@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from psifrac.cli import main
 
@@ -140,9 +141,9 @@ class TestConvergence:
         assert first[0] == "64" and first[4] == ""
         later = lines[2].split(",")
         assert float(later[4]) > 0  # error shrinks with n
-        # the report contract holds for every subcommand
-        for key in ("version", "config", "mu1", "lambda1", "e_sup"):
-            assert key in report
+        # the table needs no eigenpair: the report holds the table only
+        assert set(report) == {"schema", "version", "config", "convergence"}
+        assert len(report["convergence"]) == 3
 
 
 class TestFractionalCorners:
@@ -177,6 +178,13 @@ class TestRunConfigValidation:
         code, _, _ = run_cli(tmp_path, "solve", *FAST, "--max-iter", "0")
         assert code == 1
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_sweep_step_is_status_one(self, tmp_path, capsys, step):
+        # such a sweep would never reach its end
+        code, _, _ = run_cli(tmp_path, "sweep", *FAST, "--sweep-step", step)
+        assert code == 1
+        assert "sweep_step" in capsys.readouterr().err
 
 
 class TestDeterminism:

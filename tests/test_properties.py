@@ -1,0 +1,104 @@
+"""Properties over the problem-spec space, at grids of at most 33 nodes.
+
+Every draw is either wholly admissible or takes each value from a range
+that straddles its admissible set, so that both the accepted and the
+refused side of every check are exercised.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psifrac import assemble_composed, make_spec, validate_spec
+from psifrac.cli import SUBCOMMANDS, main
+from psifrac.core import KirchhoffKind, NonlinearityKind, PsiKind
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# make_spec keyword -> (admissible values, values straddling the admissible set)
+FIELDS = dict(
+    alpha=(st.one_of(st.just(1.0), _floats(0.55, 1.0)), _floats(0.3, 1.2)),
+    beta=(_floats(0.0, 1.0), _floats(-0.2, 1.2)),
+    psi=(st.sampled_from([k.value for k in PsiKind]),) * 2,
+    psi_k=(_floats(0.1, 3.0), _floats(-1.0, 3.0)),
+    nu=(_floats(0.05, 0.95), _floats(-0.2, 1.2)),
+    lam=(_floats(0.1, 150.0), _floats(-5.0, 150.0)),
+    T=(_floats(0.2, 3.0), _floats(-0.5, 3.0)),
+    grid_n=(st.integers(8, 33), st.integers(2, 33)),
+    h=(st.sampled_from([k.value for k in NonlinearityKind]),) * 2,
+    m=(st.sampled_from([k.value for k in KirchhoffKind]),) * 2,
+    zeta0=(_floats(0.1, 3.0), _floats(-0.5, 3.0)),
+    zeta_inf=(_floats(3.0, 5.0), _floats(-0.5, 3.0)),
+)
+
+
+@st.composite
+def spec_fields(draw, side):
+    """make_spec keywords: all admissible (side 0) or each drawn across its limits (side 1)."""
+    return {key: draw(pair[side]) for key, pair in FIELDS.items()}
+
+
+specs = st.integers(0, 1).flatmap(spec_fields).map(lambda fields: make_spec(**fields))
+
+
+@settings(deadline=None, max_examples=200)
+@given(spec=specs)
+def test_validate_spec_reports_and_never_raises(spec):
+    bad = validate_spec(spec)
+    assert isinstance(bad, list) and all(isinstance(msg, str) for msg in bad)
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=specs)
+def test_assemble_composed_returns_or_raises_value_error(spec):
+    try:
+        op = assemble_composed(spec)
+    except ValueError:
+        return
+    # assembly validates first, so an operator means an admissible spec
+    assert not validate_spec(spec)
+    assert op.n == spec.grid.n
+
+
+@st.composite
+def cli_argv(draw):
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    side = draw(st.integers(0, 1))
+    fields = draw(spec_fields(side))
+    argv = [sub]
+    # --flag=value, because argparse reads a value such as -1e-05 as a flag
+    for key, value in fields.items():
+        flag = "--" + ("lambda" if key == "lam" else key.replace("_", "-"))
+        argv.append(f"{flag}={value}")
+    if side == 0:
+        # inside the window (1/(1+nu), 1)
+        lo = 1.0 / (1.0 + fields["nu"])
+        r = lo + draw(_floats(0.05, 0.95)) * (1.0 - lo)
+    else:
+        r = draw(_floats(0.5, 1.05))
+    tols = [1e-12, 1e-10, 1e-8, 1e-4] + [0.0] * side
+    argv.append(f"--r={r}")
+    argv.append(f"--tol={draw(st.sampled_from(tols))}")
+    argv.append(f"--max-iter={draw(st.integers(1 - side, 60))}")
+    if sub == "solve" and draw(st.booleans()):
+        argv.append("--from-super")
+    if sub == "sweep":
+        # at most 5 lambdas, or a step that could never end the sweep
+        lo = draw(_floats(-1.0, 120.0))
+        step = draw(st.one_of(_floats(0.5, 30.0), st.just(0.0), _floats(-5.0, -0.5)))
+        count = draw(st.integers(0, 4))
+        argv += [f"--sweep-min={lo}", f"--sweep-max={lo + count * abs(step)}"]
+        argv.append(f"--sweep-step={step}")
+    return argv
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=cli_argv())
+def test_cli_exit_status_is_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main([*argv, "--output-dir", str(Path(tmp) / "out")]) in (0, 1, 2)
