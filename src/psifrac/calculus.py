@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.special import gamma as gamma_fn
 
 from .core import Field, FractionalOrder, Grid, PsiFunction
@@ -57,42 +58,53 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _left_integral_entries(u: np.ndarray, order: float) -> np.ndarray:
+def _left_integral_entries(
+    u: np.ndarray, order: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row i approximates 1/Gamma(a) * int_0^{x_i} (u_i - u)^(a-1) f du.
 
     Product integration: on each cell [u_j, u_{j+1}] the interpolant
     f ~ linear and the moments m0 = int (u_i-u)^(a-1) du and
-    m1 = int (u_i-u)^(a-1) u du are exact.
+    m1 = int (u_i-u)^(a-1) u du are exact.  Each row raises the distances
+    d = u_i - u_j to the powers a and a+1 once; the cell ends are the
+    shifted slices.  The rule is written into `out` (zeros, possibly a
+    view) when given.
     """
     n = len(u)
     a = order
-    W = np.zeros((n, n))
+    W = np.zeros((n, n)) if out is None else out
     for i in range(1, n):
         uj = u[:i]
         uj1 = u[1 : i + 1]
-        big = u[i] - uj
-        small = u[i] - uj1
+        d = u[i] - u[: i + 1]
+        p = d**a
+        q = d ** (a + 1)
         du = uj1 - uj
-        m0 = (big**a - small**a) / a
-        m1 = u[i] * m0 - (big ** (a + 1) - small ** (a + 1)) / (a + 1)
+        m0 = (p[:-1] - p[1:]) / a
+        m1 = u[i] * m0 - (q[:-1] - q[1:]) / (a + 1)
         wl = (uj1 * m0 - m1) / du
         wr = (m1 - uj * m0) / du
         W[i, :i] += wl
         W[i, 1 : i + 1] += wr
-    return W / gamma_fn(a)
+    W /= gamma_fn(a)
+    return W
 
 
 def _integral_entries(u: np.ndarray, order: float, side: Side) -> np.ndarray:
     """The left rule, or the right one as the left rule on the reflected nodes.
 
     The right integral int_{x_i}^{T} (u - u_i)^(a-1) f du is the left one
-    in the variable -u, whose nodes -u[::-1] increase.  The reflected
-    result is copied back into a C-contiguous array so that the later
-    matrix products run on BLAS.
+    in the variable -u, whose nodes -u[::-1] increase.  The reflected rule
+    is written through the reversed view of a C-contiguous array, so the
+    right matrix comes out upper-triangular and C-contiguous without a
+    copy, ready for BLAS.
     """
     if side is Side.LEFT:
         return _left_integral_entries(u, order)
-    return np.ascontiguousarray(_left_integral_entries(-u[::-1], order)[::-1, ::-1])
+    n = len(u)
+    W = np.zeros((n, n))
+    _left_integral_entries(-u[::-1], order, W[::-1, ::-1])
+    return W
 
 
 def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side) -> OperatorMatrix:
@@ -109,30 +121,82 @@ def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side)
     return OperatorMatrix(_integral_entries(grid.u, order, side))
 
 
-def _d1_entries(u: np.ndarray) -> np.ndarray:
-    """d/du on the (generally non-uniform) transformed nodes.
+def _d1_stencil(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d/du on the (generally non-uniform) transformed nodes, row by row.
 
+    Row i has the three coefficients c[i] in columns start[i] .. start[i]+2.
     Three-point second-order stencils: central in the interior, one-sided
     at the two endpoints.  Differentiating in u realizes (1/psi') d/dx
     without evaluating psi' (which may vanish at x=0).
     """
     n = len(u)
-    D = np.zeros((n, n))
+    c = np.empty((n, 3))
     h1 = u[1:-1] - u[:-2]
     h2 = u[2:] - u[1:-1]
-    idx = np.arange(1, n - 1)
-    D[idx, idx - 1] = -h2 / (h1 * (h1 + h2))
-    D[idx, idx] = (h2 - h1) / (h1 * h2)
-    D[idx, idx + 1] = h1 / (h2 * (h1 + h2))
+    c[1:-1, 0] = -h2 / (h1 * (h1 + h2))
+    c[1:-1, 1] = (h2 - h1) / (h1 * h2)
+    c[1:-1, 2] = h1 / (h2 * (h1 + h2))
     a, b = u[1] - u[0], u[2] - u[1]
-    D[0, 0] = -(2 * a + b) / (a * (a + b))
-    D[0, 1] = (a + b) / (a * b)
-    D[0, 2] = -a / (b * (a + b))
+    c[0] = -(2 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))
     a, b = u[-2] - u[-3], u[-1] - u[-2]
-    D[-1, -3] = b / (a * (a + b))
-    D[-1, -2] = -(a + b) / (a * b)
-    D[-1, -1] = (a + 2 * b) / (b * (a + b))
+    c[-1] = b / (a * (a + b)), -(a + b) / (a * b), (a + 2 * b) / (b * (a + b))
+    start = np.clip(np.arange(n) - 1, 0, n - 3)
+    return c, start
+
+
+def _d1_entries(u: np.ndarray) -> np.ndarray:
+    """The d/du stencil as a dense matrix."""
+    n = len(u)
+    c, start = _d1_stencil(u)
+    D = np.zeros((n, n))
+    rows = np.arange(n)
+    for k in range(3):
+        D[rows, start + k] = c[:, k]
     return D
+
+
+def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The stencil (c, start) of `_d1_stencil` times the matrix x.
+
+    Each row of the product combines three rows of x: O(n^2) in place of a
+    dense O(n^3) product.  Rows go in blocks of 64, which keeps the
+    temporaries small without a Python step per row.
+    """
+    out = np.empty_like(x)
+    for lo in range(0, len(start), 64):
+        rows = slice(lo, lo + 64)
+        s = start[rows]
+        out[rows] = c[rows, 0:1] * x[s] + c[rows, 1:2] * x[s + 1] + c[rows, 2:3] * x[s + 2]
+    return out
+
+
+def _upper_times(upper: np.ndarray, x: np.ndarray, overwrite: bool) -> np.ndarray:
+    """upper @ x for an upper-triangular `upper`, by BLAS dtrmm (half the flops of @).
+
+    C-ordered arrays pass to BLAS as their F-ordered transposes:
+    (U x)^T = x^T U^T with U^T lower-triangular.  With overwrite, x (if
+    C-contiguous) is overwritten with the result.
+    """
+    return dtrmm(1.0, upper.T, x.T, side=1, lower=1, overwrite_b=overwrite).T
+
+
+def right_derivative_times(grid: Grid, order: FractionalOrder, x: np.ndarray) -> np.ndarray:
+    """hilfer_derivative_matrix(..., Side.RIGHT).entries @ x, factor by factor.
+
+    Applies I^{g2}, then -D1, then I^{g1} to x without forming the right
+    derivative matrix: each right integral is built just before it is
+    applied as a triangular product and released right after, and the
+    stencil acts as three-row combinations.  Agrees with the matrix
+    product to rounding; x is not modified.
+    """
+    u = grid.u
+    if order.g2 > 0.0:
+        x = _upper_times(_integral_entries(u, order.g2, Side.RIGHT), x, overwrite=False)
+    c, start = _d1_stencil(u)
+    x = _stencil_times(-c, start, x)
+    if order.g1 > 0.0:
+        x = _upper_times(_integral_entries(u, order.g1, Side.RIGHT), x, overwrite=True)
+    return x
 
 
 def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:

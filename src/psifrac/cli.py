@@ -59,7 +59,7 @@ class RunConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if self.tol <= 0:
+        if not self.tol > 0:
             out.append(f"tol must be positive (got {self.tol})")
         if self.max_iter < 1:
             out.append(f"max_iter must be at least 1 (got {self.max_iter})")

@@ -38,7 +38,8 @@ class FractionalOrder:
 
     alpha must lie in (1/2, 1] and beta in [0, 1].  The two derived
     integral exponents g1 = beta*(1-alpha) and g2 = (1-beta)*(1-alpha)
-    then lie in [0, 1/2) and sum to 1-alpha.
+    then lie in [0, 1/2) and sum to 1-alpha; a nonzero one below the
+    smallest normal float is refused.
     """
 
     alpha: float
@@ -60,6 +61,11 @@ class FractionalOrder:
             out.append(f"alpha must exceed 1/2 and be at most 1 (got {self.alpha})")
         if not 0.0 <= self.beta <= 1.0:
             out.append(f"beta must lie in [0, 1] (got {self.beta})")
+        tiny = np.finfo(float).tiny
+        for name, g in (("g1 = beta(1-alpha)", self.g1), ("g2 = (1-beta)(1-alpha)", self.g2)):
+            # the integral rule divides by its order, which overflows below tiny
+            if 0.0 < g < tiny:
+                out.append(f"integral order {name} must be 0 or at least {tiny:g} (got {g:g})")
         return out
 
 
@@ -114,7 +120,7 @@ class PsiFunction:
 
     def violations(self) -> list[str]:
         out = []
-        if self.kind is PsiKind.EXP_MINUS_ONE and self.k <= 0:
+        if self.kind is PsiKind.EXP_MINUS_ONE and not self.k > 0:
             out.append(f"psi_k must be positive for exp_minus_one (got {self.k})")
         return out
 
@@ -159,7 +165,7 @@ class Grid:
 
     def violations(self) -> list[str]:
         out = []
-        if self.T <= 0:
+        if not self.T > 0:
             out.append(f"T must be positive (got {self.T})")
         if self.n < 8:
             out.append(f"grid_n must be at least 8 (got {self.n})")
@@ -207,9 +213,10 @@ class KirchhoffFn:
 
     def violations(self) -> list[str]:
         out = []
-        if self.zeta0 <= 0:
+        # written so that NaN fails each check
+        if not self.zeta0 > 0:
             out.append(f"zeta0 must be positive (got {self.zeta0})")
-        if self.zeta_inf < self.zeta0:
+        if not self.zeta_inf >= self.zeta0:
             out.append(f"zeta_inf must be at least zeta0 (got {self.zeta_inf} < {self.zeta0})")
         if self.kind is KirchhoffKind.AFFINE and self.b0 < 0:
             out.append(f"affine slope must be nonnegative (got {self.b0})")
@@ -294,7 +301,7 @@ class ProblemSpec:
         out = []
         if not 0.0 < self.nu < 1.0:
             out.append(f"nu must lie in (0,1) (got {self.nu})")
-        if self.lam <= 0:
+        if not self.lam > 0:
             out.append(f"lambda must be positive (got {self.lam})")
         return out
 

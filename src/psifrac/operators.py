@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .calculus import OperatorMatrix, Side, hilfer_derivative_matrix
+from .calculus import OperatorMatrix, Side, hilfer_derivative_matrix, right_derivative_times
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -66,15 +66,15 @@ class ComposedOperator:
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
-    Interior rows are (hilfer_right @ hilfer_left); rows 0 and n-1 are
-    unit rows enforcing u = 0 at the boundary.
+    Interior rows are (hilfer_right @ hilfer_left), with the right
+    derivative's factors applied to the left matrix one at a time; rows 0
+    and n-1 are unit rows enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
     left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
-    right = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.RIGHT)
-    a = right.entries @ left.entries
+    a = right_derivative_times(spec.grid, spec.order, left.entries)
     a[0, :] = 0.0
     a[0, 0] = 1.0
     a[-1, :] = 0.0

@@ -11,8 +11,9 @@ the projected Picard loop that recomputes every iteration (reports bit for
 bit); `tent_reference`, the per-tent kernel loop of the verifier's test
 functions (weights bit for bit); `mu2_reference`, the lambda-scan that
 builds and verifies the full pair at every grid point (the same threshold);
-and `right_integral_reference`, the right-side product-integration rule
-written out on its own (entries bit for bit).
+`right_integral_reference`, the right-side product-integration rule
+written out on its own (entries bit for bit); and `left_integral_reference`,
+the left rule with four powers per cell (entries bit for bit).
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ from psifrac.solver import SolveReport
 def frac_integral_of_one(u: np.ndarray, order: float) -> np.ndarray:
     """Closed form: the order-a left integral of f=1 is (u - u0)^a / Gamma(a+1)."""
     return (u - u[0]) ** order / math.gamma(order + 1.0)
+
+
+def left_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
+    """Left rule with each cell's two end distances raised to both powers."""
+    n = len(u)
+    a = order
+    W = np.zeros((n, n))
+    for i in range(1, n):
+        uj = u[:i]
+        uj1 = u[1 : i + 1]
+        big = u[i] - uj
+        small = u[i] - uj1
+        du = uj1 - uj
+        m0 = (big**a - small**a) / a
+        m1 = u[i] * m0 - (big ** (a + 1) - small ** (a + 1)) / (a + 1)
+        wl = (uj1 * m0 - m1) / du
+        wr = (m1 - uj * m0) / du
+        W[i, :i] += wl
+        W[i, 1 : i + 1] += wr
+    return W / gamma_fn(a)
 
 
 def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:

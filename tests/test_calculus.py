@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import frac_integral_of_one, right_integral_reference
+from oracles import frac_integral_of_one, left_integral_reference, right_integral_reference
 from psifrac import (
     FractionalOrder,
     Grid,
@@ -15,6 +15,7 @@ from psifrac import (
     hilfer_derivative_matrix,
     hilfer_power_oracle,
 )
+from psifrac.calculus import _left_integral_entries
 from psifrac.core import PsiKind
 
 IDENTITY = PsiFunction(PsiKind.IDENTITY)
@@ -147,6 +148,21 @@ class TestHilferDerivative:
         )
         hi = g.n - max(2, int(np.ceil(0.05 * g.n)))
         assert np.abs(apply(m, f) - want)[1:hi].max() < 1e-4
+
+
+class TestLeftRule:
+    """One power per node pair and row, bit for bit the four-power loop."""
+
+    @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [9, 100, 513])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_integral_matches_reference(self, psi, n, order):
+        g = grid_for(psi, n=n)
+        got = frac_integral_matrix(g, psi, order, Side.LEFT).entries
+        assert np.array_equal(got, left_integral_reference(g.u, order))
+        # the reflected nodes, which the right rule runs on
+        v = -g.u[::-1]
+        assert np.array_equal(_left_integral_entries(v, order), left_integral_reference(v, order))
 
 
 class TestRightReflection:

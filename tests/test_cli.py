@@ -187,6 +187,29 @@ class TestRunConfigValidation:
         assert "sweep_step" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--zeta0", "--zeta-inf", "--tol"])
+    def test_nan_is_status_one(self, tmp_path, capsys, flag):
+        code, _, _ = run_cli(tmp_path, "eigen", "--grid-n", "17", flag, "nan")
+        assert code == 1
+        assert "nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["eigen", "convergence"])
+    def test_subnormal_integral_order_is_status_one(self, tmp_path, capsys, sub):
+        # g1 = beta(1-alpha) = 2.5e-311: the integral rule would overflow
+        code, _, _ = run_cli(
+            tmp_path, sub, "--alpha", "0.75", "--beta", "1e-310", "--grid-n", "33"
+        )
+        assert code == 1
+        assert "integral order g1" in capsys.readouterr().err
+
+    def test_tiny_normal_integral_order_runs(self, tmp_path):
+        code, _, report = run_cli(
+            tmp_path, "eigen", "--alpha", "0.75", "--beta", "1e-200", "--grid-n", "33"
+        )
+        assert code == 0
+        assert np.isfinite(report["lambda1"])
+
+
 class TestDeterminism:
     def test_identical_configs_reproduce_bytes(self, tmp_path):
         outs = []

@@ -5,16 +5,51 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import psifrac.operators
 from oracles import classical_e
 from psifrac import (
+    Side,
     assemble_composed,
     energy,
+    hilfer_derivative_matrix,
     make_spec,
     principal_eigenpair,
     solve_e,
 )
 
 PI2 = math.pi**2
+
+
+class TestFactoredAssembly:
+    """A = D_right D_left is built by applying the right factors to D_left."""
+
+    @pytest.mark.parametrize("n", [33, 129])
+    @pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])
+    def test_matches_right_matrix_times_left(self, psi, n):
+        for alpha in (1.0, 0.9, 0.75, 0.6):
+            for beta in (0.0, 0.5, 1.0):
+                spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
+                op = assemble_composed(spec)
+                left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
+                right = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.RIGHT)
+                assert np.array_equal(op.d_left.entries, left.entries)
+                want = right.entries @ left.entries
+                got = op.a_full.entries
+                tol = 1e-13 * np.abs(want).max()
+                assert np.abs(got[1:-1] - want[1:-1]).max() <= tol, (alpha, beta)
+
+    def test_right_derivative_matrix_is_never_built(self, monkeypatch):
+        sides = []
+        real = psifrac.operators.hilfer_derivative_matrix
+
+        def spy(grid, psi, order, side):
+            sides.append(side)
+            return real(grid, psi, order, side)
+
+        monkeypatch.setattr(psifrac.operators, "hilfer_derivative_matrix", spy)
+        for alpha in (1.0, 0.75):
+            assemble_composed(make_spec(alpha=alpha, grid_n=33))
+        assert sides == [Side.LEFT, Side.LEFT]
 
 
 class TestAssembly:
