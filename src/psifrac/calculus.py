@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# rows per block in the row-block loops: small temporaries, no Python step per row
+_BLOCK = 64
+
+
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -65,27 +69,27 @@ def _left_integral_entries(
 
     Product integration: on each cell [u_j, u_{j+1}] the interpolant
     f ~ linear and the moments m0 = int (u_i-u)^(a-1) du and
-    m1 = int (u_i-u)^(a-1) u du are exact.  Each row raises the distances
-    d = u_i - u_j to the powers a and a+1 once; the cell ends are the
-    shifted slices.  The rule is written into `out` (zeros, possibly a
-    view) when given.
+    m1 = int (u_i-u)^(a-1) u du are exact.  Rows go in blocks of _BLOCK:
+    the distances d = u_i - u_j, clipped at 0, are raised to the powers a
+    and a+1 once per block, and the cell ends are the shifted columns.
+    Cells at or above the diagonal have both ends at distance 0, so their
+    weights come out exact zeros.  The rule is written into `out` (zeros,
+    possibly a view) when given.
     """
     n = len(u)
     a = order
     W = np.zeros((n, n)) if out is None else out
-    for i in range(1, n):
-        uj = u[:i]
-        uj1 = u[1 : i + 1]
-        d = u[i] - u[: i + 1]
+    du = u[1:] - u[:-1]
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        ui = u[lo:hi, None]
+        d = np.maximum(ui - u[:hi], 0.0)
         p = d**a
-        q = d ** (a + 1)
-        du = uj1 - uj
-        m0 = (p[:-1] - p[1:]) / a
-        m1 = u[i] * m0 - (q[:-1] - q[1:]) / (a + 1)
-        wl = (uj1 * m0 - m1) / du
-        wr = (m1 - uj * m0) / du
-        W[i, :i] += wl
-        W[i, 1 : i + 1] += wr
+        d **= a + 1  # d now holds the distances to the power a+1
+        m0 = (p[:, :-1] - p[:, 1:]) / a
+        m1 = ui * m0 - (d[:, :-1] - d[:, 1:]) / (a + 1)
+        W[lo:hi, : hi - 1] = (u[1:hi] * m0 - m1) / du[: hi - 1]
+        W[lo:hi, 1:hi] += (m1 - u[: hi - 1] * m0) / du[: hi - 1]
     W /= gamma_fn(a)
     return W
 
@@ -159,25 +163,24 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
     """The stencil (c, start) of `_d1_stencil` times the matrix x.
 
     Each row of the product combines three rows of x: O(n^2) in place of a
-    dense O(n^3) product.  Rows go in blocks of 64, which keeps the
-    temporaries small without a Python step per row.
+    dense O(n^3) product, in blocks of _BLOCK rows.
     """
     out = np.empty_like(x)
-    for lo in range(0, len(start), 64):
-        rows = slice(lo, lo + 64)
+    for lo in range(0, len(start), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
         s = start[rows]
         out[rows] = c[rows, 0:1] * x[s] + c[rows, 1:2] * x[s + 1] + c[rows, 2:3] * x[s + 2]
     return out
 
 
-def _upper_times(upper: np.ndarray, x: np.ndarray, overwrite: bool) -> np.ndarray:
-    """upper @ x for an upper-triangular `upper`, by BLAS dtrmm (half the flops of @).
+def _triangular_times(tri: np.ndarray, x: np.ndarray, lower: bool, overwrite: bool) -> np.ndarray:
+    """tri @ x for a triangular `tri`, by BLAS dtrmm (half the flops of @).
 
     C-ordered arrays pass to BLAS as their F-ordered transposes:
-    (U x)^T = x^T U^T with U^T lower-triangular.  With overwrite, x (if
-    C-contiguous) is overwritten with the result.
+    (T x)^T = x^T T^T, with T^T in the other triangle.  With overwrite, x
+    (if C-contiguous) is overwritten with the result.
     """
-    return dtrmm(1.0, upper.T, x.T, side=1, lower=1, overwrite_b=overwrite).T
+    return dtrmm(1.0, tri.T, x.T, side=1, lower=int(not lower), overwrite_b=overwrite).T
 
 
 def right_derivative_times(grid: Grid, order: FractionalOrder, x: np.ndarray) -> np.ndarray:
@@ -191,11 +194,15 @@ def right_derivative_times(grid: Grid, order: FractionalOrder, x: np.ndarray) ->
     """
     u = grid.u
     if order.g2 > 0.0:
-        x = _upper_times(_integral_entries(u, order.g2, Side.RIGHT), x, overwrite=False)
+        x = _triangular_times(
+            _integral_entries(u, order.g2, Side.RIGHT), x, lower=False, overwrite=False
+        )
     c, start = _d1_stencil(u)
     x = _stencil_times(-c, start, x)
     if order.g1 > 0.0:
-        x = _upper_times(_integral_entries(u, order.g1, Side.RIGHT), x, overwrite=True)
+        x = _triangular_times(
+            _integral_entries(u, order.g1, Side.RIGHT), x, lower=False, overwrite=True
+        )
     return x
 
 
@@ -207,24 +214,46 @@ def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
     return OperatorMatrix(_d1_entries(grid.u))
 
 
+def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarray:
+    """I^{g1} . (D1 . I^{g2}), factor by factor.
+
+    The stencil acts on the inner integral as three-row combinations, and
+    the outer integral, lower-triangular, is applied by dtrmm.  Zero-order
+    integrals are the identity and are skipped, which keeps the alpha = 1
+    entries bit-for-bit equal to the plain stencil matrix.
+    """
+    if order.g2 > 0.0:
+        c, start = _d1_stencil(u)
+        entries = _stencil_times(c, start, _left_integral_entries(u, order.g2))
+    else:
+        entries = _d1_entries(u)
+    if order.g1 > 0.0:
+        entries = _triangular_times(
+            _left_integral_entries(u, order.g1), entries, lower=True, overwrite=True
+        )
+    return entries
+
+
 def hilfer_derivative_matrix(
     grid: Grid, psi: PsiFunction, order: FractionalOrder, side: Side
 ) -> OperatorMatrix:
-    """Hilfer-type fractional derivative as the three-factor matrix product.
+    """Hilfer-type fractional derivative as a three-factor matrix product.
 
     Left side:  I^{g1} . D1 . I^{g2};   right side:  I^{g1} . (-D1) . I^{g2},
     with g1 = beta(1-alpha), g2 = (1-beta)(1-alpha).  Zero-order integrals
     (alpha=1, or beta in {0,1} degeneracies) are the identity, so alpha=1
-    collapses the product to +/- D1 exactly.
+    collapses the product to +/- D1 exactly.  The left side is built from
+    its factors without a dense product; the right side, which assembly
+    applies factor by factor (`right_derivative_times`), is the plain
+    dense product.
     """
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
     u = grid.u
-    sign = 1.0 if side is Side.LEFT else -1.0
-    entries = sign * _d1_entries(u)
-    # identity factors (zero-order integrals) are skipped, which also keeps
-    # the alpha = 1 entries bit-for-bit equal to the plain stencil matrix
+    if side is Side.LEFT:
+        return OperatorMatrix(_left_derivative_entries(u, order))
+    entries = -_d1_entries(u)
     if order.g1 > 0.0:
         entries = _integral_entries(u, order.g1, side) @ entries
     if order.g2 > 0.0:

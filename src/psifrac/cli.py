@@ -65,9 +65,20 @@ class RunConfig:
             out.append(f"max_iter must be at least 1 (got {self.max_iter})")
         if self.subcommand not in SUBCOMMANDS:
             out.append(f"unknown subcommand {self.subcommand!r}")
-        if self.subcommand == "sweep" and not self.sweep_step > 0:
-            # the sweep would never reach sweep_max
-            out.append(f"sweep_step must be positive (got {self.sweep_step})")
+        if self.subcommand == "sweep":
+            # otherwise the sweep would never end, or would run no lambda
+            if not self.sweep_step > 0:
+                out.append(f"sweep_step must be positive (got {self.sweep_step})")
+            if not (math.isfinite(self.sweep_min) and math.isfinite(self.sweep_max)):
+                out.append(
+                    f"sweep_min and sweep_max must be finite "
+                    f"(got {self.sweep_min}, {self.sweep_max})"
+                )
+            elif self.sweep_min > self.sweep_max:
+                out.append(
+                    f"sweep_min must not exceed sweep_max "
+                    f"(got {self.sweep_min} > {self.sweep_max})"
+                )
         return out
 
 

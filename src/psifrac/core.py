@@ -10,6 +10,7 @@ by tests instead of being assumed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class FractionalOrder:
 
     alpha must lie in (1/2, 1] and beta in [0, 1].  The two derived
     integral exponents g1 = beta*(1-alpha) and g2 = (1-beta)*(1-alpha)
-    then lie in [0, 1/2) and sum to 1-alpha; a nonzero one below the
-    smallest normal float is refused.
+    then lie in [0, 1/2) and sum to 1-alpha.  How small a nonzero one may
+    be depends on the interval, so `validate_spec` bounds them.
     """
 
     alpha: float
@@ -61,11 +62,6 @@ class FractionalOrder:
             out.append(f"alpha must exceed 1/2 and be at most 1 (got {self.alpha})")
         if not 0.0 <= self.beta <= 1.0:
             out.append(f"beta must lie in [0, 1] (got {self.beta})")
-        tiny = np.finfo(float).tiny
-        for name, g in (("g1 = beta(1-alpha)", self.g1), ("g2 = (1-beta)(1-alpha)", self.g2)):
-            # the integral rule divides by its order, which overflows below tiny
-            if 0.0 < g < tiny:
-                out.append(f"integral order {name} must be 0 or at least {tiny:g} (got {g:g})")
         return out
 
 
@@ -324,6 +320,18 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
         expect = spec.psi(spec.grid.x)
         if not np.allclose(expect, spec.grid.u, rtol=1e-13, atol=1e-15):
             out.append("grid.u does not match psi(grid.x); rebuild the grid with this psi")
+        # the integral rule's weights grow like 1/g and (psi(T) - psi(0))/g;
+        # they stay finite while g is a normal float and that ratio is finite
+        span = float(spec.grid.u[-1] - spec.grid.u[0])
+        tiny = np.finfo(float).tiny
+        order = spec.order
+        for name, g in (("g1 = beta(1-alpha)", order.g1), ("g2 = (1-beta)(1-alpha)", order.g2)):
+            if g > 0.0 and not (g >= tiny and math.isfinite(span / float(g))):
+                floor = max(tiny, span / np.finfo(float).max)
+                out.append(
+                    f"integral order {name} must be 0 or at least {floor:g} for "
+                    f"psi(T) - psi(0) = {span:g} (got {g:g})"
+                )
     return out
 
 

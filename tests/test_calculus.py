@@ -15,7 +15,8 @@ from psifrac import (
     hilfer_derivative_matrix,
     hilfer_power_oracle,
 )
-from psifrac.calculus import _left_integral_entries
+import psifrac.calculus
+from psifrac.calculus import _BLOCK, _left_integral_entries
 from psifrac.core import PsiKind
 
 IDENTITY = PsiFunction(PsiKind.IDENTITY)
@@ -151,10 +152,11 @@ class TestHilferDerivative:
 
 
 class TestLeftRule:
-    """One power per node pair and row, bit for bit the four-power loop."""
+    """Rows in blocks, one power per node pair, bit for bit the four-power loop."""
 
     @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [9, 100, 513])
+    # 2*_BLOCK +- 1: a last block one row short of full, full, and of one row
+    @pytest.mark.parametrize("n", [9, 100, 513, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
     def test_integral_matches_reference(self, psi, n, order):
         g = grid_for(psi, n=n)
@@ -163,6 +165,71 @@ class TestLeftRule:
         # the reflected nodes, which the right rule runs on
         v = -g.u[::-1]
         assert np.array_equal(_left_integral_entries(v, order), left_integral_reference(v, order))
+
+
+class _MatmulSpy(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulSpy.products += 1
+
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _MatmulSpy) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+
+class TestLeftFactors:
+    """D_left = I^{g1} . (D1 . I^{g2}), built factor by factor."""
+
+    @pytest.mark.parametrize("n", [33, 129])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_matches_dense_three_factor_product(self, psi, n):
+        g = grid_for(psi, n=n)
+        d1 = first_derivative_matrix(g, psi).entries
+        for alpha in (1.0, 0.9, 0.75, 0.6):
+            for beta in (0.0, 0.5, 1.0):
+                order = FractionalOrder(alpha, beta)
+                want = d1
+                if order.g1 > 0.0:
+                    want = left_integral_reference(g.u, order.g1) @ want
+                if order.g2 > 0.0:
+                    want = want @ left_integral_reference(g.u, order.g2)
+                got = hilfer_derivative_matrix(g, psi, order, Side.LEFT).entries
+                if alpha == 1.0:
+                    assert np.array_equal(got, d1)
+                tol = 1e-13 * np.abs(want).max()
+                assert np.abs(got - want).max() <= tol, (alpha, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    def test_no_dense_product_at_most_one_triangular(self, monkeypatch, alpha, beta):
+        # every factor is a spy, so a dense product with any of them is counted
+        calc = psifrac.calculus
+        real_rule, real_d1, real_trmm = calc._left_integral_entries, calc._d1_entries, calc.dtrmm
+        trmm = []
+
+        def spy_trmm(*args, **kwargs):
+            trmm.append(kwargs)
+            return real_trmm(*args, **kwargs)
+
+        def spy_rule(*args):
+            return real_rule(*args).view(_MatmulSpy)
+
+        monkeypatch.setattr(calc, "_left_integral_entries", spy_rule)
+        monkeypatch.setattr(calc, "_d1_entries", lambda u: real_d1(u).view(_MatmulSpy))
+        monkeypatch.setattr(calc, "dtrmm", spy_trmm)
+        monkeypatch.setattr(_MatmulSpy, "products", 0)
+        g = grid_for(IDENTITY, n=33)
+        order = FractionalOrder(alpha, beta)
+        hilfer_derivative_matrix(g, IDENTITY, order, Side.LEFT)
+        assert _MatmulSpy.products == 0
+        assert len(trmm) == (1 if order.g1 > 0.0 else 0)
 
 
 class TestRightReflection:

@@ -186,6 +186,21 @@ class TestRunConfigValidation:
         assert code == 1
         assert "sweep_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bounds, msg",
+        [
+            (["--sweep-max", "inf"], "finite"),
+            (["--sweep-min=-inf"], "finite"),
+            (["--sweep-min", "nan"], "finite"),
+            (["--sweep-max", "nan"], "finite"),
+            (["--sweep-min", "5", "--sweep-max", "1"], "must not exceed"),
+        ],
+    )
+    def test_unbounded_or_reversed_sweep_is_status_one(self, tmp_path, capsys, bounds, msg):
+        # an infinite bound never ends the sweep; reversed bounds sweep nothing
+        code, _, _ = run_cli(tmp_path, "sweep", *FAST, *bounds)
+        assert code == 1
+        assert msg in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--lambda", "--zeta0", "--zeta-inf", "--tol"])
     def test_nan_is_status_one(self, tmp_path, capsys, flag):
@@ -201,6 +216,23 @@ class TestRunConfigValidation:
         )
         assert code == 1
         assert "integral order g1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["eigen", "convergence"])
+    def test_integral_order_too_small_for_interval_is_status_one(self, tmp_path, capsys, sub):
+        # g1 = 2.5e-308 is a normal float, but (psi(T) - psi(0))/g1 overflows at T = 100
+        code, _, _ = run_cli(
+            tmp_path, sub, "--alpha", "0.75", "--beta", "1e-307", "--T", "100", "--grid-n", "33"
+        )
+        assert code == 1
+        assert "integral order g1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["eigen", "convergence"])
+    def test_integral_order_above_interval_bound_runs(self, tmp_path, sub):
+        code, out, report = run_cli(
+            tmp_path, sub, "--alpha", "0.75", "--beta", "1e-300", "--T", "100", "--grid-n", "33"
+        )
+        assert code == 0
+        assert "nan" not in " ".join(p.read_text() for p in out.glob("*.csv"))
 
     def test_tiny_normal_integral_order_runs(self, tmp_path):
         code, _, report = run_cli(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psifrac import make_spec, validate_spec
+from psifrac import Side, frac_integral_matrix, make_spec, validate_spec
 from psifrac.config import parse_config_text
 from psifrac.core import (
     FractionalOrder,
@@ -50,6 +50,23 @@ def test_validate_spec_collects_everything():
     spec = make_spec(alpha=0.3, nu=2.0, lam=-1.0, zeta0=-1.0)
     msgs = validate_spec(spec)
     assert len(msgs) >= 4
+
+
+@pytest.mark.parametrize("psi", ["identity", "square"])
+@pytest.mark.parametrize("T", [0.5, 1.0, 100.0])
+def test_integral_order_floor_keeps_the_rule_finite(T, psi):
+    # the floor is the smallest normal float or (psi(T) - psi(0))/max float
+    span = make_spec(psi=psi, T=T, grid_n=33).grid.u[-1]
+    floor = max(np.finfo(float).tiny, span / np.finfo(float).max)
+    for g, admissible in ((0.99 * floor, False), (1.01 * floor, True)):
+        spec = make_spec(alpha=0.75, beta=g / 0.25, psi=psi, T=T, grid_n=33)
+        msgs = validate_spec(spec)
+        assert (msgs == []) == admissible, msgs
+        if admissible:
+            w = frac_integral_matrix(spec.grid, spec.psi, spec.order.g1, Side.LEFT).entries
+            assert np.isfinite(w).all()
+        else:
+            assert "integral order g1" in msgs[0]
 
 
 def test_fractional_order_gammas():

@@ -5,6 +5,7 @@ that straddles its admissible set, so that both the accepted and the
 refused side of every check are exercised.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -88,11 +89,13 @@ def cli_argv(draw):
     if sub == "solve" and draw(st.booleans()):
         argv.append("--from-super")
     if sub == "sweep":
-        # at most 5 lambdas, or a step that could never end the sweep
+        # at most 5 lambdas, or bounds or a step that could never end the sweep
         lo = draw(_floats(-1.0, 120.0))
         step = draw(st.one_of(_floats(0.5, 30.0), st.just(0.0), _floats(-5.0, -0.5)))
-        count = draw(st.integers(0, 4))
-        argv += [f"--sweep-min={lo}", f"--sweep-max={lo + count * abs(step)}"]
+        count = draw(st.integers(-2, 4))
+        hi = lo + count * abs(step)
+        lo, hi = draw(st.sampled_from([(lo, hi), (lo, math.inf), (math.nan, hi), (lo, math.nan)]))
+        argv += [f"--sweep-min={lo}", f"--sweep-max={hi}"]
         argv.append(f"--sweep-step={step}")
     return argv
 
