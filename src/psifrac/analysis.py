@@ -346,7 +346,7 @@ def verify_weak_inequality(
     ui = _checked_interior(u, spec.grid.n, side)
     if basis is None:
         basis = TentBasis(spec)
-    d_u = op.d_left.entries @ u
+    d_u = op.apply_left(u)
     left = spec.m(energy_of_derivative(d_u, op)) * basis.bilinear(d_u)
     return _verdict(side, left, ui, spec, basis)
 
@@ -387,9 +387,9 @@ def empirical_mu2(
     n = spec.grid.n
     # build_pair's refusals, in its order; p is phi at lambda = 1
     p = build_subsolution(1.0, r, spec.nu, eig)
-    d_e = op.d_left.entries @ _positive_e(e)
+    d_e = op.apply_left(_positive_e(e))
     basis = TentBasis(spec)
-    d_p = op.d_left.entries @ p
+    d_p = op.apply_left(p)
     energy_p, form_p = energy_of_derivative(d_p, op), basis.bilinear(d_p)
     energy_e, form_e = energy_of_derivative(d_e, op), basis.bilinear(d_e)
     lam = 1.0

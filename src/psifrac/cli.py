@@ -122,7 +122,7 @@ def _common_pipeline(rc: RunConfig):
     return op, eig, e, maj, mu1
 
 
-def _base_report(rc: RunConfig, eig, e, maj, mu1) -> dict:
+def _base_report(rc: RunConfig, op, eig, e, maj, mu1) -> dict:
     report = {
         "schema": 1,
         "version": __version__,
@@ -133,6 +133,12 @@ def _base_report(rc: RunConfig, eig, e, maj, mu1) -> dict:
         "mu1": mu1,
         "majorant_a": maj.a,
         "majorant_b": maj.b,
+        "diagnostics": {
+            "interior": {
+                "factorization": op.factorization,
+                "bandwidth": list(op.interior_bandwidth),
+            }
+        },
     }
     if mu1 is None:
         report["mu1_note"] = "bottom eigenvalue is not positive at this resolution"
@@ -141,7 +147,7 @@ def _base_report(rc: RunConfig, eig, e, maj, mu1) -> dict:
 
 def _cmd_eigen(rc: RunConfig) -> tuple[int, dict]:
     op, eig, e, maj, mu1 = _common_pipeline(rc)
-    report = _base_report(rc, eig, e, maj, mu1)
+    report = _base_report(rc, op, eig, e, maj, mu1)
     report["eigen"] = {
         "lambda1": eig.lambda1,
         "iterations": eig.iterations,
@@ -175,7 +181,7 @@ def _verify_json(rep) -> dict:
 def _cmd_verify(rc: RunConfig) -> tuple[int, dict]:
     op, eig, e, maj, mu1 = _common_pipeline(rc)
     pair, sub, sup = _verify_both(rc, op, eig, e)
-    report = _base_report(rc, eig, e, maj, mu1)
+    report = _base_report(rc, op, eig, e, maj, mu1)
     report["zeta"] = pair.zeta
     report["verify"] = [_verify_json(sub), _verify_json(sup)]
     x = rc.spec.grid.x[1:-1]
@@ -222,7 +228,7 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
         from_super=rc.from_super,
         verified=verified,
     )
-    report = _base_report(rc, eig, e, maj, mu1)
+    report = _base_report(rc, op, eig, e, maj, mu1)
     report["zeta"] = pair.zeta
     report["verify"] = [_verify_json(sub), _verify_json(sup)]
     report["solve"] = _solve_json(res)
@@ -247,7 +253,7 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
         res = solve_between(pair, spec_l, op_l, tol=rc.tol, max_iter=rc.max_iter)
         rows.append((lam, res.converged, res.final_residual, res.energy_final, res.positive))
         lam = round(lam + rc.sweep_step, 12)
-    report = _base_report(rc, eig, e, maj, mu1)
+    report = _base_report(rc, op, eig, e, maj, mu1)
     report["empirical_mu2"] = mu2
     report["sweep"] = {
         "lambda_min": rc.sweep_min,

@@ -5,14 +5,22 @@ derivative matrices with the two boundary rows replaced by unit rows
 (homogeneous Dirichlet).  All solves work on the interior block, whose LU
 factorization is computed once at assembly and reused; the stored objects
 are immutable afterwards.
+
+How each matrix is stored is read from the matrix: one whose band, with
+the fill an LU needs, is smaller than the dense square (A, its interior
+block and D_left at alpha = 1, all of bandwidth (2, 2)) is factored with
+LAPACK dgbtrf and multiplied diagonal by diagonal; any other (every
+fractional one) is factored and multiplied dense.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, bandwidth, lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .calculus import OperatorMatrix, Side, hilfer_derivative_matrix, right_derivative_times
 from .core import Field, ProblemSpec, validate_spec
@@ -27,26 +35,133 @@ __all__ = [
 ]
 
 
+def _bandwidth(a: np.ndarray) -> tuple[int, int, bool]:
+    """The bandwidth (kl, ku) of square a, and whether its band is the smaller storage.
+
+    The band counts the kl rows of fill that LU with partial pivoting
+    needs, (2 kl + ku + 1) rows of n, against the n^2 of the dense matrix.
+    """
+    kl, ku = bandwidth(a)
+    return int(kl), int(ku), (2 * kl + ku + 1) * a.shape[0] < a.size
+
+
+def _lu_band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """The band of square a in LAPACK storage for dgbtrf, kl rows of fill on top.
+
+    ab[kl + ku + i - j, j] = a[i, j] for -kl <= j - i <= ku.
+    """
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(a, d)
+    return ab
+
+
+def _diagonals(a: np.ndarray) -> tuple[tuple[int, np.ndarray], ...] | None:
+    """a's diagonals as (offset, entries), main one first and then outward; None when dense."""
+    kl, ku, banded = _bandwidth(a)
+    if not banded:
+        return None
+    offsets = sorted(range(-kl, ku + 1), key=lambda d: (abs(d), d))
+    return tuple((d, np.diagonal(a, d).copy()) for d in offsets)
+
+
+def _times(a: np.ndarray, diagonals: tuple | None, x: np.ndarray) -> np.ndarray:
+    """a @ x, summed over the diagonals from the main one outward when a is banded."""
+    if diagonals is None:
+        return a @ x
+    (_, main), *rest = diagonals
+    y = main * x
+    for d, v in rest:
+        if d > 0:
+            y[:-d] += v * x[d:]
+        else:
+            y[-d:] += v * x[:d]
+    return y
+
+
+@dataclass(frozen=True)
+class _InteriorLU:
+    """LU factors of the interior block, in band storage or dense."""
+
+    bandwidth: tuple[int, int]
+    banded: bool
+    lu: np.ndarray
+    piv: np.ndarray
+
+    @classmethod
+    def of(cls, block: np.ndarray) -> _InteriorLU:
+        kl, ku, banded = _bandwidth(block)
+        if not banded:
+            return cls((kl, ku), False, *lu_factor(block))
+        # outside the band every entry is an exact zero, so checking the
+        # band is lu_factor's finiteness check
+        ab = np.asarray_chkfinite(_lu_band(block, kl, ku))
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal gbtrf")
+        if info > 0:
+            # a zero pivot is reported as lu_factor reports it, not raised
+            warnings.warn(
+                f"Diagonal number {info} is exactly zero. Singular matrix.", LinAlgWarning
+            )
+        return cls((kl, ku), True, lu, piv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if not self.banded:
+            return lu_solve((self.lu, self.piv), rhs)
+        kl, ku = self.bandwidth
+        x, info = dgbtrs(self.lu, kl, ku, np.asarray_chkfinite(rhs), self.piv)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal gbtrs")
+        return x
+
+
 @dataclass(frozen=True)
 class ComposedOperator:
     """Dirichlet realization of D_right(D_left u) on the grid.
 
     a_full keeps field indices aligned with grid nodes (unit boundary
     rows); interior solves use the cached factorization of the interior
-    block.
+    block.  Products and solves go through the methods, which use the
+    band of A and of D_left where they have one; a_full and d_left stay
+    the dense matrices.
     """
 
     a_full: OperatorMatrix
     d_left: OperatorMatrix
     spec: ProblemSpec
-    _lu: tuple = field(repr=False, compare=False)
+    _lu: _InteriorLU = field(repr=False, compare=False)
+    _a_diagonals: tuple | None = field(repr=False, compare=False)
+    _d_diagonals: tuple | None = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.a_full.n
 
+    @property
+    def factorization(self) -> str:
+        """How the interior block is factored: "banded" or "dense"."""
+        return "banded" if self._lu.banded else "dense"
+
+    @property
+    def interior_bandwidth(self) -> tuple[int, int]:
+        """(kl, ku) of the interior block, read from its entries."""
+        return self._lu.bandwidth
+
     def interior_block(self) -> np.ndarray:
         return self.a_full.entries[1:-1, 1:-1]
+
+    def solve_block(self, rhs_interior: np.ndarray) -> np.ndarray:
+        """The interior block's solve: A_int^{-1} rhs, without boundary entries."""
+        return self._lu.solve(rhs_interior)
+
+    def apply_block(self, v: np.ndarray) -> np.ndarray:
+        """The interior block's product: A_int v, without boundary entries."""
+        if self._a_diagonals is None:
+            return self.interior_block() @ v
+        # zero boundary values add exact zeros to the interior rows
+        return self.apply_full(np.concatenate(([0.0], v, [0.0])))[1:-1]
 
     def solve_interior(self, rhs_interior: np.ndarray) -> Field:
         """Solve A u = rhs on the interior with zero Dirichlet data."""
@@ -56,11 +171,15 @@ class ComposedOperator:
                 f"rhs length {rhs_interior.shape} does not match interior size {self.n - 2}"
             )
         out = np.zeros(self.n)
-        out[1:-1] = lu_solve(self._lu, rhs_interior)
+        out[1:-1] = self.solve_block(rhs_interior)
         return out
 
     def apply_full(self, f: Field) -> Field:
-        return self.a_full.entries @ np.asarray(f, dtype=float)
+        return _times(self.a_full.entries, self._a_diagonals, np.asarray(f, dtype=float))
+
+    def apply_left(self, f: Field) -> np.ndarray:
+        """The nodal left derivative D_left f."""
+        return _times(self.d_left.entries, self._d_diagonals, np.asarray(f, dtype=float))
 
 
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
@@ -79,8 +198,14 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     a[0, 0] = 1.0
     a[-1, :] = 0.0
     a[-1, -1] = 1.0
-    lu = lu_factor(a[1:-1, 1:-1])
-    return ComposedOperator(OperatorMatrix(a), left, spec, lu)
+    return ComposedOperator(
+        OperatorMatrix(a),
+        left,
+        spec,
+        _InteriorLU.of(a[1:-1, 1:-1]),
+        _diagonals(a),
+        _diagonals(left.entries),
+    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +239,7 @@ def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.nd
     hess = np.zeros((k + 1, k))
     basis[:, 0] = v / np.linalg.norm(v)
     for j in range(k):
-        w = lu_solve(op._lu, basis[:, j])
+        w = op.solve_block(basis[:, j])
         for _ in range(2):
             c = basis[:, : j + 1].T @ w
             w -= basis[:, : j + 1] @ c
@@ -144,7 +269,6 @@ def principal_eigenpair(
     `iterations` reports that total.  Raises on non-convergence.
     """
     m = op.n - 2
-    a_int = op.interior_block()
     v = np.ones(m)
     lam = 0.0
     solves = 0
@@ -168,15 +292,15 @@ def principal_eigenpair(
         v = basis @ ys[:, top].real
         if solves == max_iter:
             break
-        w = lu_solve(op._lu, v)
+        w = op.solve_block(v)
         solves += 1
         w = w / np.abs(w).max()
-        lam_new = float(w @ (a_int @ w)) / float(w @ w)
+        lam_new = float(w @ op.apply_block(w)) / float(w @ w)
         drift = abs(lam_new - lam)
         v = w
         lam = lam_new
         if drift <= tol * abs(lam):
-            converged = float(np.abs(a_int @ v - lam * v).max()) <= 10.0 * tol * abs(lam)
+            converged = float(np.abs(op.apply_block(v) - lam * v).max()) <= 10.0 * tol * abs(lam)
     if not converged:
         raise RuntimeError(
             f"shift-invert Arnoldi did not converge in {max_iter} LU solves "
@@ -187,7 +311,7 @@ def principal_eigenpair(
         v = -v
     full = np.zeros(op.n)
     full[1:-1] = v / np.abs(v).max()
-    resid = float(np.abs(a_int @ full[1:-1] - lam * full[1:-1]).max())
+    resid = float(np.abs(op.apply_block(full[1:-1]) - lam * full[1:-1]).max())
     return EigenPair(
         lambda1=lam,
         psi1=full,
@@ -211,7 +335,7 @@ def energy(u: Field, op: ComposedOperator) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise ValueError(f"field length {u.shape} does not match grid size {op.n}")
-    return energy_of_derivative(op.d_left.entries @ u, op)
+    return energy_of_derivative(op.apply_left(u), op)
 
 
 def energy_of_derivative(d_u: np.ndarray, op: ComposedOperator) -> float:

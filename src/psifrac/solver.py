@@ -212,8 +212,8 @@ def comparison_check(
             raise ValueError("both fields must vanish at the boundary nodes")
     if basis is None:
         basis = TentBasis(spec)
-    d1 = op.d_left.entries @ theta1
-    d2 = op.d_left.entries @ theta2
+    d1 = op.apply_left(theta1)
+    d2 = op.apply_left(theta2)
     b1 = spec.m(energy_of_derivative(d1, op)) * basis.bilinear(d1)
     b2 = spec.m(energy_of_derivative(d2, op)) * basis.bilinear(d2)
     slack = 1e-9 * (1.0 + float(np.abs(b2).max()))

@@ -242,6 +242,30 @@ class TestRunConfigValidation:
         assert np.isfinite(report["lambda1"])
 
 
+class TestDiagnostics:
+    SWEEP = ["--sweep-min", "40", "--sweep-max", "50", "--sweep-step", "10"]
+
+    @pytest.mark.parametrize("sub", ["eigen", "solve", "verify", "sweep"])
+    def test_interior_storage_in_report_only(self, tmp_path, sub):
+        extra = self.SWEEP if sub == "sweep" else []
+        code, out, report = run_cli(tmp_path, sub, *FAST, *extra)
+        assert code == 0
+        interior = report["diagnostics"]["interior"]
+        assert interior == {"factorization": "banded", "bandwidth": [2, 2]}
+        # the CSVs carry no diagnostics, so their bytes do not depend on them
+        for path in out.glob("*.csv"):
+            assert "banded" not in path.read_text()
+
+    def test_fractional_interior_is_dense(self, tmp_path):
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
+        assert code == 0
+        interior = report["diagnostics"]["interior"]
+        assert interior["factorization"] == "dense"
+        kl, ku = interior["bandwidth"]
+        # the block has 63 rows, and its LU band would not be smaller
+        assert 2 * kl + ku + 1 >= 63
+
+
 class TestDeterminism:
     def test_identical_configs_reproduce_bytes(self, tmp_path):
         outs = []

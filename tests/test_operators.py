@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import LinAlgWarning
 
 import psifrac.operators
 from oracles import classical_e
@@ -50,6 +51,103 @@ class TestFactoredAssembly:
         for alpha in (1.0, 0.75):
             assemble_composed(make_spec(alpha=alpha, grid_n=33))
         assert sides == [Side.LEFT, Side.LEFT]
+
+
+PSIS = ["identity", "exp_minus_one", "square", "log1p"]
+
+
+class TestBandedInterior:
+    """At alpha = 1 A, its interior block and D_left have bandwidth (2, 2):
+    they are factored and multiplied by the band, every other one dense."""
+
+    @pytest.mark.parametrize("n", [33, 129, 769])
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_band_solve_and_products_match_dense(self, psi, n):
+        op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
+        assert op.factorization == "banded" and op.interior_bandwidth == (2, 2)
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n - 2)
+        want = scipy.linalg.solve(op.interior_block(), b)
+        got = op.solve_interior(b)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.linalg.norm(got[1:-1] - want) <= 1e-12 * np.linalg.norm(want)
+        u = rng.standard_normal(n)
+        for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, op.d_left.entries)):
+            assert np.all(np.abs(apply(u) - mat @ u) <= 1e-14 * (np.abs(mat) @ np.abs(u)))
+        v = u[1:-1]
+        block = op.interior_block()
+        assert np.all(np.abs(op.apply_block(v) - block @ v) <= 1e-14 * (np.abs(block) @ np.abs(v)))
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    def test_fractional_block_stays_dense_and_bitwise(self, alpha):
+        op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=129))
+        assert op.factorization == "dense"
+        block = op.interior_block()
+        b = np.random.default_rng(7).standard_normal(op.n - 2)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(block), b)
+        assert np.array_equal(op.solve_interior(b)[1:-1], want)
+        assert np.array_equal(op.apply_block(b), block @ b)
+
+    def test_smallest_grid_falls_back_to_dense(self):
+        # the LU band (2 kl + ku + 1 = 7 rows) is not smaller than an
+        # interior block of 6 or 7 rows
+        for n, kind in ((8, "dense"), (9, "dense"), (10, "banded")):
+            op = assemble_composed(make_spec(alpha=1.0, grid_n=n))
+            assert (op.factorization, op.interior_bandwidth) == (kind, (2, 2)), n
+            b = np.linspace(1.0, 2.0, n - 2)
+            want = np.linalg.solve(op.interior_block(), b)
+            assert np.allclose(op.solve_interior(b)[1:-1], want, rtol=1e-12, atol=0.0)
+
+    def test_factorization_follows_the_band(self, monkeypatch):
+        calls = []
+        for name in ("lu_factor", "dgbtrf"):
+            real = getattr(psifrac.operators, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(psifrac.operators, name, spy)
+        for n in (33, 129):
+            assemble_composed(make_spec(alpha=1.0, grid_n=n))
+        assert calls == ["dgbtrf", "dgbtrf"]
+        calls.clear()
+        for alpha in (0.9, 0.75):
+            assemble_composed(make_spec(alpha=alpha, grid_n=33))
+        assert calls == ["lu_factor", "lu_factor"]
+
+    def test_illegal_argument_raises(self, monkeypatch):
+        real = psifrac.operators.dgbtrf
+
+        def bad(*args, **kwargs):
+            lu, piv, _ = real(*args, **kwargs)
+            return lu, piv, -3
+
+        monkeypatch.setattr(psifrac.operators, "dgbtrf", bad)
+        with pytest.raises(ValueError, match="illegal value in 3th argument"):
+            assemble_composed(make_spec(alpha=1.0, grid_n=33))
+
+    def test_singular_block_surfaces_like_dense(self):
+        # a pentadiagonal block with a zero row: both paths warn with the
+        # same message and then refuse the non-finite right-hand side that
+        # a solve against the singular factors produces
+        m = 20
+        block = sum(np.diag(np.full(m - abs(d), 3.0 - abs(d)), d) for d in range(-2, 3))
+        block[7] = 0.0
+        with pytest.warns(LinAlgWarning) as dense_warning:
+            dense = scipy.linalg.lu_factor(block)
+        with pytest.warns(LinAlgWarning) as band_warning:
+            band = psifrac.operators._InteriorLU.of(block)
+        assert band.banded
+        assert str(band_warning[0].message) == str(dense_warning[0].message)
+        b = np.ones(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_dense = scipy.linalg.lu_solve(dense, b)
+            x_band = band.solve(b)
+        assert not np.isfinite(x_dense).all() and not np.isfinite(x_band).all()
+        for solve in (lambda r: scipy.linalg.lu_solve(dense, r), band.solve):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(x_band)
 
 
 class TestAssembly:

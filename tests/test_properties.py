@@ -9,6 +9,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,27 @@ def test_assemble_composed_returns_or_raises_value_error(spec):
     # assembly validates first, so an operator means an admissible spec
     assert not validate_spec(spec)
     assert op.n == spec.grid.n
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=spec_fields(0).map(lambda fields: make_spec(**fields)), seed=st.integers(0, 2**32 - 1))
+def test_solve_interior_matches_dense_solve(spec, seed):
+    # the banded (alpha = 1, grid_n >= 10) and dense factorizations both
+    # agree with a plain dense solve to the block's conditioning
+    try:
+        op = assemble_composed(spec)
+    except ValueError:
+        return
+    block = op.interior_block()
+    cond = np.linalg.cond(block)
+    if not cond < 1e10:
+        return
+    b = np.random.default_rng(seed).standard_normal(op.n - 2)
+    want = np.linalg.solve(block, b)
+    got = op.solve_interior(b)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    err = np.linalg.norm(got[1:-1] - want)
+    assert err <= 100.0 * cond * np.finfo(float).eps * np.linalg.norm(want)
 
 
 @st.composite

@@ -162,6 +162,27 @@ class TestSolveBetween:
         assert res.iterations == 120
         assert res.damped_steps > 0
 
+    def test_pinned_iterate_is_not_solved_again_on_the_band(
+        self, catalog_spec, catalog_eig, catalog_e, catalog_op, monkeypatch
+    ):
+        # the same count through the operator's own solve, which at alpha = 1
+        # runs on the banded factors and never reaches lu_solve
+        assert catalog_op.factorization == "banded"
+        spec = dataclasses.replace(catalog_spec, lam=5.0)
+        op = dataclasses.replace(catalog_op, spec=spec)
+        pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
+        solves = []
+        solve_block = psifrac.operators.ComposedOperator.solve_block
+
+        def counting(self, rhs):
+            solves.append(1)
+            return solve_block(self, rhs)
+
+        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_block", counting)
+        res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
+        assert 1 <= len(solves) <= 5
+        assert res.iterations == 120
+
     def test_fixed_point_at_rounding_floor_converges(self):
         # at n = 769 this solve reaches an iterate that repeats bitwise with
         # no bound active, yet its residual cannot fall below about 1e-8;
