@@ -145,16 +145,20 @@ def zeta_lambda(
 def build_subsolution(lam: float, r: float, nu: float, eig: EigenPair) -> Field:
     """phi = lambda^r * psi1^(2/(1+nu)), with r in the window (1/(1+nu), 1).
 
-    Negative eigenfunction values (possible for alpha < 1 at coarse grids)
-    are clipped to zero before the fractional power.
+    Refused unless psi1 is positive on the interior, which the alpha < 1
+    discretization does not deliver.
     """
     lo = 1.0 / (1.0 + nu)
     if not lo < r < 1.0:
         raise ValueError(f"exponent r must lie in ({lo:.6g}, 1), got {r}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    base = np.clip(eig.psi1, 0.0, None)
-    return lam**r * base ** (2.0 / (1.0 + nu))
+    if not eig.positive_interior:
+        # a computed-outcome failure, like a non-positive e
+        raise RuntimeError(
+            "psi1 is not positive on the interior; cannot raise it into a subsolution"
+        )
+    return lam**r * eig.psi1 ** (2.0 / (1.0 + nu))
 
 
 def build_supersolution(zeta: float, e: Field) -> Field:
@@ -198,8 +202,8 @@ def build_pair(
     largest interior ratio phi_i / e_i when that is bigger, which is the
     smallest scaling that makes zeta*e >= phi hold exactly.
     """
-    phi = build_subsolution(spec.lam, r, spec.nu, eig)
     e = _positive_e(e)
+    phi = build_subsolution(spec.lam, r, spec.nu, eig)
     z = zeta_lambda(spec.h, spec.lam, spec.m.zeta0, float(e.max()))
     ratio = float(np.max(phi[1:-1] / e[1:-1]))
     z = max(z, ratio)
@@ -386,8 +390,8 @@ def empirical_mu2(
         return None
     n = spec.grid.n
     # build_pair's refusals, in its order; p is phi at lambda = 1
-    p = build_subsolution(1.0, r, spec.nu, eig)
     d_e = op.apply_left(_positive_e(e))
+    p = build_subsolution(1.0, r, spec.nu, eig)
     basis = TentBasis(spec)
     d_p = op.apply_left(p)
     energy_p, form_p = energy_of_derivative(d_p, op), basis.bilinear(d_p)

@@ -8,6 +8,12 @@ closed form, so the weakly singular kernel is integrated exactly against
 the interpolant (product integration; no free parameters, no tuning).
 The right-side integral is the left rule applied to the reflected nodes.
 
+Both derivatives are Riemann-Liouville: d/du after an integral of order
+1 - alpha.  The type beta cancels on the fields the composed operator
+differentiates (f(0) = 0 on the left, bounded near T on the right; Kilbas,
+Srivastava & Trujillo 2006, sec. 2.4) except at beta = 1, alpha < 1, the
+Caputo type, which first subtracts f(0) on the left and g(T) on the right.
+
 Every builder reads the transformed nodes from `grid.u`; its psi argument
 names the map the grid was built with.  Matrix assembly is
 row-independent; assembled matrices are immutable and safe to share.
@@ -173,37 +179,36 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _triangular_times(tri: np.ndarray, x: np.ndarray, lower: bool, overwrite: bool) -> np.ndarray:
-    """tri @ x for a triangular `tri`, by BLAS dtrmm (half the flops of @).
+def _triangular_times(tri: np.ndarray, x: np.ndarray, overwrite: bool) -> np.ndarray:
+    """tri @ x for an upper-triangular `tri`, by BLAS dtrmm (half the flops of @).
 
     C-ordered arrays pass to BLAS as their F-ordered transposes:
-    (T x)^T = x^T T^T, with T^T in the other triangle.  With overwrite, x
-    (if C-contiguous) is overwritten with the result.
+    (T x)^T = x^T T^T, with T^T lower-triangular.  With overwrite, x (if
+    C-contiguous) is overwritten with the result.
     """
-    return dtrmm(1.0, tri.T, x.T, side=1, lower=int(not lower), overwrite_b=overwrite).T
+    return dtrmm(1.0, tri.T, x.T, side=1, lower=1, overwrite_b=overwrite).T
 
 
 def right_derivative_times(grid: Grid, order: FractionalOrder, x: np.ndarray) -> np.ndarray:
     """hilfer_derivative_matrix(..., Side.RIGHT).entries @ x, factor by factor.
 
-    Applies I^{g2}, then -D1, then I^{g1} to x without forming the right
-    derivative matrix: each right integral is built just before it is
-    applied as a triangular product and released right after, and the
-    stencil acts as three-row combinations.  Agrees with the matrix
-    product to rounding; x is not modified.
+    Applies the right integral of order 1 - alpha, built just before and
+    released right after its triangular product, then -D1 as three-row
+    combinations.  At beta = 1 the last row is first subtracted from every
+    row (g - g(T)), in a copy made after the rule's block temporaries are
+    gone.  x is not modified.
     """
     u = grid.u
-    if order.g2 > 0.0:
-        x = _triangular_times(
-            _integral_entries(u, order.g2, Side.RIGHT), x, lower=False, overwrite=False
-        )
+    g = 1.0 - order.alpha
+    if g > 0.0:
+        integral = _integral_entries(u, g, Side.RIGHT)
+        caputo = order.beta == 1.0
+        if caputo:
+            x = x - x[-1]
+        x = _triangular_times(integral, x, overwrite=caputo)
+        del integral
     c, start = _d1_stencil(u)
-    x = _stencil_times(-c, start, x)
-    if order.g1 > 0.0:
-        x = _triangular_times(
-            _integral_entries(u, order.g1, Side.RIGHT), x, lower=False, overwrite=True
-        )
-    return x
+    return _stencil_times(-c, start, x)
 
 
 def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
@@ -215,50 +220,37 @@ def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
 
 
 def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarray:
-    """I^{g1} . (D1 . I^{g2}), factor by factor.
+    """D1 . I^{1-alpha}, the stencil acting on the integral as three-row combinations.
 
-    The stencil acts on the inner integral as three-row combinations, and
-    the outer integral, lower-triangular, is applied by dtrmm.  Zero-order
-    integrals are the identity and are skipped, which keeps the alpha = 1
-    entries bit-for-bit equal to the plain stencil matrix.
+    At alpha = 1 these are the stencil matrix's entries, bit for bit.  At
+    beta = 1, alpha < 1, column 0 loses each row's sum: f - f(0) is
+    differentiated.
     """
-    if order.g2 > 0.0:
-        c, start = _d1_stencil(u)
-        entries = _stencil_times(c, start, _left_integral_entries(u, order.g2))
-    else:
-        entries = _d1_entries(u)
-    if order.g1 > 0.0:
-        entries = _triangular_times(
-            _left_integral_entries(u, order.g1), entries, lower=True, overwrite=True
-        )
+    g = 1.0 - order.alpha
+    if g <= 0.0:
+        return _d1_entries(u)
+    c, start = _d1_stencil(u)
+    entries = _stencil_times(c, start, _left_integral_entries(u, g))
+    if order.beta == 1.0:
+        entries[:, 0] -= entries.sum(axis=1)
     return entries
 
 
 def hilfer_derivative_matrix(
     grid: Grid, psi: PsiFunction, order: FractionalOrder, side: Side
 ) -> OperatorMatrix:
-    """Hilfer-type fractional derivative as a three-factor matrix product.
+    """Hilfer-type fractional derivative of order alpha and type beta as a matrix.
 
-    Left side:  I^{g1} . D1 . I^{g2};   right side:  I^{g1} . (-D1) . I^{g2},
-    with g1 = beta(1-alpha), g2 = (1-beta)(1-alpha).  Zero-order integrals
-    (alpha=1, or beta in {0,1} degeneracies) are the identity, so alpha=1
-    collapses the product to +/- D1 exactly.  The left side is built from
-    its factors without a dense product; the right side, which assembly
-    applies factor by factor (`right_derivative_times`), is the plain
-    dense product.
+    Left side:  D1 . I^{1-alpha};  right side:  -D1 . I_R^{1-alpha}, which
+    is `right_derivative_times` on the identity.  At beta = 1, alpha < 1
+    they act on f - f(0) and g - g(T); at alpha = 1 they are +/- D1 exactly.
     """
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    u = grid.u
     if side is Side.LEFT:
-        return OperatorMatrix(_left_derivative_entries(u, order))
-    entries = -_d1_entries(u)
-    if order.g1 > 0.0:
-        entries = _integral_entries(u, order.g1, side) @ entries
-    if order.g2 > 0.0:
-        entries = entries @ _integral_entries(u, order.g2, side)
-    return OperatorMatrix(entries)
+        return OperatorMatrix(_left_derivative_entries(grid.u, order))
+    return OperatorMatrix(right_derivative_times(grid, order, np.eye(grid.n)))
 
 
 def hilfer_power_oracle(

@@ -129,6 +129,14 @@ class TestSubsolution:
                 build_subsolution(2.0, r, nu, catalog_eig)
         build_subsolution(2.0, (lo + 1.0) / 2.0, nu, catalog_eig)
 
+    def test_sign_changing_psi1_rejected(self, catalog_eig):
+        # a computed outcome (alpha < 1), so a RuntimeError like a negative e
+        psi1 = catalog_eig.psi1.copy()
+        psi1[5] = -1e-3
+        bad = dataclasses.replace(catalog_eig, psi1=psi1, positive_interior=False)
+        with pytest.raises(RuntimeError, match="psi1 is not positive"):
+            build_subsolution(1.0, 0.8, 0.5, bad)
+
     def test_power_evaluation(self, catalog_eig):
         # sup phi = 16^0.8 since the eigenfunction is sup-normalized
         phi = build_subsolution(16.0, 0.8, 1.0 / 3.0, catalog_eig)

@@ -17,7 +17,8 @@ from psifrac import (
 )
 import psifrac.calculus
 from psifrac.calculus import _BLOCK, _left_integral_entries
-from psifrac.core import PsiKind
+from psifrac.core import PsiKind, make_spec
+from psifrac.operators import assemble_composed, principal_eigenpair, solve_e
 
 IDENTITY = PsiFunction(PsiKind.IDENTITY)
 EXPM1 = PsiFunction(PsiKind.EXP_MINUS_ONE, k=1.0)
@@ -184,22 +185,37 @@ class _MatmulSpy(np.ndarray):
         return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
 
 
+def rl_reference(g: Grid, psi: PsiFunction, order: FractionalOrder, side: Side) -> np.ndarray:
+    """The dense Riemann-Liouville derivative from the verbatim integral rules.
+
+    D1 . I^{1-alpha} on the left, -D1 . I_R^{1-alpha} on the right; at
+    beta = 1, alpha < 1 they act on f - f(0) and g - g(T).
+    """
+    n = g.n
+    d1 = first_derivative_matrix(g, psi).entries
+    shift = np.eye(n)
+    if order.alpha < 1.0 and order.beta == 1.0:
+        shift[:, 0 if side is Side.LEFT else -1] -= 1.0
+    if side is Side.LEFT:
+        rule, sign = left_integral_reference, 1.0
+    else:
+        rule, sign = right_integral_reference, -1.0
+    integral = rule(g.u, 1.0 - order.alpha) if order.alpha < 1.0 else np.eye(n)
+    return sign * d1 @ integral @ shift
+
+
 class TestLeftFactors:
-    """D_left = I^{g1} . (D1 . I^{g2}), built factor by factor."""
+    """D_left = D1 . I^{1-alpha}, the stencil acting on the integral's rows."""
 
     @pytest.mark.parametrize("n", [33, 129])
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
-    def test_matches_dense_three_factor_product(self, psi, n):
+    def test_matches_dense_rl_reference(self, psi, n):
         g = grid_for(psi, n=n)
         d1 = first_derivative_matrix(g, psi).entries
         for alpha in (1.0, 0.9, 0.75, 0.6):
             for beta in (0.0, 0.5, 1.0):
                 order = FractionalOrder(alpha, beta)
-                want = d1
-                if order.g1 > 0.0:
-                    want = left_integral_reference(g.u, order.g1) @ want
-                if order.g2 > 0.0:
-                    want = want @ left_integral_reference(g.u, order.g2)
+                want = rl_reference(g, psi, order, Side.LEFT)
                 got = hilfer_derivative_matrix(g, psi, order, Side.LEFT).entries
                 if alpha == 1.0:
                     assert np.array_equal(got, d1)
@@ -208,7 +224,7 @@ class TestLeftFactors:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("alpha", [1.0, 0.75])
-    def test_no_dense_product_at_most_one_triangular(self, monkeypatch, alpha, beta):
+    def test_no_dense_product_no_triangular(self, monkeypatch, alpha, beta):
         # every factor is a spy, so a dense product with any of them is counted
         calc = psifrac.calculus
         real_rule, real_d1, real_trmm = calc._left_integral_entries, calc._d1_entries, calc.dtrmm
@@ -226,14 +242,42 @@ class TestLeftFactors:
         monkeypatch.setattr(calc, "dtrmm", spy_trmm)
         monkeypatch.setattr(_MatmulSpy, "products", 0)
         g = grid_for(IDENTITY, n=33)
-        order = FractionalOrder(alpha, beta)
-        hilfer_derivative_matrix(g, IDENTITY, order, Side.LEFT)
+        hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(alpha, beta), Side.LEFT)
         assert _MatmulSpy.products == 0
-        assert len(trmm) == (1 if order.g1 > 0.0 else 0)
+        assert trmm == []
+
+
+class TestTypeParameter:
+    """beta enters only as the Caputo shift at beta = 1."""
+
+    @pytest.mark.parametrize("psi", ["identity", "square"])
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_every_beta_below_one_is_bitwise_beta_zero(self, alpha, psi):
+        def outputs(beta):
+            op = assemble_composed(make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=65))
+            return op, principal_eigenpair(op, tol=1e-9).lambda1, solve_e(op)
+
+        op0, lam0, e0 = outputs(0.0)
+        for beta in (0.3, 0.5, 0.999):
+            op, lam, e = outputs(beta)
+            assert np.array_equal(op.a_full.entries, op0.a_full.entries), beta
+            assert np.array_equal(op.d_left.entries, op0.d_left.entries), beta
+            assert lam == lam0 and np.array_equal(e, e0), beta
+
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_caputo_shift_only_touches_the_value_at_zero(self, psi, alpha):
+        g = grid_for(psi, n=129)
+        rl = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 0.0), Side.LEFT)
+        caputo = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 1.0), Side.LEFT)
+        s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
+        for f in (s * (1.0 - s), np.sin(np.pi * s), np.expm1(s), s**1.5):
+            assert np.array_equal(apply(caputo, f), apply(rl, f))
+        assert np.abs(apply(caputo, np.ones(g.n))).max() <= 1e-13 * np.abs(rl.entries).max()
 
 
 class TestRightReflection:
-    """The right side is the left rule on reflected nodes, bit for bit the direct rule."""
+    """The right rule is the left rule on reflected nodes, bit for bit the direct rule."""
 
     @pytest.mark.parametrize("order", [0.05, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [9, 100, 513])
@@ -246,16 +290,14 @@ class TestRightReflection:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("alpha", [1.0, 0.75])
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
-    def test_derivative_matches_three_factor_reference(self, psi, alpha, beta):
+    def test_derivative_matches_dense_rl_reference(self, psi, alpha, beta):
         g = grid_for(psi, n=100)
         order = FractionalOrder(alpha, beta)
-        want = -1.0 * first_derivative_matrix(g, psi).entries
-        if order.g1 > 0.0:
-            want = right_integral_reference(g.u, order.g1) @ want
-        if order.g2 > 0.0:
-            want = want @ right_integral_reference(g.u, order.g2)
+        want = rl_reference(g, psi, order, Side.RIGHT)
         got = hilfer_derivative_matrix(g, psi, order, Side.RIGHT).entries
-        assert np.array_equal(got, want)
+        if alpha == 1.0:
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestPowerOracle:

@@ -148,16 +148,26 @@ class TestConvergence:
 
 class TestFractionalCorners:
     def test_nonpositive_bottom_eigenvalue_reported(self, tmp_path):
-        # at this corner the discrete composed operator has a negative
-        # bottom mode; the threshold is reported as null, not fabricated
+        # off the catalog (T = 10, nine nodes) the discrete composed operator
+        # has a negative bottom mode; the threshold is reported as null, not
+        # fabricated
         code, _, report = run_cli(
-            tmp_path, "eigen", "--alpha", "0.75", "--beta", "1.0", "--grid-n", "65"
+            tmp_path, "eigen", "--alpha", "0.75", "--beta", "0", "--psi", "log1p",
+            "--T", "10", "--grid-n", "9",
         )
         assert code == 0
         assert report["lambda1"] < 0
         assert report["mu1"] is None
         assert "mu1_note" in report
         assert report["eigen"]["positive_interior"] is False
+
+    @pytest.mark.parametrize("sub", ["solve", "verify", "sweep"])
+    def test_sign_changing_psi1_is_numerical_failure(self, tmp_path, capsys, sub):
+        # at beta = 1 e is positive but psi1 changes sign: status 2 with the
+        # reason, not the status-1 refusal of a clipped phi's singular term
+        code, _, _ = run_cli(tmp_path, sub, "--alpha", "0.75", "--beta", "1", *FAST)
+        assert code == 2
+        assert "psi1 is not positive" in capsys.readouterr().err
 
     def test_solve_refusal_is_numerical_failure(self, tmp_path, capsys):
         # build_pair refuses a sign-changing e field: status 2, not 1
@@ -209,27 +219,29 @@ class TestRunConfigValidation:
         assert "nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
-    def test_subnormal_integral_order_is_status_one(self, tmp_path, capsys, sub):
-        # g1 = beta(1-alpha) = 2.5e-311: the integral rule would overflow
+    def test_subnormal_beta_runs(self, tmp_path, sub):
+        # beta enters only as the Caputo shift at beta = 1, so no tiny beta
+        # makes an integral order subnormal
         code, _, _ = run_cli(
             tmp_path, sub, "--alpha", "0.75", "--beta", "1e-310", "--grid-n", "33"
         )
-        assert code == 1
-        assert "integral order g1" in capsys.readouterr().err
+        assert code == 0
 
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_integral_order_too_small_for_interval_is_status_one(self, tmp_path, capsys, sub):
-        # g1 = 2.5e-308 is a normal float, but (psi(T) - psi(0))/g1 overflows at T = 100
+        # 1 - alpha = 2^-53, the smallest nonzero order, and
+        # (psi(T) - psi(0))/(1 - alpha) overflows at T = 1e293
         code, _, _ = run_cli(
-            tmp_path, sub, "--alpha", "0.75", "--beta", "1e-307", "--T", "100", "--grid-n", "33"
+            tmp_path, sub, "--alpha", repr(1.0 - 2.0**-53), "--T", "1e293", "--grid-n", "33"
         )
         assert code == 1
-        assert "integral order g1" in capsys.readouterr().err
+        assert "integral order 1 - alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_integral_order_above_interval_bound_runs(self, tmp_path, sub):
+        # the smallest nonzero order, 2^-53, on an interval short enough for it
         code, out, report = run_cli(
-            tmp_path, sub, "--alpha", "0.75", "--beta", "1e-300", "--T", "100", "--grid-n", "33"
+            tmp_path, sub, "--alpha", repr(1.0 - 2.0**-53), "--T", "100", "--grid-n", "33"
         )
         assert code == 0
         assert "nan" not in " ".join(p.read_text() for p in out.glob("*.csv"))

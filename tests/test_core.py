@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,20 +55,20 @@ def test_validate_spec_collects_everything():
 
 
 @pytest.mark.parametrize("psi", ["identity", "square"])
-@pytest.mark.parametrize("T", [0.5, 1.0, 100.0])
-def test_integral_order_floor_keeps_the_rule_finite(T, psi):
-    # the floor is the smallest normal float or (psi(T) - psi(0))/max float
-    span = make_spec(psi=psi, T=T, grid_n=33).grid.u[-1]
-    floor = max(np.finfo(float).tiny, span / np.finfo(float).max)
-    for g, admissible in ((0.99 * floor, False), (1.01 * floor, True)):
-        spec = make_spec(alpha=0.75, beta=g / 0.25, psi=psi, T=T, grid_n=33)
-        msgs = validate_spec(spec)
+def test_integral_order_floor_keeps_the_rule_finite(psi):
+    # the floor on 1 - alpha is (psi(T) - psi(0))/max float; the smallest
+    # nonzero order, 2^-53, passes it on (0, 100) and fails it at a span of 1e293
+    alpha = 1.0 - 2.0**-53
+    spec = make_spec(alpha=alpha, psi=psi, T=100.0, grid_n=33)
+    assert validate_spec(spec) == []
+    w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha, Side.LEFT).entries
+    assert np.isfinite(w).all()
+    T = 1e293 if psi == "identity" else math.sqrt(1e293)
+    for a, admissible in ((alpha, False), (1.0 - 2.0**-49, True)):
+        msgs = validate_spec(make_spec(alpha=a, psi=psi, T=T, grid_n=33))
         assert (msgs == []) == admissible, msgs
-        if admissible:
-            w = frac_integral_matrix(spec.grid, spec.psi, spec.order.g1, Side.LEFT).entries
-            assert np.isfinite(w).all()
-        else:
-            assert "integral order g1" in msgs[0]
+        if not admissible:
+            assert "integral order 1 - alpha" in msgs[0]
 
 
 def test_fractional_order_gammas():

@@ -209,12 +209,12 @@ class TestEigenpair:
 
     def test_fractional_regression_baseline(self):
         # frozen at the first run of this configuration; the discrete
-        # composed operator at alpha=0.9 has a boundary-layer bottom mode,
+        # composed operator at alpha=0.9 has a sign-changing bottom mode,
         # so positivity is a recorded diagnostic, not an assertion
         spec = make_spec(alpha=0.9, beta=0.5, grid_n=129, lam=1.0)
         eig = principal_eigenpair(assemble_composed(spec), tol=1e-9)
         assert eig.lambda1 > 0
-        assert eig.lambda1 == pytest.approx(0.0730705657508587, rel=1e-6)
+        assert eig.lambda1 == pytest.approx(0.8284798730249513, rel=1e-6)
         assert eig.positive_interior is False
 
     def test_lambda1_monotone_in_T(self):
@@ -260,15 +260,27 @@ class TestEigenpair:
             principal_eigenpair(small_op, tol=1e-13, max_iter=3)
 
     def test_complex_bottom_pair_is_diagnosed(self):
-        # this combination has a complex-conjugate pair at the bottom of
-        # the spectrum, which shows up as a complex Ritz value
-        spec = make_spec(alpha=0.6, beta=0.5, psi="log1p", grid_n=33)
+        # off the catalog (T = 10) this combination has a complex-conjugate
+        # pair at the bottom of the spectrum, which shows up as a complex
+        # Ritz value; no catalog corner has one
+        spec = make_spec(alpha=0.75, beta=0.0, psi="log1p", T=10.0, grid_n=33)
         op = assemble_composed(spec)
         with pytest.raises(RuntimeError, match="complex pair"):
             principal_eigenpair(op, tol=1e-9, max_iter=2000)
         # the diagnosis needs no long iteration budget
         with pytest.raises(RuntimeError, match="complex pair"):
             principal_eigenpair(op, tol=1e-9, max_iter=50)
+
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_every_catalog_corner_has_a_real_positive_bottom(self, psi):
+        # a real lambda1 > 0 at every (alpha, beta), and e > 0 on the
+        # interior at beta = 1 (Caputo type; alpha = 1 included)
+        for alpha in (1.0, 0.9, 0.75, 0.6):
+            for beta in (0.0, 0.5, 1.0):
+                op = assemble_composed(make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=33))
+                assert principal_eigenpair(op, tol=1e-9).lambda1 > 0.0, (alpha, beta)
+                if beta == 1.0:
+                    assert solve_e(op)[1:-1].min() > 0.0, alpha
 
 
 class TestEProblem:
