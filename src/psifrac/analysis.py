@@ -220,9 +220,12 @@ class TentBasis:
     The tent at node i is piecewise linear in u with value 1 at u_i and 0
     at its neighbors.  Its left Hilfer-type derivative is a combination of
     three shifted kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha), which is
-    independent of the type parameter beta.  For alpha = 1 these kernels
-    degenerate to steps and the one-sided cell-end convention recovers the
-    exact piecewise-constant slopes.
+    independent of the type parameter beta.  Below alpha = 1 all tents
+    share one kernel table, and each tent's cell-end weights are three
+    row-scaled slices of it.  At alpha = 1 the kernels degenerate to steps
+    and the tent derivatives to its two piecewise-constant slopes: each
+    tent keeps two weights, on its left and its right cell, the same at
+    the left and the right cell ends, and the form is an O(n) sum.
 
     Both the bilinear form and the tent masses are trapezoid sums in
     du = psi' dx, the measure in which the right derivative is the adjoint
@@ -235,19 +238,29 @@ class TentBasis:
         alpha = spec.order.alpha
         ex = 1.0 - alpha
         du = np.diff(u)
-        # kernel table t[k, j] = (u_j - u_k)_+^(1-alpha), built in place; the
-        # kink itself (j == k) is a right-limit, and 0^0 == 1 realizes the
-        # step convention at alpha = 1
-        t = u[None, :] - u[:, None]
-        np.maximum(t, 0.0, out=t)
-        np.power(t, ex, out=t, where=t > 0.0)
-        np.fill_diagonal(t, 0.0**ex)
         # tent i combines the kernels based at u_{i-1}, u_i, u_{i+1}
         c0 = 1.0 / du[:-1]
         c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
         c2 = 1.0 / du[1:]
         coef_scale = 1.0 / gamma_fn(2.0 - alpha)
         half_du = 0.5 * du
+        # trapezoid weights (in u) of the nodal tent values, for the reaction side
+        tw = np.empty(n)
+        tw[1:-1] = 0.5 * (u[2:] - u[:-2])
+        tw[0] = 0.5 * (u[1] - u[0])
+        tw[-1] = 0.5 * (u[-1] - u[-2])
+        self.node_weights = tw
+        if ex == 0.0:
+            # the steps' sums over the tent's left cell and its right cell;
+            # beyond them c0 + c1 + c2 vanishes
+            self._steps = (c0 * coef_scale * half_du[:-1], (c0 + c1) * coef_scale * half_du[1:])
+            return
+        self._steps = None
+        # kernel table t[k, j] = (u_j - u_k)_+^(1-alpha), built in place; it
+        # vanishes at the kink, so both cell ends read the same table
+        t = u[None, :] - u[:, None]
+        np.maximum(t, 0.0, out=t)
+        np.power(t, ex, out=t, where=t > 0.0)
 
         def weights(cols: slice) -> np.ndarray:
             w = c0[:, None] * t[:-2, cols]
@@ -257,17 +270,9 @@ class TentBasis:
             w *= half_du
             return w
 
-        # left cell ends u_j, j < n-1, read the upper triangle; right cell
-        # ends u_{j+1} read the strict upper triangle
+        # left cell ends u_j, j < n-1, and right cell ends u_{j+1}
         self._wl = weights(slice(None, -1))
-        np.fill_diagonal(t, 0.0)
         self._wr = weights(slice(1, None))
-        # trapezoid weights (in u) of the nodal tent values, for the reaction side
-        tw = np.empty(n)
-        tw[1:-1] = 0.5 * (u[2:] - u[:-2])
-        tw[0] = 0.5 * (u[1] - u[0])
-        tw[-1] = 0.5 * (u[-1] - u[-2])
-        self.node_weights = tw
 
     def bilinear(self, d_u: np.ndarray) -> np.ndarray:
         """Cell-trapezoid of (d_u)*(tent derivative) against every tent.
@@ -275,7 +280,11 @@ class TentBasis:
         d_u holds the nodal values of the candidate field's left derivative.
         Returns one value per interior node.
         """
-        return self._wl @ d_u[:-1] + self._wr @ d_u[1:]
+        if self._steps is None:
+            return self._wl @ d_u[:-1] + self._wr @ d_u[1:]
+        left, right = self._steps
+        # left cell ends, then right cell ends, of the tent's two cells
+        return (left * d_u[:-2] + right * d_u[1:-1]) + (left * d_u[1:-1] + right * d_u[2:])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ identical configs byte-reproduce their outputs.  Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -97,6 +98,25 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Run one numerical stage: overflow, a non-finite array or a LinAlgError in it exits 2.
+
+    Overflow and invalid operations raise where they happen; they and the
+    finiteness checks of numpy and scipy (ValueErrors) are re-raised as a
+    RuntimeError that names the stage.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{name}: {exc}") from None
+    except ValueError as exc:
+        if isinstance(exc, np.linalg.LinAlgError) or "infs or NaNs" in str(exc):
+            raise RuntimeError(f"{name}: {exc}") from None
+        raise
+
+
 def _majorant_for(spec: ProblemSpec):
     a = MAJORANT_SLOPE
     for _ in range(60):
@@ -108,10 +128,14 @@ def _majorant_for(spec: ProblemSpec):
 
 
 def _common_pipeline(rc: RunConfig):
-    op = assemble_composed(rc.spec)
-    eig = principal_eigenpair(op, tol=min(rc.tol, 1e-8), max_iter=max(rc.max_iter, 5000))
-    e = solve_e(op)
-    maj = _majorant_for(rc.spec)
+    with _stage("assembly"):
+        op = assemble_composed(rc.spec)
+    with _stage("principal eigenpair"):
+        eig = principal_eigenpair(op, tol=min(rc.tol, 1e-8), max_iter=max(rc.max_iter, 5000))
+    with _stage("e-solve"):
+        e = solve_e(op)
+    with _stage("majorant"):
+        maj = _majorant_for(rc.spec)
     # the threshold formula needs a positive bottom eigenvalue; fractional
     # corners can lose that discretely, which is reported, not hidden
     mu1 = (
@@ -161,10 +185,11 @@ def _cmd_eigen(rc: RunConfig) -> tuple[int, dict]:
 
 
 def _verify_both(rc: RunConfig, op, eig, e):
-    pair = build_pair(rc.spec, eig, e, rc.r)
-    basis = TentBasis(rc.spec)
-    sub = verify_weak_inequality(pair.phi, op, "sub", basis)
-    sup = verify_weak_inequality(pair.xi, op, "super", basis)
+    with _stage("verification"):
+        pair = build_pair(rc.spec, eig, e, rc.r)
+        basis = TentBasis(rc.spec)
+        sub = verify_weak_inequality(pair.phi, op, "sub", basis)
+        sup = verify_weak_inequality(pair.xi, op, "super", basis)
     return pair, sub, sup
 
 
@@ -219,15 +244,16 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
     op, eig, e, maj, mu1 = _common_pipeline(rc)
     pair, sub, sup = _verify_both(rc, op, eig, e)
     verified = sub.passed and sup.passed
-    res = solve_between(
-        pair,
-        rc.spec,
-        op,
-        tol=rc.tol,
-        max_iter=rc.max_iter,
-        from_super=rc.from_super,
-        verified=verified,
-    )
+    with _stage("Picard solve"):
+        res = solve_between(
+            pair,
+            rc.spec,
+            op,
+            tol=rc.tol,
+            max_iter=rc.max_iter,
+            from_super=rc.from_super,
+            verified=verified,
+        )
     report = _base_report(rc, op, eig, e, maj, mu1)
     report["zeta"] = pair.zeta
     report["verify"] = [_verify_json(sub), _verify_json(sup)]
@@ -243,14 +269,16 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
 
 def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     op, eig, e, maj, mu1 = _common_pipeline(rc)
-    mu2 = empirical_mu2(rc.spec, op, eig, e, rc.r)
+    with _stage("empirical mu2"):
+        mu2 = empirical_mu2(rc.spec, op, eig, e, rc.r)
     rows = []
     lam = rc.sweep_min
     while lam <= rc.sweep_max + 1e-12:
         spec_l = dataclasses.replace(rc.spec, lam=lam)
         op_l = dataclasses.replace(op, spec=spec_l)
-        pair = build_pair(spec_l, eig, e, rc.r)
-        res = solve_between(pair, spec_l, op_l, tol=rc.tol, max_iter=rc.max_iter)
+        with _stage(f"sweep at lambda = {lam:g}"):
+            pair = build_pair(spec_l, eig, e, rc.r)
+            res = solve_between(pair, spec_l, op_l, tol=rc.tol, max_iter=rc.max_iter)
         rows.append((lam, res.converged, res.final_residual, res.energy_final, res.positive))
         lam = round(lam + rc.sweep_step, 12)
     report = _base_report(rc, op, eig, e, maj, mu1)
@@ -278,20 +306,21 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
     rows = []
     cases: dict[tuple[str, str], list[float]] = {}
     for n in CONVERGENCE_NS:
-        grid = Grid.make(spec.grid.T, n, spec.psi)
-        collar = max(2, int(np.ceil(0.05 * n)))
-        hil = hilfer_derivative_matrix(grid, spec.psi, spec.order, Side.LEFT)
-        u = grid.u
-        for delta in CONVERGENCE_DELTAS:
-            f = (u - u[0]) ** (delta - 1.0)
-            want = hilfer_power_oracle(spec.order, delta, spec.psi, grid)
-            err = float(np.abs(hil.entries @ f - want)[collar:-1].max())
-            cases.setdefault(("hilfer_left", f"power_{delta}"), []).append(err)
-        intm = frac_integral_matrix(grid, spec.psi, spec.order.alpha, Side.LEFT)
-        ones = np.ones(n)
-        want = (u - u[0]) ** spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
-        err = float(np.abs(intm.entries @ ones - want)[1:].max())
-        cases.setdefault(("int_left", "one"), []).append(err)
+        with _stage(f"convergence table at n = {n}"):
+            grid = Grid.make(spec.grid.T, n, spec.psi)
+            collar = max(2, int(np.ceil(0.05 * n)))
+            hil = hilfer_derivative_matrix(grid, spec.psi, spec.order, Side.LEFT)
+            u = grid.u
+            for delta in CONVERGENCE_DELTAS:
+                f = (u - u[0]) ** (delta - 1.0)
+                want = hilfer_power_oracle(spec.order, delta, spec.psi, grid)
+                err = float(np.abs(hil.entries @ f - want)[collar:-1].max())
+                cases.setdefault(("hilfer_left", f"power_{delta}"), []).append(err)
+            intm = frac_integral_matrix(grid, spec.psi, spec.order.alpha, Side.LEFT)
+            ones = np.ones(n)
+            want = (u - u[0]) ** spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
+            err = float(np.abs(intm.entries @ ones - want)[1:].max())
+            cases.setdefault(("int_left", "one"), []).append(err)
     for (operator, fname), errs in sorted(cases.items()):
         prev = None
         for n, err in zip(CONVERGENCE_NS, errs):
@@ -334,12 +363,13 @@ def run(rc: RunConfig) -> int:
     rc.output_dir.mkdir(parents=True, exist_ok=True)
     try:
         status, report = _COMMANDS[rc.subcommand](rc)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it is caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     with open(rc.output_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

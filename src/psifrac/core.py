@@ -10,7 +10,6 @@ by tests instead of being assumed.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +39,8 @@ class FractionalOrder:
     alpha must lie in (1/2, 1] and beta in [0, 1].  The derivatives are
     built from one integral of order 1 - alpha, the Riemann-Liouville
     form, for every beta; beta = 1 adds the Caputo shift (see `calculus`).
-    How small a nonzero 1 - alpha may be depends on the interval, so
-    `validate_spec` bounds it.  g1 and g2, the Hilfer definition's outer
+    Every nonzero 1 - alpha (at least 2^-53) keeps the integral rule
+    finite on the intervals `validate_spec` admits.  g1 and g2, the Hilfer definition's outer
     and inner integral orders, stay because the benchmark's span counters
     (`perfbench/spans.py`) read them; no derivative is built from them.
     """
@@ -323,14 +322,18 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
         expect = spec.psi(spec.grid.x)
         if not np.allclose(expect, spec.grid.u, rtol=1e-13, atol=1e-15):
             out.append("grid.u does not match psi(grid.x); rebuild the grid with this psi")
-        # the integral rule's weights grow like (psi(T) - psi(0))/(1 - alpha);
-        # 1 - alpha is at least 2^-53 when positive, so only the ratio can overflow
-        span = float(spec.grid.u[-1] - spec.grid.u[0])
-        g = 1.0 - spec.order.alpha
-        if g > 0.0 and not math.isfinite(span / g):
+        # the d/du stencil divides by products of two neighbouring cell widths;
+        # bounded by them, the span stays below 1.4e154 * n, so the integral
+        # rule's (psi(T) - psi(0))/(1 - alpha) stays finite for 1 - alpha >= 2^-53
+        du = np.diff(spec.grid.u)
+        with np.errstate(over="ignore"):
+            sums = du[:-1] + du[1:]
+            products = np.concatenate((du[:-1] * du[1:], du[:-1] * sums, du[1:] * sums))
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        if not (products.min() >= tiny and products.max() <= huge):
             out.append(
-                f"integral order 1 - alpha must be 0 or at least "
-                f"{span / np.finfo(float).max:g} for psi(T) - psi(0) = {span:g} (got {g:g})"
+                f"cell widths in psi(x) must keep their pairwise products in the normal "
+                f"float range [{tiny:g}, {huge:g}] (got widths {du.min():g} to {du.max():g})"
             )
     return out
 

@@ -1,16 +1,17 @@
 """The composed Kirchhoff differential operator, its eigenpair, and helpers.
 
-The full operator is the matrix product of the right and left fractional
-derivative matrices with the two boundary rows replaced by unit rows
-(homogeneous Dirichlet).  All solves work on the interior block, whose LU
-factorization is computed once at assembly and reused; the stored objects
-are immutable afterwards.
+The full operator A is the right derivative applied to the left one, with
+the two boundary rows replaced by unit rows (homogeneous Dirichlet).  All
+solves work on the interior block, whose LU factorization is computed once
+at assembly and reused; the stored objects are immutable afterwards.
 
-How each matrix is stored is read from the matrix: one whose band, with
-the fill an LU needs, is smaller than the dense square (A, its interior
-block and D_left at alpha = 1, all of bandwidth (2, 2)) is factored with
-LAPACK dgbtrf and multiplied diagonal by diagonal; any other (every
-fractional one) is factored and multiplied dense.
+At alpha = 1, D_left is the d/du stencil and A = -D1.D1: both have
+bandwidth (2, 2) and are built from the stencil as their five diagonals,
+with no n x n array.  They are multiplied diagonal by diagonal, and the
+interior block is factored in LAPACK band storage (dgbtrf) whenever that
+band with its fill, 2 kl + ku + 1 rows, is smaller than the dense block.
+A fractional operator (alpha < 1) is full: built, multiplied and factored
+dense.
 """
 
 from __future__ import annotations
@@ -19,10 +20,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, bandwidth, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .calculus import OperatorMatrix, Side, hilfer_derivative_matrix, right_derivative_times
+from .calculus import (
+    OperatorMatrix,
+    Side,
+    hilfer_derivative_matrix,
+    right_derivative_times,
+    stencil_diagonals,
+)
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -34,43 +41,15 @@ __all__ = [
     "energy",
 ]
 
-
-def _bandwidth(a: np.ndarray) -> tuple[int, int, bool]:
-    """The bandwidth (kl, ku) of square a, and whether its band is the smaller storage.
-
-    The band counts the kl rows of fill that LU with partial pivoting
-    needs, (2 kl + ku + 1) rows of n, against the n^2 of the dense matrix.
-    """
-    kl, ku = bandwidth(a)
-    return int(kl), int(ku), (2 * kl + ku + 1) * a.shape[0] < a.size
+# A stored square matrix is a dense array, or a tuple of its diagonals
+# (offset, entries) from the main one outward, entries in row order.
 
 
-def _lu_band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """The band of square a in LAPACK storage for dgbtrf, kl rows of fill on top.
-
-    ab[kl + ku + i - j, j] = a[i, j] for -kl <= j - i <= ku.
-    """
-    n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(a, d)
-    return ab
-
-
-def _diagonals(a: np.ndarray) -> tuple[tuple[int, np.ndarray], ...] | None:
-    """a's diagonals as (offset, entries), main one first and then outward; None when dense."""
-    kl, ku, banded = _bandwidth(a)
-    if not banded:
-        return None
-    offsets = sorted(range(-kl, ku + 1), key=lambda d: (abs(d), d))
-    return tuple((d, np.diagonal(a, d).copy()) for d in offsets)
-
-
-def _times(a: np.ndarray, diagonals: tuple | None, x: np.ndarray) -> np.ndarray:
-    """a @ x, summed over the diagonals from the main one outward when a is banded."""
-    if diagonals is None:
+def _times(a, x: np.ndarray) -> np.ndarray:
+    """a @ x, summed over the diagonals from the main one outward when a is stored by them."""
+    if isinstance(a, np.ndarray):
         return a @ x
-    (_, main), *rest = diagonals
+    (_, main), *rest = a
     y = main * x
     for d, v in rest:
         if d > 0:
@@ -78,6 +57,30 @@ def _times(a: np.ndarray, diagonals: tuple | None, x: np.ndarray) -> np.ndarray:
         else:
             y[-d:] += v * x[:d]
     return y
+
+
+def _dense(a) -> np.ndarray:
+    """The dense matrix of a stored one."""
+    if isinstance(a, np.ndarray):
+        return a
+    n = len(a[0][1])
+    out = np.zeros((n, n))
+    for d, v in a:
+        i = np.arange(len(v)) + max(0, -d)
+        out[i, i + d] = v
+    return out
+
+
+def _interior_band(a: tuple, m: int, kl: int, ku: int) -> np.ndarray:
+    """The interior block of A, stored by diagonals, in LAPACK storage for dgbtrf.
+
+    ab[kl + ku + i - j, j] = A[i + 1, j + 1] for -kl <= j - i <= ku, under
+    kl rows of fill.
+    """
+    ab = np.zeros((2 * kl + ku + 1, m), order="F")
+    for d, v in a:
+        ab[kl + ku - d, max(d, 0) : m + min(d, 0)] = v[1 : 1 + m - abs(d)]
+    return ab
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,24 @@ class _InteriorLU:
     piv: np.ndarray
 
     @classmethod
-    def of(cls, block: np.ndarray) -> _InteriorLU:
-        kl, ku, banded = _bandwidth(block)
-        if not banded:
-            return cls((kl, ku), False, *lu_factor(block))
+    def of(cls, a, n: int, kl: int, ku: int) -> _InteriorLU:
+        """Factor the interior block of the stored A, of bandwidth (kl, ku).
+
+        The band is factored when it is the smaller storage, with the kl
+        rows of fill that LU with partial pivoting needs; else the block
+        is factored dense.
+        """
+        m = n - 2
+        if (2 * kl + ku + 1) * m < m * m:
+            return cls.of_band(_interior_band(a, m, kl, ku), kl, ku)
+        return cls((kl, ku), False, *lu_factor(_dense(a)[1:-1, 1:-1]))
+
+    @classmethod
+    def of_band(cls, ab: np.ndarray, kl: int, ku: int) -> _InteriorLU:
+        """Factor a block given in LAPACK band storage, which is overwritten."""
         # outside the band every entry is an exact zero, so checking the
         # band is lu_factor's finiteness check
-        ab = np.asarray_chkfinite(_lu_band(block, kl, ku))
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), kl, ku, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal gbtrf")
         if info > 0:
@@ -121,23 +134,33 @@ class _InteriorLU:
 class ComposedOperator:
     """Dirichlet realization of D_right(D_left u) on the grid.
 
-    a_full keeps field indices aligned with grid nodes (unit boundary
-    rows); interior solves use the cached factorization of the interior
-    block.  Products and solves go through the methods, which use the
-    band of A and of D_left where they have one; a_full and d_left stay
-    the dense matrices.
+    Field indices stay aligned with grid nodes (unit boundary rows of A);
+    interior solves use the cached factorization of the interior block.
+    A and D_left are kept as the assembly built them: by their diagonals
+    at alpha = 1, dense otherwise.  Products and solves go through the
+    methods.  `a_full`, `d_left` and `interior_block()` build the dense
+    matrices on request, for tests and inspection; no pipeline step asks
+    for them.
     """
 
-    a_full: OperatorMatrix
-    d_left: OperatorMatrix
     spec: ProblemSpec
+    _a: np.ndarray | tuple = field(repr=False, compare=False)
+    _d_left: np.ndarray | tuple = field(repr=False, compare=False)
     _lu: _InteriorLU = field(repr=False, compare=False)
-    _a_diagonals: tuple | None = field(repr=False, compare=False)
-    _d_diagonals: tuple | None = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return self.a_full.n
+        return self.spec.grid.n
+
+    @property
+    def a_full(self) -> OperatorMatrix:
+        """A as a dense matrix, boundary rows included."""
+        return OperatorMatrix(_dense(self._a))
+
+    @property
+    def d_left(self) -> OperatorMatrix:
+        """The nodal left derivative as a dense matrix."""
+        return OperatorMatrix(_dense(self._d_left))
 
     @property
     def factorization(self) -> str:
@@ -146,11 +169,11 @@ class ComposedOperator:
 
     @property
     def interior_bandwidth(self) -> tuple[int, int]:
-        """(kl, ku) of the interior block, read from its entries."""
+        """(kl, ku) of the interior block: (2, 2) at alpha = 1, full below."""
         return self._lu.bandwidth
 
     def interior_block(self) -> np.ndarray:
-        return self.a_full.entries[1:-1, 1:-1]
+        return _dense(self._a)[1:-1, 1:-1]
 
     def solve_block(self, rhs_interior: np.ndarray) -> np.ndarray:
         """The interior block's solve: A_int^{-1} rhs, without boundary entries."""
@@ -158,8 +181,8 @@ class ComposedOperator:
 
     def apply_block(self, v: np.ndarray) -> np.ndarray:
         """The interior block's product: A_int v, without boundary entries."""
-        if self._a_diagonals is None:
-            return self.interior_block() @ v
+        if isinstance(self._a, np.ndarray):
+            return self._a[1:-1, 1:-1] @ v
         # zero boundary values add exact zeros to the interior rows
         return self.apply_full(np.concatenate(([0.0], v, [0.0])))[1:-1]
 
@@ -175,37 +198,41 @@ class ComposedOperator:
         return out
 
     def apply_full(self, f: Field) -> Field:
-        return _times(self.a_full.entries, self._a_diagonals, np.asarray(f, dtype=float))
+        return _times(self._a, np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
         """The nodal left derivative D_left f."""
-        return _times(self.d_left.entries, self._d_diagonals, np.asarray(f, dtype=float))
+        return _times(self._d_left, np.asarray(f, dtype=float))
 
 
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
-    Interior rows are (hilfer_right @ hilfer_left), with the right
-    derivative's factors applied to the left matrix one at a time; rows 0
-    and n-1 are unit rows enforcing u = 0 at the boundary.
+    At alpha = 1 the diagonals of D_left = D1 and of A = -D1.D1 come from
+    the stencil.  Below, interior rows are (hilfer_right @ hilfer_left),
+    with the right derivative's factors applied to the left matrix one at
+    a time.  Rows 0 and n-1 are unit rows enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
-    left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
-    a = right_derivative_times(spec.grid, spec.order, left.entries)
-    a[0, :] = 0.0
-    a[0, 0] = 1.0
-    a[-1, :] = 0.0
-    a[-1, -1] = 1.0
-    return ComposedOperator(
-        OperatorMatrix(a),
-        left,
-        spec,
-        _InteriorLU.of(a[1:-1, 1:-1]),
-        _diagonals(a),
-        _diagonals(left.entries),
-    )
+    n = spec.grid.n
+    if spec.order.alpha == 1.0:
+        left, a = stencil_diagonals(spec.grid)
+        for _, v in (*left, *a):
+            v.setflags(write=False)
+        kl = ku = 2
+    else:
+        left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT).entries
+        a = right_derivative_times(spec.grid, spec.order, left)
+        a[0, :] = 0.0
+        a[0, 0] = 1.0
+        a[-1, :] = 0.0
+        a[-1, -1] = 1.0
+        a.setflags(write=False)
+        # a fractional interior block is full
+        kl = ku = n - 3
+    return ComposedOperator(spec, a, left, _InteriorLU.of(a, n, kl, ku))
 
 
 @dataclass(frozen=True)

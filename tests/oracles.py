@@ -12,8 +12,10 @@ bit); `tent_reference`, the per-tent kernel loop of the verifier's test
 functions (weights bit for bit); `mu2_reference`, the lambda-scan that
 builds and verifies the full pair at every grid point (the same threshold);
 `right_integral_reference`, the right-side product-integration rule
-written out on its own (entries bit for bit); and `left_integral_reference`,
-the left rule with four powers per cell (entries bit for bit).
+written out on its own (entries bit for bit); `left_integral_reference`,
+the left rule with four powers per cell (entries bit for bit); and
+`composed_reference`, the alpha = 1 operator composed as dense matrices
+from the package's stencil (diagonals, factors and pivots bit for bit).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from psifrac.analysis import TentBasis, build_pair, verify_weak_inequality
+from psifrac.calculus import _d1_stencil
 from psifrac.solver import SolveReport
 
 
@@ -73,6 +76,44 @@ def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
         W[i, i:-1] += wl
         W[i, i + 1 :] += wr
     return W / gamma_fn(a)
+
+
+def composed_reference(spec):
+    """The alpha = 1 pair (A, D1) as dense matrices: -D1 times the dense D1, unit boundary rows.
+
+    The stencil acts on the dense D1 row block by row block, three rows at a
+    time, exactly as the package composed it before it built A by its band.
+    """
+    u = spec.grid.u
+    n = len(u)
+    c, start = _d1_stencil(u)
+    d1 = np.zeros((n, n))
+    rows = np.arange(n)
+    for k in range(3):
+        d1[rows, start + k] = c[:, k]
+    c = -c
+    a = np.empty_like(d1)
+    for lo in range(0, n, 64):
+        rows = slice(lo, lo + 64)
+        s = start[rows]
+        a[rows] = c[rows, 0:1] * d1[s] + c[rows, 1:2] * d1[s + 1] + c[rows, 2:3] * d1[s + 2]
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    a[-1, :] = 0.0
+    a[-1, -1] = 1.0
+    return a, d1
+
+
+def lapack_band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """The band of square a in LAPACK storage for dgbtrf, kl rows of fill on top.
+
+    ab[kl + ku + i - j, j] = a[i, j] for -kl <= j - i <= ku.
+    """
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(a, d)
+    return ab
 
 
 def classical_e(x: np.ndarray, T: float) -> np.ndarray:

@@ -334,9 +334,26 @@ class TestTentBasis:
         # the weights integrate in u: the reference on a grid whose x is u
         in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
         wl, wr, node_weights = tent_reference(in_u)
-        assert np.array_equal(basis._wl, wl)
-        assert np.array_equal(basis._wr, wr)
         assert np.array_equal(basis.node_weights, node_weights)
+        if alpha < 1.0:
+            assert np.array_equal(basis._wl, wl)
+            assert np.array_equal(basis._wr, wr)
+            return
+        # at alpha = 1 each tent keeps two weights, its left and right cell's,
+        # the same at both cell ends
+        rows = np.arange(n - 2)
+        band = np.zeros(wl.shape, dtype=bool)
+        band[rows, rows] = band[rows, rows + 1] = True
+        dense = np.zeros(wl.shape)
+        dense[rows, rows], dense[rows, rows + 1] = basis._steps
+        for w in (wl, wr):
+            if psi == "identity":
+                assert np.array_equal(dense, w)
+            else:
+                # off the band the reference holds the rounding residue of
+                # c0 + c1 + c2 = 0 (2.84e-14 of max|w| at square, n = 257)
+                assert np.array_equal(dense[band], w[band])
+                assert np.abs(w[~band]).max() <= 3e-14 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])

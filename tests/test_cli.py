@@ -230,12 +230,13 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_integral_order_too_small_for_interval_is_status_one(self, tmp_path, capsys, sub):
         # 1 - alpha = 2^-53, the smallest nonzero order, and
-        # (psi(T) - psi(0))/(1 - alpha) overflows at T = 1e293
+        # (psi(T) - psi(0))/(1 - alpha) overflows at T = 1e293, a span whose
+        # cell widths the stencil already refuses
         code, _, _ = run_cli(
             tmp_path, sub, "--alpha", repr(1.0 - 2.0**-53), "--T", "1e293", "--grid-n", "33"
         )
         assert code == 1
-        assert "integral order 1 - alpha" in capsys.readouterr().err
+        assert "cell widths" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_integral_order_above_interval_bound_runs(self, tmp_path, sub):
@@ -245,6 +246,39 @@ class TestRunConfigValidation:
         )
         assert code == 0
         assert "nan" not in " ".join(p.read_text() for p in out.glob("*.csv"))
+
+    @pytest.mark.parametrize("sub", ["eigen", "convergence"])
+    @pytest.mark.parametrize("alpha", ["1", "0.75"])
+    @pytest.mark.parametrize("T", ["1e200", "1e-200"])
+    def test_span_past_the_stencil_range_is_status_one(self, tmp_path, capsys, sub, alpha, T):
+        # the stencil divides by products of two cell widths, which overflow
+        # (1e200) or leave the normal range (1e-200) on these spans
+        code, _, report = run_cli(tmp_path, sub, "--alpha", alpha, "--T", T, "--grid-n", "33")
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert "cell widths" in err and "normal float range [2.22507e-308, 1.79769e+308]" in err
+        assert "infs or NaNs" not in err
+
+    @pytest.mark.parametrize("alpha", ["1", "0.75"])
+    def test_overflow_in_a_valid_spec_is_a_numerical_failure(self, tmp_path, capsys, alpha):
+        # the span passes validation, but A^-1 is of order T^2 = 1e240 and
+        # the Arnoldi iterates overflow
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", alpha, "--T", "1e120", "--grid-n", "33")
+        assert code == 2 and report is None
+        assert "numerical failure: principal eigenpair: overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1", "0.75"])
+    def test_convergence_on_a_wide_valid_span_runs(self, tmp_path, alpha):
+        code, out, _ = run_cli(tmp_path, "convergence", "--alpha", alpha, "--T", "1e120")
+        assert code == 0
+        text = (out / "convergence.csv").read_text()
+        assert "nan" not in text and "inf" not in text
+
+    def test_overflow_in_the_convergence_table_names_its_grid(self, tmp_path, capsys):
+        # valid at grid_n = 257, but the order-1 rule squares u ~ 1e155
+        code, _, report = run_cli(tmp_path, "convergence", "--alpha", "1", "--T", "1e155")
+        assert code == 2 and report is None
+        assert "convergence table at n = 64: overflow" in capsys.readouterr().err
 
     def test_tiny_normal_integral_order_runs(self, tmp_path):
         code, _, report = run_cli(

@@ -56,19 +56,20 @@ def test_validate_spec_collects_everything():
 
 @pytest.mark.parametrize("psi", ["identity", "square"])
 def test_integral_order_floor_keeps_the_rule_finite(psi):
-    # the floor on 1 - alpha is (psi(T) - psi(0))/max float; the smallest
-    # nonzero order, 2^-53, passes it on (0, 100) and fails it at a span of 1e293
+    # the smallest nonzero order, 2^-53, keeps the rule finite on (0, 100) and
+    # on the widest interval whose cell widths the stencil admits at n = 33;
+    # a little wider, and at a span of 1e293, only the widths are refused
     alpha = 1.0 - 2.0**-53
-    spec = make_spec(alpha=alpha, psi=psi, T=100.0, grid_n=33)
-    assert validate_spec(spec) == []
-    w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha, Side.LEFT).entries
-    assert np.isfinite(w).all()
-    T = 1e293 if psi == "identity" else math.sqrt(1e293)
-    for a, admissible in ((alpha, False), (1.0 - 2.0**-49, True)):
-        msgs = validate_spec(make_spec(alpha=a, psi=psi, T=T, grid_n=33))
-        assert (msgs == []) == admissible, msgs
-        if not admissible:
-            assert "integral order 1 - alpha" in msgs[0]
+    widest, refused = (3.0e155, 3.1e155) if psi == "identity" else (3.9e77, 4.0e77)
+    for T in (100.0, widest):
+        spec = make_spec(alpha=alpha, psi=psi, T=T, grid_n=33)
+        assert validate_spec(spec) == []
+        w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha, Side.LEFT).entries
+        assert np.isfinite(w).all()
+    for T in (refused, 1e293 if psi == "identity" else math.sqrt(1e293)):
+        for a in (alpha, 1.0 - 2.0**-49):
+            msgs = validate_spec(make_spec(alpha=a, psi=psi, T=T, grid_n=33))
+            assert len(msgs) == 1 and msgs[0].startswith("cell widths"), msgs
 
 
 def test_fractional_order_gammas():

@@ -1,22 +1,27 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgbtrf
 
 import psifrac.operators
-from oracles import classical_e
+from oracles import classical_e, composed_reference, lapack_band
 from psifrac import (
     Side,
     assemble_composed,
+    build_pair,
     energy,
     hilfer_derivative_matrix,
     make_spec,
     principal_eigenpair,
     solve_e,
+    verify_weak_inequality,
 )
+from psifrac.analysis import TentBasis
 
 PI2 = math.pi**2
 
@@ -50,7 +55,8 @@ class TestFactoredAssembly:
         monkeypatch.setattr(psifrac.operators, "hilfer_derivative_matrix", spy)
         for alpha in (1.0, 0.75):
             assemble_composed(make_spec(alpha=alpha, grid_n=33))
-        assert sides == [Side.LEFT, Side.LEFT]
+        # alpha = 1 is built from the stencil, with no derivative matrix
+        assert sides == [Side.LEFT]
 
 
 PSIS = ["identity", "exp_minus_one", "square", "log1p"]
@@ -137,7 +143,7 @@ class TestBandedInterior:
         with pytest.warns(LinAlgWarning) as dense_warning:
             dense = scipy.linalg.lu_factor(block)
         with pytest.warns(LinAlgWarning) as band_warning:
-            band = psifrac.operators._InteriorLU.of(block)
+            band = psifrac.operators._InteriorLU.of_band(lapack_band(block, 2, 2), 2, 2)
         assert band.banded
         assert str(band_warning[0].message) == str(dense_warning[0].message)
         b = np.ones(m)
@@ -148,6 +154,60 @@ class TestBandedInterior:
         for solve in (lambda r: scipy.linalg.lu_solve(dense, r), band.solve):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve(x_band)
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same bytes: signed zeros count."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBandConstruction:
+    """At alpha = 1, A and D_left are built as diagonals from the stencil,
+    bit for bit the dense composition's, and no n x n array is formed."""
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_matches_dense_composition_bitwise(self, psi, n):
+        op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
+        a, d1 = composed_reference(op.spec)
+        for stored, dense in ((op._a, a), (op._d_left, d1)):
+            assert [d for d, _ in stored] == [0, -1, 1, -2, 2]
+            for d, v in stored:
+                assert _bitwise(v, np.diagonal(dense, d)), d
+        assert np.array_equal(op.a_full.entries, a) and np.array_equal(op.d_left.entries, d1)
+        block = a[1:-1, 1:-1]
+        if n >= 10:
+            assert op.factorization == "banded"
+            lu, piv, info = dgbtrf(lapack_band(block, 2, 2), 2, 2)
+            assert info == 0
+        else:
+            # the LU band would not be smaller: the dense fallback, built from the band
+            assert op.factorization == "dense"
+            lu, piv = scipy.linalg.lu_factor(block)
+        assert _bitwise(op._lu.lu, lu) and _bitwise(op._lu.piv, piv)
+        b = np.random.default_rng(n).standard_normal(n - 2)
+        want = np.linalg.solve(block, b)
+        assert np.allclose(op.solve_interior(b)[1:-1], want, rtol=1e-10, atol=0.0)
+
+    def test_no_square_array_at_alpha_one(self):
+        # one 2049 x 2049 float64 array is 33.6 MB
+        spec = make_spec(alpha=1.0, grid_n=2049, lam=50.0)
+        tracemalloc.start()
+        try:
+            op = assemble_composed(spec)
+            eig = principal_eigenpair(op, tol=1e-9)
+            e = solve_e(op)
+            basis = TentBasis(spec)
+            pair = build_pair(spec, eig, e, 0.8)
+            reports = [
+                verify_weak_inequality(pair.phi, op, "sub", basis),
+                verify_weak_inequality(pair.xi, op, "super", basis),
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.margins.shape == (2047,) for r in reports)
+        assert peak < 4e6, peak
 
 
 class TestAssembly:
@@ -372,4 +432,5 @@ def test_operator_reuse_across_lambda():
     op = assemble_composed(spec)
     op50 = dataclasses.replace(op, spec=dataclasses.replace(spec, lam=50.0))
     assert op50.spec.lam == 50.0
-    assert op50.a_full is op.a_full
+    # the replaced operator shares what the assembly stored: nothing is rebuilt
+    assert op50._a is op._a and op50._d_left is op._d_left and op50._lu is op._lu

@@ -5,15 +5,19 @@ that straddles its admissible set, so that both the accepted and the
 refused side of every check are exercised.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tent_reference
 from psifrac import assemble_composed, make_spec, validate_spec
+from psifrac.analysis import TentBasis
 from psifrac.cli import SUBCOMMANDS, main
 from psifrac.core import KirchhoffKind, NonlinearityKind, PsiKind
 
@@ -86,6 +90,39 @@ def test_solve_interior_matches_dense_solve(spec, seed):
     assert got[0] == 0.0 and got[-1] == 0.0
     err = np.linalg.norm(got[1:-1] - want)
     assert err <= 100.0 * cond * np.finfo(float).eps * np.linalg.norm(want)
+
+
+alpha_one_specs = st.builds(
+    lambda psi, k, T, n: make_spec(alpha=1.0, psi=psi, psi_k=k, T=T, grid_n=n),
+    st.sampled_from([k.value for k in PsiKind]),
+    _floats(0.1, 3.0),
+    _floats(0.2, 3.0),
+    st.integers(8, 65),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(spec=alpha_one_specs, seed=st.integers(0, 2**32 - 1))
+def test_alpha_one_band_matches_dense(spec, seed):
+    # the products, solves and tent forms by the band agree with the dense
+    # matrices and the per-tent reference weights
+    op = assemble_composed(spec)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(op.n)
+    for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, op.d_left.entries)):
+        assert np.all(np.abs(apply(f) - mat @ f) <= 1e-14 * (np.abs(mat) @ np.abs(f)))
+    v = f[1:-1]
+    block = op.interior_block()
+    assert np.all(np.abs(op.apply_block(v) - block @ v) <= 1e-14 * (np.abs(block) @ np.abs(v)))
+    want = scipy.linalg.solve(block, v)
+    got = op.solve_interior(v)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    assert np.linalg.norm(got[1:-1] - want) <= 1e-12 * np.linalg.norm(want)
+    in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
+    wl, wr, _ = tent_reference(in_u)
+    want = wl @ f[:-1] + wr @ f[1:]
+    scale = np.abs(wl) @ np.abs(f[:-1]) + np.abs(wr) @ np.abs(f[1:])
+    assert np.all(np.abs(TentBasis(spec).bilinear(f) - want) <= 1e-12 * scale)
 
 
 @st.composite
