@@ -117,7 +117,9 @@ def zeta_lambda(
 
     Existence for the catalog members follows from h(s)/s -> 0.  The search
     floor 1e-12 is returned directly when the inequality already holds
-    there (h == 0, say).
+    there (h == 0, say).  The doubling goes on while zeta*e_sup stays a
+    finite float, so only an h that is not sublinear on the float range
+    raises.
     """
     if lam <= 0 or zeta0 <= 0 or e_sup <= 0:
         raise ValueError("lambda, zeta0 and e_sup must all be positive")
@@ -130,8 +132,10 @@ def zeta_lambda(
         return z
     while not ok(z):
         z *= 2.0
-        if z > 1e12:
-            raise RuntimeError("h not sublinear numerically: no zeta below 1e12 satisfies the bound")
+        if not math.isfinite(z * e_sup):
+            raise RuntimeError(
+                "h not sublinear numerically: no zeta with a finite zeta*e_sup satisfies the bound"
+            )
     lo, hi = z / 2.0, z
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .analysis import (
 )
 from .calculus import Side, frac_integral_matrix, hilfer_derivative_matrix, hilfer_power_oracle
 from .config import CONFIG_DEFAULTS, load_config, spec_from_config
-from .core import Grid, ProblemSpec, validate_spec
+from .core import Grid, ProblemSpec, cell_width_violations, validate_spec
 from .operators import assemble_composed, principal_eigenpair, solve_e
 from .solver import solve_between
 
@@ -83,19 +84,27 @@ class RunConfig:
         return out
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _csv_column(column) -> tuple[str, list]:
+    """A column's % conversion and its values: floats %.17g, bools true/false, the rest str()."""
+    a = np.asarray(column)
+    if a.dtype == bool:
+        return "%s", ["true" if v else "false" for v in a.tolist()]
+    return ("%.17g" if a.dtype.kind == "f" else "%s"), a.tolist()
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a header line, then row i of the equal-length columns on line i + 1.
+
+    The whole body is one % over a row format repeated once per row, the
+    values interleaved row by row.
+    """
+    conversions, values = zip(*map(_csv_column, columns))
+    n = len(values[0])
+    if any(len(v) != n for v in values):
+        raise ValueError("CSV columns must all have the same length")
+    row = ",".join(conversions) + "\n"
+    body = (row * n) % tuple(itertools.chain.from_iterable(zip(*values)))
+    path.write_text(",".join(header) + "\n" + body)
 
 
 @contextlib.contextmanager
@@ -180,7 +189,7 @@ def _cmd_eigen(rc: RunConfig) -> tuple[int, dict]:
         "positive_interior": eig.positive_interior,
     }
     x = rc.spec.grid.x
-    write_csv(rc.output_dir / "eigen.csv", ["x", "psi1", "e"], zip(x, eig.psi1, e))
+    write_csv(rc.output_dir / "eigen.csv", ["x", "psi1", "e"], (x, eig.psi1, e))
     return 0, report
 
 
@@ -213,12 +222,12 @@ def _cmd_verify(rc: RunConfig) -> tuple[int, dict]:
     write_csv(
         rc.output_dir / "verify_sub.csv",
         ["x", "u", "margin"],
-        zip(x, pair.phi[1:-1], sub.margins),
+        (x, pair.phi[1:-1], sub.margins),
     )
     write_csv(
         rc.output_dir / "verify_super.csv",
         ["x", "u", "margin"],
-        zip(x, pair.xi[1:-1], sup.margins),
+        (x, pair.xi[1:-1], sup.margins),
     )
     return 0, report
 
@@ -262,7 +271,7 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
     write_csv(
         rc.output_dir / "solve.csv",
         ["x", "u", "phi", "xi"],
-        zip(x, res.u, pair.phi, pair.xi),
+        (x, res.u, pair.phi, pair.xi),
     )
     return (0 if res.converged else 2), report
 
@@ -292,13 +301,33 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     write_csv(
         rc.output_dir / "sweep.csv",
         ["lambda", "converged", "residual", "energy", "positive"],
-        rows,
+        # the validated range holds sweep_min, so there is at least one row
+        zip(*rows),
     )
     return 0, report
 
 
 CONVERGENCE_NS = (64, 128, 256, 512)
 CONVERGENCE_DELTAS = (1.5, 2.5)
+
+
+def _convergence_violations(spec: ProblemSpec) -> list[str]:
+    """The table's own grids: the stencil's width bound and the int_left rule's span^(1 + alpha)."""
+    out = []
+    for n in CONVERGENCE_NS:
+        grid = Grid.make(spec.grid.T, n, spec.psi)
+        out += [f"convergence grid n = {n}: {msg}" for msg in cell_width_violations(grid.u)]
+    # the same array power as the rule's, so the bound is exact to the last float
+    span = float(spec.grid.u[-1] - spec.grid.u[0])
+    with np.errstate(over="ignore"):
+        power = np.array([span]) ** (1.0 + spec.order.alpha)
+    if not np.isfinite(power[0]):
+        out.append(
+            f"convergence table: (psi(T) - psi(0))^(1 + alpha) must not exceed "
+            f"{np.finfo(float).max:g} for the int_left rule "
+            f"(got span {span:g}, alpha {spec.order.alpha})"
+        )
+    return out
 
 
 def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
@@ -324,13 +353,15 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
     for (operator, fname), errs in sorted(cases.items()):
         prev = None
         for n, err in zip(CONVERGENCE_NS, errs):
-            rate = "" if prev is None else _fmt(np.log2(prev / err))
-            rows.append((n, operator, fname, _fmt(err), rate))
+            # the first grid has no rate, so the column is text
+            rate = "" if prev is None else "%.17g" % np.log2(prev / err)
+            rows.append((n, operator, fname, err, rate))
             prev = err
-    lines = [",".join(["n", "operator", "test_function", "sup_error", "rate"])]
-    for n, operator, fname, err, rate in rows:
-        lines.append(f"{n},{operator},{fname},{err},{rate}")
-    (rc.output_dir / "convergence.csv").write_text("\n".join(lines) + "\n")
+    write_csv(
+        rc.output_dir / "convergence.csv",
+        ["n", "operator", "test_function", "sup_error", "rate"],
+        zip(*rows),
+    )
     # the table needs no eigenpair, so the report holds only the table
     return 0, {
         "schema": 1,
@@ -352,7 +383,11 @@ _COMMANDS = {
 def run(rc: RunConfig) -> int:
     """Execute the requested pipeline, writing report.json and CSV files."""
     bad = rc.violations() + validate_spec(rc.spec)
-    if rc.subcommand != "convergence" and not (1.0 / (1.0 + rc.spec.nu) < rc.r < 1.0):
+    if rc.subcommand == "convergence":
+        # the table builds grids of its own, so they are checked once the spec is
+        if not bad:
+            bad += _convergence_violations(rc.spec)
+    elif not (1.0 / (1.0 + rc.spec.nu) < rc.r < 1.0):
         bad.append(
             f"r must lie in (1/(1+nu), 1) = ({1.0 / (1.0 + rc.spec.nu):.6g}, 1), got {rc.r}"
         )
@@ -377,18 +412,22 @@ def run(rc: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand shares live on one parent, whose actions
+    # each subparser adopts as they are (add_argument per subparser would
+    # build a help formatter for each option)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="key = value config file")
+    common.add_argument("--output-dir", type=Path, required=True)
+    for key, (typ, _) in CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        common.add_argument(flag, dest=f"cfg_{key}", type=typ, default=None)
     p = argparse.ArgumentParser(
         prog="psifrac",
         description="Fractional Kirchhoff sub/supersolution toolbox",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name} pipeline")
-        sp.add_argument("--config", type=Path, default=None, help="key = value config file")
-        sp.add_argument("--output-dir", type=Path, required=True)
-        for key, (typ, _) in CONFIG_DEFAULTS.items():
-            flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=f"cfg_{key}", type=typ, default=None)
+        sp = sub.add_parser(name, help=f"run the {name} pipeline", parents=[common])
         if name == "solve":
             sp.add_argument("--from-super", action="store_true")
         if name == "sweep":

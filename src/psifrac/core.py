@@ -26,6 +26,7 @@ __all__ = [
     "Nonlinearity",
     "ProblemSpec",
     "validate_spec",
+    "cell_width_violations",
 ]
 
 # A field is a plain float vector with one value per grid node.
@@ -322,20 +323,28 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
         expect = spec.psi(spec.grid.x)
         if not np.allclose(expect, spec.grid.u, rtol=1e-13, atol=1e-15):
             out.append("grid.u does not match psi(grid.x); rebuild the grid with this psi")
-        # the d/du stencil divides by products of two neighbouring cell widths;
-        # bounded by them, the span stays below 1.4e154 * n, so the integral
-        # rule's (psi(T) - psi(0))/(1 - alpha) stays finite for 1 - alpha >= 2^-53
-        du = np.diff(spec.grid.u)
-        with np.errstate(over="ignore"):
-            sums = du[:-1] + du[1:]
-            products = np.concatenate((du[:-1] * du[1:], du[:-1] * sums, du[1:] * sums))
-        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-        if not (products.min() >= tiny and products.max() <= huge):
-            out.append(
-                f"cell widths in psi(x) must keep their pairwise products in the normal "
-                f"float range [{tiny:g}, {huge:g}] (got widths {du.min():g} to {du.max():g})"
-            )
+        out += cell_width_violations(spec.grid.u)
     return out
+
+
+def cell_width_violations(u: np.ndarray) -> list[str]:
+    """The stencil's bound on the cell widths of increasing transformed nodes u.
+
+    The d/du stencil divides by products of two neighbouring cell widths;
+    bounded by them, the span stays below 1.4e154 * n, so the integral
+    rule's (psi(T) - psi(0))/(1 - alpha) stays finite for 1 - alpha >= 2^-53.
+    """
+    du = np.diff(u)
+    with np.errstate(over="ignore"):
+        sums = du[:-1] + du[1:]
+        products = np.concatenate((du[:-1] * du[1:], du[:-1] * sums, du[1:] * sums))
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if products.min() >= tiny and products.max() <= huge:
+        return []
+    return [
+        f"cell widths in psi(x) must keep their pairwise products in the normal "
+        f"float range [{tiny:g}, {huge:g}] (got widths {du.min():g} to {du.max():g})"
+    ]
 
 
 def make_spec(

@@ -54,20 +54,10 @@ def _reaction(u_int: np.ndarray, phi_int: np.ndarray, spec: ProblemSpec) -> np.n
     return spec.lam * (spec.h(u_int) - floored ** (-spec.nu))
 
 
-def _residual(
-    u: Field, energy_u: float, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
-) -> float:
-    lhs = spec.m(energy_u) * (op.apply_full(u)[1:-1])
-    rhs = _reaction(u[1:-1], pair.phi[1:-1], spec)
-    return float(np.abs(lhs - rhs).max())
-
-
-def _frozen_solve(
-    u: Field, energy_u: float, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
-) -> Field:
-    """The linear solve of one Picard step, with M frozen at energy_u, before projection."""
-    rhs = _reaction(u[1:-1], pair.phi[1:-1], spec) / spec.m(energy_u)
-    return op.solve_interior(rhs)
+def _residual(u: Field, m_u: float, reaction: np.ndarray, op: ComposedOperator) -> float:
+    """Sup of M(E(u)) A u - reaction over the interior, given m_u = M(E(u)) and u's reaction."""
+    lhs = m_u * (op.apply_full(u)[1:-1])
+    return float(np.abs(lhs - reaction).max())
 
 
 def picard_step(
@@ -80,7 +70,9 @@ def picard_step(
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     if np.any(u_k < pair.phi - eps) or np.any(u_k > pair.xi + eps):
         raise ValueError("iterate must lie in the order interval [phi, xi]")
-    return np.clip(_frozen_solve(u_k, energy(u_k, op), pair, spec, op), pair.phi, pair.xi)
+    reaction = _reaction(u_k[1:-1], pair.phi[1:-1], spec)
+    v = op.solve_interior(reaction / spec.m(energy(u_k, op)))
+    return np.clip(v, pair.phi, pair.xi)
 
 
 def solve_between(
@@ -130,7 +122,11 @@ def solve_between(
             from_super=from_super,
         )
     u = (pair.xi if from_super else pair.phi).copy()
+    # M(E(u)) and the reaction of each iterate serve its residual and the
+    # next iteration's solve
     energy_u = energy(u, op)
+    m_u = spec.m(energy_u)
+    reaction = _reaction(u[1:-1], pair.phi[1:-1], spec)
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals: list[float] = []
     activity: list[int] = []
@@ -146,7 +142,8 @@ def solve_between(
             activity.append(activity[-1])
             residuals.append(residuals[-1])
         else:
-            v = _frozen_solve(u, energy_u, pair, spec, op)
+            # the linear solve with M frozen at the iterate's energy
+            v = op.solve_interior(reaction / m_u)
             activity.append(int(np.count_nonzero((v < pair.phi - eps) | (v > pair.xi + eps))))
             v = np.clip(v, pair.phi, pair.xi)
             if damping_on:
@@ -154,7 +151,9 @@ def solve_between(
             step = float(np.abs(v - u).max())
             u = v
             energy_u = energy(u, op)
-            residuals.append(_residual(u, energy_u, pair, spec, op))
+            m_u = spec.m(energy_u)
+            reaction = _reaction(u[1:-1], pair.phi[1:-1], spec)
+            residuals.append(_residual(u, m_u, reaction, op))
         if damping_on:
             damped += 1
         # a bitwise fixed point that no bound clips solves the equation to
@@ -176,7 +175,7 @@ def solve_between(
         u=u,
         sandwich_ok=sandwich_ok,
         energy_final=energy_u,
-        kirchhoff_coeff_final=float(spec.m(energy_u)),
+        kirchhoff_coeff_final=float(m_u),
         positive=bool(np.all(u[1:-1] > 0.0)),
         projection_activity=tuple(activity),
         damped_steps=damped,

@@ -15,13 +15,18 @@ builds and verifies the full pair at every grid point (the same threshold);
 written out on its own (entries bit for bit); `left_integral_reference`,
 the left rule with four powers per cell (entries bit for bit); and
 `composed_reference`, the alpha = 1 operator composed as dense matrices
-from the package's stencil (diagonals, factors and pivots bit for bit).
+from the package's stencil (diagonals, factors and pivots bit for bit);
+`write_csv_reference`, the CSV writer that formats row by row, value by
+value (file bytes); and `build_parser_reference`, the option parser that
+adds every shared option to each subparser (help text, parses and errors).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -30,6 +35,8 @@ from scipy.special import gamma as gamma_fn
 
 from psifrac.analysis import TentBasis, build_pair, verify_weak_inequality
 from psifrac.calculus import _d1_stencil
+from psifrac.cli import SUBCOMMANDS
+from psifrac.config import CONFIG_DEFAULTS
 from psifrac.solver import SolveReport
 
 
@@ -340,3 +347,50 @@ def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):
             return lam
         lam += step
     return None
+
+
+def _csv_value_reference(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """The CSV writer that formats each row, value by value.
+
+    Every `psifrac.cli.write_csv` file must have the same bytes as this
+    writer's file of the same rows.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_csv_value_reference(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def build_parser_reference() -> argparse.ArgumentParser:
+    """The option parser that adds every shared option to each subparser itself.
+
+    `psifrac.cli.build_parser` must give the same help text, the same
+    parses and the same errors.
+    """
+    p = argparse.ArgumentParser(
+        prog="psifrac",
+        description="Fractional Kirchhoff sub/supersolution toolbox",
+    )
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    for name in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=f"run the {name} pipeline")
+        sp.add_argument("--config", type=Path, default=None, help="key = value config file")
+        sp.add_argument("--output-dir", type=Path, required=True)
+        for key, (typ, _) in CONFIG_DEFAULTS.items():
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=f"cfg_{key}", type=typ, default=None)
+        if name == "solve":
+            sp.add_argument("--from-super", action="store_true")
+        if name == "sweep":
+            sp.add_argument("--sweep-min", type=float, default=0.5)
+            sp.add_argument("--sweep-max", type=float, default=60.0)
+            sp.add_argument("--sweep-step", type=float, default=0.5)
+    return p

@@ -104,6 +104,17 @@ class TestZetaLambda:
         with pytest.raises(ValueError, match="positive"):
             zeta_lambda(SQRT, lam=-1.0, zeta0=1.0, e_sup=0.125)
 
+    def test_threshold_far_above_one_is_found(self):
+        # zeta >= sqrt(zeta * e_sup) solves to zeta = e_sup, here 1e119
+        z = zeta_lambda(SQRT, lam=1.0, zeta0=1.0, e_sup=1e119)
+        assert z >= SQRT(z * 1e119)
+        assert z == pytest.approx(1e119, rel=1e-6)
+
+    def test_linear_h_raises_at_the_float_range(self):
+        # zeta >= 2 * zeta * e_sup holds for no positive zeta when e_sup = 1
+        with pytest.raises(RuntimeError, match="not sublinear"):
+            zeta_lambda(lambda s: 2.0 * s, lam=1.0, zeta0=1.0, e_sup=1.0)
+
 
 class TestSubsolution:
     def test_lambda_one_is_pure_power(self, catalog_eig):

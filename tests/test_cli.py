@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from psifrac.cli import main
+from oracles import build_parser_reference, write_csv_reference
+from psifrac.cli import SUBCOMMANDS, build_parser, main, write_csv
 
 FAST = ["--grid-n", "65", "--tol", "1e-9"]
 
@@ -274,11 +276,46 @@ class TestRunConfigValidation:
         text = (out / "convergence.csv").read_text()
         assert "nan" not in text and "inf" not in text
 
-    def test_overflow_in_the_convergence_table_names_its_grid(self, tmp_path, capsys):
-        # valid at grid_n = 257, but the order-1 rule squares u ~ 1e155
-        code, _, report = run_cli(tmp_path, "convergence", "--alpha", "1", "--T", "1e155")
-        assert code == 2 and report is None
-        assert "convergence table at n = 64: overflow" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "alpha,T,bound",
+        [
+            # the order-1 int_left rule squares u ~ 1e155
+            pytest.param(
+                "1",
+                "1e155",
+                "(psi(T) - psi(0))^(1 + alpha) must not exceed 1.79769e+308",
+                id="int_left_power",
+            ),
+            # the n = 64 cells are four times as wide as the spec's n = 257 ones
+            pytest.param("0.75", "1e156", "convergence grid n = 64: cell widths", id="widths"),
+        ],
+    )
+    def test_convergence_table_past_its_bound_is_status_one(
+        self, tmp_path, capsys, alpha, T, bound
+    ):
+        # the spec at grid_n = 257 is valid; the table's own grids are not
+        code, _, report = run_cli(tmp_path, "convergence", "--alpha", alpha, "--T", T)
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert bound in err and "overflow" not in err
+
+    def test_convergence_power_bound_is_exact(self, tmp_path):
+        # sqrt of the largest float is the last span whose square is finite
+        span = math.sqrt(np.finfo(float).max)
+        code, out, _ = run_cli(tmp_path, "convergence", "--alpha", "1", "--T", repr(span))
+        assert code == 0
+        text = (out / "convergence.csv").read_text()
+        assert "nan" not in text and "inf" not in text
+        past = repr(float(np.nextafter(span, np.inf)))
+        assert run_cli(tmp_path, "convergence", "--alpha", "1", "--T", past)[0] == 1
+
+    def test_wide_span_reaches_the_verifier(self, tmp_path, capsys):
+        # zeta ~ lambda^2 * e_sup ~ 3e122 is found, and the run stops later
+        code, _, _ = run_cli(tmp_path, "solve", "--grid-n", "33", "--alpha", "1", "--T", "1e60")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not sublinear" not in err
+        assert "numerical failure: verification: overflow" in err
 
     def test_tiny_normal_integral_order_runs(self, tmp_path):
         code, _, report = run_cli(
@@ -321,3 +358,102 @@ class TestDeterminism:
             assert code == 0
             outs.append((out / "eigen.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestOutputLayer:
+    """The column writer and the shared-option parser against their row-by-row references."""
+
+    SPECIAL = [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        0.0,
+        5e-324,
+        -5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        0.1,
+        1.0 / 3.0,
+        1e16,
+        123456789012345678.0,
+    ]
+
+    def _same_bytes(self, tmp_path, header, columns):
+        write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_reference(tmp_path / "ref.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_special_floats(self, tmp_path):
+        col = np.array(self.SPECIAL)
+        self._same_bytes(tmp_path, ["v", "neg"], (col, -col))
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every float64 class: normal, subnormal, zero, inf and nan payloads
+        bits = np.random.default_rng(7).integers(0, 2**64, size=(3, 4000), dtype=np.uint64)
+        cols = bits.view(np.float64)
+        self._same_bytes(tmp_path, ["a", "b", "c"], tuple(cols))
+
+    def test_bool_columns(self, tmp_path):
+        flags = np.random.default_rng(3).integers(0, 2, size=50).astype(bool)
+        self._same_bytes(
+            tmp_path,
+            ["x", "flag", "same_as_tuple"],
+            (np.linspace(0.0, 1.0, 50), flags, tuple(bool(f) for f in flags)),
+        )
+
+    def test_int_and_text_columns(self, tmp_path):
+        # the convergence table's column kinds; text passes through as it is
+        self._same_bytes(tmp_path, ["n", "err"], ((64, 128), (0.5, 0.1)))
+        write_csv(
+            tmp_path / "table.csv",
+            ["n", "name", "err", "rate"],
+            ((64, 128), ("int_left", "hilfer_left"), (0.5, 0.1), ("", "%.17g" % 1.0)),
+        )
+        text = (tmp_path / "table.csv").read_text()
+        assert text == "n,name,err,rate\n64,int_left,0.5,\n128,hilfer_left,0.10000000000000001,1\n"
+
+    def test_zero_rows(self, tmp_path):
+        self._same_bytes(tmp_path, ["x", "u"], (np.array([]), np.array([])))
+        assert (tmp_path / "new.csv").read_text() == "x,u\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="same length"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], (np.zeros(3), np.zeros(2)))
+
+    def test_help_matches_reference(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        new, ref = build_parser(), build_parser_reference()
+        assert new.format_help() == ref.format_help()
+        sub_new = new._subparsers._group_actions[0].choices
+        sub_ref = ref._subparsers._group_actions[0].choices
+        assert list(sub_new) == list(sub_ref) == list(SUBCOMMANDS)
+        for name in SUBCOMMANDS:
+            assert sub_new[name].format_help() == sub_ref[name].format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "--output-dir", "o", "--alpha", "0.75", "--psi", "square"],
+            ["solve", "--output-dir", "o", "--grid-n", "1025", "--lambda", "50", "--from-super"],
+            ["verify", "--config", "c.cfg", "--output-dir", "o", "--T", "2", "--max-iter", "9"],
+            ["sweep", "--output-dir", "o", "--sweep-min", "0.7", "--sweep-step", "4"],
+            ["convergence", "--output-dir", "o", "--beta", "0.25", "--zeta-inf", "3"],
+        ],
+    )
+    def test_parse_matches_reference(self, argv):
+        assert vars(build_parser().parse_args(argv)) == vars(
+            build_parser_reference().parse_args(argv)
+        )
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_missing_output_dir_matches_reference(self, sub, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        errors = []
+        for parser in (build_parser(), build_parser_reference()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([sub, "--grid-n", "33"])
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2 and "--output-dir" in errors[0][1]
