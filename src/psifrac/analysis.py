@@ -7,13 +7,17 @@ eigenfunction power phi = lambda^r * psi1^(2/(1+nu)), the lifted field
 Xi = zeta * e, and the discrete weak-inequality verifier that certifies
 the pair against every interior tent test function.
 
-The verifier integrates the bilinear form cell by cell: the derivative of
-a tent test function (piecewise linear in the transformed variable u) is
-known in closed form, so the quadrature pairs the matrix derivative of the
-candidate field with exact one-sided cell-end values of the test
-derivative.  Smearing a tent's kink through a difference stencil would
-pollute the hats adjacent to the boundary with O(1) artifacts; the
-closed-form route reproduces the supersolution chain discretely.
+The verifier evaluates the bilinear form of a candidate field against
+every tent test function (piecewise linear in the transformed variable u),
+whose derivative is known in closed form.  Below alpha = 1 that form is
+the operator itself: A = W^-1 K, with K the cell-midpoint rule of the
+tent derivatives' products (see `operators`), so the form of u is W (A u)
+and the solve and the verifier share one discretization.  At alpha = 1
+the tent derivatives are steps, and the form pairs the nodal D1 u with
+them cell by cell; smearing a tent's kink through a difference stencil
+would pollute the hats adjacent to the boundary with O(1) artifacts.
+Either way the form of e is the tent mass: the supersolution chain holds
+discretely.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .core import Field, Nonlinearity, ProblemSpec
-from .operators import ComposedOperator, EigenPair, energy_of_derivative
+from .operators import ComposedOperator, EigenPair, energy_of_derivative, tent_masses
 
 __all__ = [
     "Majorant",
@@ -149,8 +152,7 @@ def zeta_lambda(
 def build_subsolution(lam: float, r: float, nu: float, eig: EigenPair) -> Field:
     """phi = lambda^r * psi1^(2/(1+nu)), with r in the window (1/(1+nu), 1).
 
-    Refused unless psi1 is positive on the interior, which the alpha < 1
-    discretization does not deliver.
+    Refused unless psi1 is positive on the interior.
     """
     lo = 1.0 / (1.0 + nu)
     if not lo < r < 1.0:
@@ -189,8 +191,7 @@ def _positive_e(e: Field) -> np.ndarray:
     """e as a float array, refused unless it is positive on the interior."""
     e = np.asarray(e, dtype=float)
     if np.any(e[1:-1] <= 0):
-        # a computed-outcome failure (coarse fractional discretization),
-        # not caller misuse
+        # a computed-outcome failure, not caller misuse
         raise RuntimeError(
             "e is not positive on the interior; cannot scale it into a supersolution"
         )
@@ -219,76 +220,44 @@ def build_pair(
 
 
 class TentBasis:
-    """Interior tent test functions and their closed-form left derivatives.
+    """The interior tent test functions: their masses and the bilinear form against them.
 
     The tent at node i is piecewise linear in u with value 1 at u_i and 0
-    at its neighbors.  Its left Hilfer-type derivative is a combination of
-    three shifted kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha), which is
-    independent of the type parameter beta.  Below alpha = 1 all tents
-    share one kernel table, and each tent's cell-end weights are three
-    row-scaled slices of it.  At alpha = 1 the kernels degenerate to steps
-    and the tent derivatives to its two piecewise-constant slopes: each
-    tent keeps two weights, on its left and its right cell, the same at
-    the left and the right cell ends, and the form is an O(n) sum.
+    at its neighbors; its left derivative, the same for every beta, combines
+    three shifted kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).  Below
+    alpha = 1 the operator is this form, A = W^-1 K (see `operators`), and
+    the form of u is W (A u).  At alpha = 1 the tent derivatives are steps:
+    each tent keeps two weights, on its left and its right cell, and the
+    form is an O(n) cell trapezoid of the nodal D1 u against them.
 
-    Both the bilinear form and the tent masses are trapezoid sums in
-    du = psi' dx, the measure in which the right derivative is the adjoint
-    of the left one, so the form of e reproduces the tent masses (A e = 1).
+    The form and the tent masses W (`node_weights`) both integrate in
+    du = psi' dx, so the form of e is the tent mass (A e = 1).
     """
 
     def __init__(self, spec: ProblemSpec):
         u = spec.grid.u
-        n = spec.grid.n
-        alpha = spec.order.alpha
-        ex = 1.0 - alpha
-        du = np.diff(u)
-        # tent i combines the kernels based at u_{i-1}, u_i, u_{i+1}
-        c0 = 1.0 / du[:-1]
-        c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
-        c2 = 1.0 / du[1:]
-        coef_scale = 1.0 / gamma_fn(2.0 - alpha)
-        half_du = 0.5 * du
-        # trapezoid weights (in u) of the nodal tent values, for the reaction side
-        tw = np.empty(n)
-        tw[1:-1] = 0.5 * (u[2:] - u[:-2])
-        tw[0] = 0.5 * (u[1] - u[0])
-        tw[-1] = 0.5 * (u[-1] - u[-2])
-        self.node_weights = tw
-        if ex == 0.0:
+        self.node_weights = tent_masses(u)
+        self._steps = None
+        if spec.order.alpha == 1.0:
+            du = np.diff(u)
             # the steps' sums over the tent's left cell and its right cell;
             # beyond them c0 + c1 + c2 vanishes
-            self._steps = (c0 * coef_scale * half_du[:-1], (c0 + c1) * coef_scale * half_du[1:])
-            return
-        self._steps = None
-        # kernel table t[k, j] = (u_j - u_k)_+^(1-alpha), built in place; it
-        # vanishes at the kink, so both cell ends read the same table
-        t = u[None, :] - u[:, None]
-        np.maximum(t, 0.0, out=t)
-        np.power(t, ex, out=t, where=t > 0.0)
-
-        def weights(cols: slice) -> np.ndarray:
-            w = c0[:, None] * t[:-2, cols]
-            w += c1[:, None] * t[1:-1, cols]
-            w += c2[:, None] * t[2:, cols]
-            w *= coef_scale
-            w *= half_du
-            return w
-
-        # left cell ends u_j, j < n-1, and right cell ends u_{j+1}
-        self._wl = weights(slice(None, -1))
-        self._wr = weights(slice(1, None))
+            c0 = 1.0 / du[:-1]
+            c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
+            half_du = 0.5 * du
+            self._steps = (c0 * half_du[:-1], (c0 + c1) * half_du[1:])
 
     def bilinear(self, d_u: np.ndarray) -> np.ndarray:
-        """Cell-trapezoid of (d_u)*(tent derivative) against every tent.
-
-        d_u holds the nodal values of the candidate field's left derivative.
-        Returns one value per interior node.
-        """
-        if self._steps is None:
-            return self._wl @ d_u[:-1] + self._wr @ d_u[1:]
+        """At alpha = 1, the form against every interior tent from d_u = D1 u at the nodes."""
         left, right = self._steps
         # left cell ends, then right cell ends, of the tent's two cells
         return (left * d_u[:-2] + right * d_u[1:-1]) + (left * d_u[1:-1] + right * d_u[2:])
+
+    def form(self, u: np.ndarray, d_u: np.ndarray, op: ComposedOperator) -> np.ndarray:
+        """The form of u against every interior tent: W (A u) below alpha = 1, else from d_u."""
+        if self._steps is None:
+            return self.node_weights[1:-1] * op.apply_full(u)[1:-1]
+        return self.bilinear(d_u)
 
 
 @dataclass(frozen=True)
@@ -352,10 +321,10 @@ def verify_weak_inequality(
     """Check the weak inequality of the given side against all interior tents.
 
     For each interior test function w_i computes
-    L_i = M(energy(u)) * int (D_left u)(D_left w_i) and
-    R_i = lambda * int (h(u) - u^-nu) w_i, both by trapezoid quadrature in
-    the transformed variable psi(x) (energy(u) itself integrates in x);
-    the margin is R_i - L_i for side="sub" (must be >= -tol_margin) and
+    L_i = M(energy(u)) * int (D_left u)(D_left w_i), the form of
+    `TentBasis.form`, and R_i = lambda * int (h(u) - u^-nu) w_i by the tent
+    masses, both in the transformed variable psi(x) (energy(u) integrates
+    in x); the margin is R_i - L_i for side="sub" (must be >= -tol_margin) and
     L_i - R_i for side="super".  tol_margin = 1e-8 * (1 + sup|R|).
     """
     spec = op.spec
@@ -364,7 +333,7 @@ def verify_weak_inequality(
     if basis is None:
         basis = TentBasis(spec)
     d_u = op.apply_left(u)
-    left = spec.m(energy_of_derivative(d_u, op)) * basis.bilinear(d_u)
+    left = spec.m(energy_of_derivative(d_u, op)) * basis.form(u, d_u, op)
     return _verdict(side, left, ui, spec, basis)
 
 
@@ -403,12 +372,13 @@ def empirical_mu2(
         return None
     n = spec.grid.n
     # build_pair's refusals, in its order; p is phi at lambda = 1
-    d_e = op.apply_left(_positive_e(e))
+    e = _positive_e(e)
+    d_e = op.apply_left(e)
     p = build_subsolution(1.0, r, spec.nu, eig)
     basis = TentBasis(spec)
     d_p = op.apply_left(p)
-    energy_p, form_p = energy_of_derivative(d_p, op), basis.bilinear(d_p)
-    energy_e, form_e = energy_of_derivative(d_e, op), basis.bilinear(d_e)
+    energy_p, form_p = energy_of_derivative(d_p, op), basis.form(p, d_p, op)
+    energy_e, form_e = energy_of_derivative(d_e, op), basis.form(e, d_e, op)
     lam = 1.0
     while lam <= lam_max + 1e-12:
         trial = dataclasses.replace(spec, lam=lam)

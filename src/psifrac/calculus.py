@@ -8,11 +8,12 @@ closed form, so the weakly singular kernel is integrated exactly against
 the interpolant (product integration; no free parameters, no tuning).
 The right-side integral is the left rule applied to the reflected nodes.
 
-Both derivatives are Riemann-Liouville: d/du after an integral of order
-1 - alpha.  The type beta cancels on the fields the composed operator
-differentiates (f(0) = 0 on the left, bounded near T on the right; Kilbas,
-Srivastava & Trujillo 2006, sec. 2.4) except at beta = 1, alpha < 1, the
-Caputo type, which first subtracts f(0) on the left and g(T) on the right.
+The left derivative is Riemann-Liouville: d/du after an integral of order
+1 - alpha.  The type beta cancels on the fields it differentiates
+(f(0) = 0; Kilbas, Srivastava & Trujillo 2006, sec. 2.4) except at
+beta = 1, alpha < 1, the Caputo type, which first subtracts f(0).  No
+right derivative is built: below alpha = 1 the composed operator is the
+weak form of `operators`, which needs only the left one.
 
 Every builder reads the transformed nodes from `grid.u`; its psi argument
 names the map the grid was built with.  Matrix assembly is
@@ -26,7 +27,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 from scipy.special import gamma as gamma_fn
 
 from .core import Field, FractionalOrder, Grid, PsiFunction
@@ -100,35 +100,26 @@ def _left_integral_entries(
     return W
 
 
-def _integral_entries(u: np.ndarray, order: float, side: Side) -> np.ndarray:
-    """The left rule, or the right one as the left rule on the reflected nodes.
-
-    The right integral int_{x_i}^{T} (u - u_i)^(a-1) f du is the left one
-    in the variable -u, whose nodes -u[::-1] increase.  The reflected rule
-    is written through the reversed view of a C-contiguous array, so the
-    right matrix comes out upper-triangular and C-contiguous without a
-    copy, ready for BLAS.
-    """
-    if side is Side.LEFT:
-        return _left_integral_entries(u, order)
-    n = len(u)
-    W = np.zeros((n, n))
-    _left_integral_entries(-u[::-1], order, W[::-1, ::-1])
-    return W
-
-
 def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side) -> OperatorMatrix:
     """Riemann-Liouville fractional integral of the given order and side.
 
     order must lie in (0, 1]; order=1 reduces to the composite trapezoid
-    rule in the transformed variable.
+    rule in the transformed variable.  The right integral
+    int_{x_i}^{T} (u - u_i)^(a-1) f du is the left one in the variable -u,
+    whose nodes -u[::-1] increase: the left rule written through the
+    reversed view of the matrix, upper-triangular and C-contiguous.
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"integral order must lie in (0, 1], got {order}")
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    return OperatorMatrix(_integral_entries(grid.u, order, side))
+    u = grid.u
+    if side is Side.LEFT:
+        return OperatorMatrix(_left_integral_entries(u, order))
+    W = np.zeros((len(u), len(u)))
+    _left_integral_entries(-u[::-1], order, W[::-1, ::-1])
+    return OperatorMatrix(W)
 
 
 def _d1_stencil(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,38 +168,6 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
         s = start[rows]
         out[rows] = c[rows, 0:1] * x[s] + c[rows, 1:2] * x[s + 1] + c[rows, 2:3] * x[s + 2]
     return out
-
-
-def _triangular_times(tri: np.ndarray, x: np.ndarray, overwrite: bool) -> np.ndarray:
-    """tri @ x for an upper-triangular `tri`, by BLAS dtrmm (half the flops of @).
-
-    C-ordered arrays pass to BLAS as their F-ordered transposes:
-    (T x)^T = x^T T^T, with T^T lower-triangular.  With overwrite, x (if
-    C-contiguous) is overwritten with the result.
-    """
-    return dtrmm(1.0, tri.T, x.T, side=1, lower=1, overwrite_b=overwrite).T
-
-
-def right_derivative_times(grid: Grid, order: FractionalOrder, x: np.ndarray) -> np.ndarray:
-    """hilfer_derivative_matrix(..., Side.RIGHT).entries @ x, factor by factor.
-
-    Applies the right integral of order 1 - alpha, built just before and
-    released right after its triangular product, then -D1 as three-row
-    combinations.  At beta = 1 the last row is first subtracted from every
-    row (g - g(T)), in a copy made after the rule's block temporaries are
-    gone.  x is not modified.
-    """
-    u = grid.u
-    g = 1.0 - order.alpha
-    if g > 0.0:
-        integral = _integral_entries(u, g, Side.RIGHT)
-        caputo = order.beta == 1.0
-        if caputo:
-            x = x - x[-1]
-        x = _triangular_times(integral, x, overwrite=caputo)
-        del integral
-    c, start = _d1_stencil(u)
-    return _stencil_times(-c, start, x)
 
 
 def _d1_at(c: np.ndarray, start: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -272,20 +231,19 @@ def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarra
 
 
 def hilfer_derivative_matrix(
-    grid: Grid, psi: PsiFunction, order: FractionalOrder, side: Side
+    grid: Grid, psi: PsiFunction, order: FractionalOrder, side: Side = Side.LEFT
 ) -> OperatorMatrix:
-    """Hilfer-type fractional derivative of order alpha and type beta as a matrix.
+    """Left Hilfer-type fractional derivative of order alpha and type beta as a matrix.
 
-    Left side:  D1 . I^{1-alpha};  right side:  -D1 . I_R^{1-alpha}, which
-    is `right_derivative_times` on the identity.  At beta = 1, alpha < 1
-    they act on f - f(0) and g - g(T); at alpha = 1 they are +/- D1 exactly.
+    D1 . I^{1-alpha}; at beta = 1, alpha < 1 it acts on f - f(0), and at
+    alpha = 1 it is D1 exactly.  `side` is Side.LEFT, the only side built.
     """
+    if side is not Side.LEFT:
+        raise ValueError(f"only the left derivative is built, got side {side}")
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
-    if side is Side.LEFT:
-        return OperatorMatrix(_left_derivative_entries(grid.u, order))
-    return OperatorMatrix(right_derivative_times(grid, order, np.eye(grid.n)))
+    return OperatorMatrix(_left_derivative_entries(grid.u, order))
 
 
 def hilfer_power_oracle(

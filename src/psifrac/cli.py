@@ -145,8 +145,8 @@ def _common_pipeline(rc: RunConfig):
         e = solve_e(op)
     with _stage("majorant"):
         maj = _majorant_for(rc.spec)
-    # the threshold formula needs a positive bottom eigenvalue; fractional
-    # corners can lose that discretely, which is reported, not hidden
+    # the threshold formula needs a positive bottom eigenvalue, a computed
+    # outcome that is reported, not assumed
     mu1 = (
         nonexistence_threshold(eig.lambda1, rc.spec.m.zeta_inf, maj.a)
         if eig.lambda1 > 0

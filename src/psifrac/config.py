@@ -58,10 +58,14 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | Path | None) -> dict:
-    """Defaults, optionally overlaid with a config file."""
+    """Defaults, optionally overlaid with a config file; an unreadable file is a ValueError."""
     if path is None:
         return {k: d for k, (_, d) in CONFIG_DEFAULTS.items()}
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {str(path)!r}: {exc.strerror}") from None
+    return parse_config_text(text)
 
 
 def spec_from_config(values: dict) -> ProblemSpec:

@@ -1,17 +1,22 @@
 """The composed Kirchhoff differential operator, its eigenpair, and helpers.
 
-The full operator A is the right derivative applied to the left one, with
-the two boundary rows replaced by unit rows (homogeneous Dirichlet).  All
-solves work on the interior block, whose LU factorization is computed once
-at assembly and reused; the stored objects are immutable afterwards.
+The operator A realizes u -> D_right(D_left u) with homogeneous Dirichlet
+data: its two boundary rows are unit rows.  All solves work on the
+interior block, whose LU factorization is computed once at assembly and
+reused; the stored objects are immutable afterwards.
 
 At alpha = 1, D_left is the d/du stencil and A = -D1.D1: both have
 bandwidth (2, 2) and are built from the stencil as their five diagonals,
 with no n x n array.  They are multiplied diagonal by diagonal, and the
 interior block is factored in LAPACK band storage (dgbtrf) whenever that
 band with its fill, 2 kl + ku + 1 rows, is smaller than the dense block.
-A fractional operator (alpha < 1) is full: built, multiplied and factored
-dense.
+
+Below alpha = 1, A = W^-1 K is the weak form the verifier integrates
+(Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
+w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
+tent masses.  K is symmetric positive definite, so A has a real spectrum;
+it is full, built and factored dense.  The nodal D_left stays for the
+Kirchhoff energy.
 """
 
 from __future__ import annotations
@@ -21,15 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dlauum
+from scipy.special import gamma as gamma_fn
 
-from .calculus import (
-    OperatorMatrix,
-    Side,
-    hilfer_derivative_matrix,
-    right_derivative_times,
-    stencil_diagonals,
-)
+from .calculus import _BLOCK, OperatorMatrix, hilfer_derivative_matrix, stencil_diagonals
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "principal_eigenpair",
     "solve_e",
     "energy",
+    "tent_masses",
 ]
 
 # A stored square matrix is a dense array, or a tuple of its diagonals
@@ -132,7 +134,7 @@ class _InteriorLU:
 
 @dataclass(frozen=True)
 class ComposedOperator:
-    """Dirichlet realization of D_right(D_left u) on the grid.
+    """Dirichlet realization of D_right(D_left u) on the grid, in weak form below alpha = 1.
 
     Field indices stay aligned with grid nodes (unit boundary rows of A);
     interior solves use the cached factorization of the interior block.
@@ -205,13 +207,71 @@ class ComposedOperator:
         return _times(self._d_left, np.asarray(f, dtype=float))
 
 
+def tent_masses(u: np.ndarray) -> np.ndarray:
+    """The masses int w_i du of the tents at every node, the half tents at both ends included."""
+    ends = np.concatenate(([u[0]], u, [u[-1]]))
+    return 0.5 * (ends[2:] - ends[:-2])
+
+
+def _tent_operator(u: np.ndarray, alpha: float) -> np.ndarray:
+    """W^-1 K for alpha < 1, with unit boundary rows.
+
+    The tent at node i is c0 (u - u_{i-1})_+ + c1 (u - u_i)_+ +
+    c2 (u - u_{i+1})_+, so its left derivative T_i, for every beta, is the
+    same combination of the kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).
+    K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The rows
+    U[i, m] = sqrt(du_m) T_i(um) over all cells but the last are
+    upper-triangular, built in blocks of _BLOCK tents; U U^T comes from
+    LAPACK dlauum in place and the last cell adds s s^T.  Column n-1 is the
+    form of the half tent at T, so that A also acts on fields with u(T) != 0.
+    """
+    n = len(u)
+    m = n - 2
+    du = u[1:] - u[:-1]
+    mid = 0.5 * (u[:-1] + u[1:])
+    c0 = 1.0 / du[:-1]
+    c2 = 1.0 / du[1:]
+    c1 = -(c0 + c2)
+    scale = np.sqrt(du) / gamma_fn(2.0 - alpha)
+    upper = np.zeros((m, m))
+    s = np.empty(m)
+    for lo in range(0, m, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        # kernels based at u_lo .. u_{lo+_BLOCK+1} at the midpoints of cells lo on;
+        # the tents of this block vanish on the cells before
+        t = mid[lo:] - u[lo : lo + _BLOCK + 2, None]
+        np.maximum(t, 0.0, out=t)
+        np.power(t, 1.0 - alpha, out=t, where=t > 0.0)
+        tents = c0[rows, None] * t[:-2] + c1[rows, None] * t[1:-1] + c2[rows, None] * t[2:]
+        tents *= scale[lo:]
+        upper[rows, lo:] = tents[:, :-1]
+        s[rows] = tents[:, -1]
+    # C-ordered arrays pass to LAPACK as their transposes: L = U^T is
+    # lower-triangular, and L^T L = U U^T lands in L's lower triangle,
+    # which is U's upper one; U's strict lower triangle stays zero
+    k = dlauum(upper.T, lower=1, overwrite_c=1)[0].T
+    dsyr(1.0, s, lower=1, a=k.T, overwrite_a=1)
+    # K = k + k^T with the diagonal halved first, which is exact
+    k.flat[:: m + 1] *= 0.5
+    w = tent_masses(u)[1:-1]
+    a = np.zeros((n, n))
+    inner = a[1:-1, 1:-1]
+    for lo in range(0, m, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        inner[rows] = (k[rows] + k[:, rows].T) / w[rows, None]
+    last = scale[-1] * (0.5 * du[-1]) ** (1.0 - alpha) / du[-1]
+    a[1:-1, -1] = s * last / w
+    a[0, 0] = a[-1, -1] = 1.0
+    return a
+
+
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
     At alpha = 1 the diagonals of D_left = D1 and of A = -D1.D1 come from
-    the stencil.  Below, interior rows are (hilfer_right @ hilfer_left),
-    with the right derivative's factors applied to the left matrix one at
-    a time.  Rows 0 and n-1 are unit rows enforcing u = 0 at the boundary.
+    the stencil.  Below, A is the tent form W^-1 K of `_tent_operator` and
+    D_left the nodal left derivative.  Rows 0 and n-1 are unit rows
+    enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
@@ -223,12 +283,8 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
             v.setflags(write=False)
         kl = ku = 2
     else:
-        left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT).entries
-        a = right_derivative_times(spec.grid, spec.order, left)
-        a[0, :] = 0.0
-        a[0, 0] = 1.0
-        a[-1, :] = 0.0
-        a[-1, -1] = 1.0
+        left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order).entries
+        a = _tent_operator(spec.grid.u, spec.order.alpha)
         a.setflags(write=False)
         # a fractional interior block is full
         kl = ku = n - 3
@@ -241,8 +297,8 @@ class EigenPair:
 
     psi1 is sup-normalized with positive sign and zero boundary values.
     positive_interior reports whether every interior value is strictly
-    positive; for alpha < 1 the discrete operator can lose positivity,
-    which is reported here rather than asserted.
+    positive: a computed outcome, which the subsolution refuses to raise
+    into a power when it fails.
     """
 
     lambda1: float
@@ -286,10 +342,10 @@ def principal_eigenpair(
 
     Builds up to 20 Arnoldi vectors of A^{-1} from the normalized ones
     vector, applying A^{-1} through the interior LU factorization.  The
-    Ritz pair of largest |mu| gives lambda1 = 1/mu; a complex Ritz value
-    means the bottom of the spectrum is a complex pair, and that raises at
-    once.  One inverse-iteration step from the Ritz vector then applies the
-    stopping rule: its Rayleigh quotient differs from the Ritz value by at
+    Ritz pair of largest |mu| gives lambda1 = 1/mu, its real part: the
+    spectrum is real (below alpha = 1 A = W^-1 K is similar to the
+    symmetric W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz
+    vector then applies the stopping rule: its Rayleigh quotient differs from the Ritz value by at
     most tol (relative) and the eigen-residual is below 10 * tol * |lambda1|.
     Otherwise Arnoldi restarts from the improved vector.  max_iter bounds
     the total number of LU solves, Arnoldi steps included, and
@@ -305,16 +361,6 @@ def principal_eigenpair(
         solves += basis.shape[1]
         mus, ys = np.linalg.eig(hess)
         top = int(np.argmax(np.abs(mus)))
-        # real Ritz values come back with a zero imaginary part; rounding
-        # can split a near-double real one by about sqrt(eps)
-        if abs(mus[top].imag) > 1e-6 * abs(mus[top]):
-            pair = 1.0 / mus[top]
-            raise RuntimeError(
-                f"the Ritz value of A^-1 of largest magnitude is complex after {solves} "
-                f"LU solves (lambda {pair.real:.6g} +/- {abs(pair.imag):.6g}i): the bottom "
-                "of the spectrum is a complex pair, so there is no real principal "
-                "eigenpair at this discretization"
-            )
         lam = 1.0 / float(mus[top].real)
         v = basis @ ys[:, top].real
         if solves == max_iter:
@@ -351,8 +397,9 @@ def principal_eigenpair(
 def solve_e(op: ComposedOperator) -> Field:
     """Solution of A e = 1 on the interior with e = 0 at the boundary.
 
-    Positivity of e on the interior is checked and reported by the caller;
-    for alpha = 1 it always holds, for alpha < 1 it is a diagnostic.
+    Below alpha = 1 this is K e = W: the form of e against every tent is
+    the tent's mass.  Positivity of e on the interior is a computed outcome,
+    checked by the callers that scale e into a supersolution.
     """
     return op.solve_interior(np.ones(op.n - 2))
 

@@ -196,9 +196,11 @@ def comparison_check(
     Evaluates the ordered-form hypothesis
     M(energy(theta1)) * B(theta1, w) <= M(energy(theta2)) * B(theta2, w)
     for every interior tent w, then checks theta1 <= theta2 pointwise.
-    Returns "hypothesis-fails", "consistent", or "counterexample"
-    (hypothesis holds but the ordering does not; a discretization
-    diagnostic for alpha < 1, a hard failure at alpha = 1).
+    B is the form of `TentBasis.form`: below alpha = 1, W (A theta), whose
+    interior block W A_int = K_int has an entrywise nonnegative inverse at
+    the catalog corners.  Returns "hypothesis-fails", "consistent", or
+    "counterexample" (the hypothesis holds but the ordering does not: the
+    discrete comparison principle fails for this pair).
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
@@ -213,8 +215,8 @@ def comparison_check(
         basis = TentBasis(spec)
     d1 = op.apply_left(theta1)
     d2 = op.apply_left(theta2)
-    b1 = spec.m(energy_of_derivative(d1, op)) * basis.bilinear(d1)
-    b2 = spec.m(energy_of_derivative(d2, op)) * basis.bilinear(d2)
+    b1 = spec.m(energy_of_derivative(d1, op)) * basis.form(theta1, d1, op)
+    b2 = spec.m(energy_of_derivative(d2, op)) * basis.form(theta2, d2, op)
     slack = 1e-9 * (1.0 + float(np.abs(b2).max()))
     if not np.all(b1 <= b2 + slack):
         return "hypothesis-fails"

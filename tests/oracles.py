@@ -16,6 +16,8 @@ written out on its own (entries bit for bit); `left_integral_reference`,
 the left rule with four powers per cell (entries bit for bit); and
 `composed_reference`, the alpha = 1 operator composed as dense matrices
 from the package's stencil (diagonals, factors and pivots bit for bit);
+`tent_form_reference`, the alpha < 1 operator summed tent by tent and cell
+by cell in one plain product (entries to rounding);
 `write_csv_reference`, the CSV writer that formats row by row, value by
 value (file bytes); and `build_parser_reference`, the option parser that
 adds every shared option to each subparser (help text, parses and errors).
@@ -286,9 +288,10 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
 def tent_reference(spec):
     """Cell-end weights of the interior tents' left derivatives, one tent at a time.
 
-    Returns (wl, wr, node_weights) as `psifrac.analysis.TentBasis` holds
-    them in `_wl`, `_wr` and `node_weights`: each tent's three shifted
-    kernels are evaluated at every left and right cell end separately.
+    Returns (wl, wr, node_weights): each tent's three shifted kernels are
+    evaluated at every left and right cell end separately.  At alpha = 1
+    `psifrac.analysis.TentBasis` holds the band of wl and wr in `_steps`,
+    and at every alpha the masses in `node_weights`.
     """
     u = spec.grid.u
     x = spec.grid.x
@@ -326,6 +329,37 @@ def tent_reference(spec):
     tw[0] = 0.5 * (x[1] - x[0])
     tw[-1] = 0.5 * (x[-1] - x[-2])
     return lv * half_dx, rv * half_dx, tw
+
+
+def tent_form_reference(spec):
+    """A = W^-1 K below alpha = 1, from every tent derivative at every cell midpoint.
+
+    Row i of T holds the closed-form left derivative of the tent at node i
+    (the half tent at T for i = n-1) at the cell midpoints, one shifted
+    kernel at a time; K = T diag(du) T^T as one plain product, W the tent
+    masses.  Rows 0 and n-1 are unit rows.
+    """
+    u = spec.grid.u
+    n = spec.grid.n
+    alpha = spec.order.alpha
+    du = np.diff(u)
+    mid = 0.5 * (u[:-1] + u[1:])
+
+    def ramp(base):
+        # the left derivative of (u - base)_+ at the midpoints
+        d = mid - base
+        return np.where(d > 0.0, np.abs(d) ** (1.0 - alpha), 0.0) / gamma_fn(2.0 - alpha)
+
+    t = np.zeros((n, n - 1))
+    for i in range(1, n - 1):
+        left, right = 1.0 / du[i - 1], 1.0 / du[i]
+        t[i] = left * ramp(u[i - 1]) - (left + right) * ramp(u[i]) + right * ramp(u[i + 1])
+    t[n - 1] = ramp(u[n - 2]) / du[n - 2]
+    k = (t * du) @ t.T
+    a = np.zeros((n, n))
+    a[1:-1] = k[1:-1] / (0.5 * (u[2:] - u[:-2]))[:, None]
+    a[0, 0] = a[-1, -1] = 1.0
+    return a
 
 
 def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):

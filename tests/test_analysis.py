@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import psifrac.analysis
-from oracles import mu2_reference, tent_reference
+from oracles import mu2_reference, tent_form_reference, tent_reference
 from psifrac import (
     assemble_composed,
     build_pair,
@@ -347,8 +347,16 @@ class TestTentBasis:
         wl, wr, node_weights = tent_reference(in_u)
         assert np.array_equal(basis.node_weights, node_weights)
         if alpha < 1.0:
-            assert np.array_equal(basis._wl, wl)
-            assert np.array_equal(basis._wr, wr)
+            # below alpha = 1 the form is the operator's, W (A f)
+            op = assemble_composed(spec)
+            f = np.random.default_rng(n).standard_normal(n)
+            ref = tent_form_reference(spec)
+            want = node_weights[1:-1] * (ref @ f)[1:-1]
+            scale = node_weights[1:-1] * (np.abs(ref) @ np.abs(f))[1:-1]
+            got = basis.form(f, op.apply_left(f), op)
+            # the tents' three-kernel cancellation on the tiny first cells
+            # of square psi rounds at 3.5e-13 of the largest row
+            assert np.abs(got - want).max() <= 1e-12 * scale.max()
             return
         # at alpha = 1 each tent keeps two weights, its left and right cell's,
         # the same at both cell ends

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import build_parser_reference, write_csv_reference
+from psifrac import cli
 from psifrac.cli import SUBCOMMANDS, build_parser, main, write_csv
 
 FAST = ["--grid-n", "65", "--tol", "1e-9"]
@@ -59,6 +61,16 @@ class TestValidation:
         code, _, _ = run_cli(tmp_path, "solve", *FAST, "--r", "0.5")
         assert code == 1
         assert "r must lie" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_file_is_status_one(self, tmp_path, capsys, where):
+        # an error line and status 1, not a traceback
+        cfg = tmp_path / "absent.cfg" if where == "missing" else tmp_path
+        code, out, _ = run_cli(tmp_path, "solve", "--config", str(cfg))
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "Traceback" not in err
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -149,35 +161,80 @@ class TestConvergence:
 
 
 class TestFractionalCorners:
-    def test_nonpositive_bottom_eigenvalue_reported(self, tmp_path):
-        # off the catalog (T = 10, nine nodes) the discrete composed operator
-        # has a negative bottom mode; the threshold is reported as null, not
-        # fabricated
+    def test_nonpositive_bottom_eigenvalue_reported(self, tmp_path, monkeypatch):
+        # a non-positive lambda1 leaves the threshold null, not fabricated;
+        # no catalog corner has one, so the eigensolver is stubbed
+        real = cli.principal_eigenpair
+
+        def negative(op, **kwargs):
+            return dataclasses.replace(real(op, **kwargs), lambda1=-1.0)
+
+        monkeypatch.setattr(cli, "principal_eigenpair", negative)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "9")
+        assert code == 0
+        assert report["lambda1"] == -1.0
+        assert report["mu1"] is None
+        assert "mu1_note" in report
+
+    def test_log1p_corner_off_the_catalog_has_a_positive_bottom(self, tmp_path):
+        # the T = 10 log1p corner had a negative bottom mode under the
+        # strong-form product; the tent form's spectrum is positive there
         code, _, report = run_cli(
             tmp_path, "eigen", "--alpha", "0.75", "--beta", "0", "--psi", "log1p",
             "--T", "10", "--grid-n", "9",
-        )
+        )  # fmt: skip
         assert code == 0
-        assert report["lambda1"] < 0
-        assert report["mu1"] is None
-        assert "mu1_note" in report
-        assert report["eigen"]["positive_interior"] is False
+        assert report["lambda1"] == pytest.approx(1.0996, abs=1e-4)
+        assert report["mu1"] > 0
+        assert report["eigen"]["positive_interior"] is True
 
     @pytest.mark.parametrize("sub", ["solve", "verify", "sweep"])
-    def test_sign_changing_psi1_is_numerical_failure(self, tmp_path, capsys, sub):
-        # at beta = 1 e is positive but psi1 changes sign: status 2 with the
-        # reason, not the status-1 refusal of a clipped phi's singular term
+    def test_sign_changing_psi1_is_numerical_failure(self, tmp_path, capsys, monkeypatch, sub):
+        # a psi1 that changes sign is status 2 with the reason, not the
+        # status-1 refusal of a clipped phi's singular term
+        real = cli.principal_eigenpair
+
+        def sign_changing(op, **kwargs):
+            eig = real(op, **kwargs)
+            psi1 = eig.psi1.copy()
+            psi1[1] = -psi1[1]
+            return dataclasses.replace(eig, psi1=psi1, positive_interior=False)
+
+        monkeypatch.setattr(cli, "principal_eigenpair", sign_changing)
         code, _, _ = run_cli(tmp_path, sub, "--alpha", "0.75", "--beta", "1", *FAST)
         assert code == 2
         assert "psi1 is not positive" in capsys.readouterr().err
 
-    def test_solve_refusal_is_numerical_failure(self, tmp_path, capsys):
+    def test_solve_refusal_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # build_pair refuses a sign-changing e field: status 2, not 1
+        real = cli.solve_e
+
+        def sign_changing(op):
+            e = real(op)
+            e[2] = -e[2]
+            return e
+
+        monkeypatch.setattr(cli, "solve_e", sign_changing)
         code, _, _ = run_cli(
             tmp_path, "solve", "--alpha", "0.9", "--grid-n", "65", "--tol", "1e-8"
         )
         assert code == 2
         assert "not positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["solve", "verify", "sweep"])
+    @pytest.mark.parametrize("alpha, beta", [("0.75", "1"), ("0.9", "0.5")])
+    def test_fractional_pipeline_runs(self, tmp_path, sub, alpha, beta):
+        # psi1 > 0 and e > 0 at the fractional corners: every subcommand
+        # reaches its end with status 0
+        code, _, report = run_cli(tmp_path, sub, "--alpha", alpha, "--beta", beta, *FAST)
+        assert code == 0
+        assert report["lambda1"] > 0 and report["mu1"] > 0
+        assert report["e_min_interior"] > 0
+        if sub != "sweep":
+            assert [v["verdict"] for v in report["verify"]] == ["sub-pass", "super-pass"]
+        if sub == "solve":
+            solve = report["solve"]
+            assert solve["converged"] and solve["positive"] and solve["sandwich_ok"]
 
 
 class TestRunConfigValidation:

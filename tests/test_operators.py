@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgbtrf
 
 import psifrac.operators
-from oracles import classical_e, composed_reference, lapack_band
+from oracles import classical_e, composed_reference, lapack_band, tent_form_reference
 from psifrac import (
     Side,
     assemble_composed,
@@ -27,7 +27,8 @@ PI2 = math.pi**2
 
 
 class TestFactoredAssembly:
-    """A = D_right D_left is built by applying the right factors to D_left."""
+    """At alpha = 1, A = -D1 D1 on the interior rows; below, A = W^-1 K is
+    the tent form, checked against a reference summed tent by tent."""
 
     @pytest.mark.parametrize("n", [33, 129])
     @pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])
@@ -37,26 +38,18 @@ class TestFactoredAssembly:
                 spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
                 op = assemble_composed(spec)
                 left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
-                right = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.RIGHT)
                 assert np.array_equal(op.d_left.entries, left.entries)
-                want = right.entries @ left.entries
                 got = op.a_full.entries
-                tol = 1e-13 * np.abs(want).max()
-                assert np.abs(got[1:-1] - want[1:-1]).max() <= tol, (alpha, beta)
-
-    def test_right_derivative_matrix_is_never_built(self, monkeypatch):
-        sides = []
-        real = psifrac.operators.hilfer_derivative_matrix
-
-        def spy(grid, psi, order, side):
-            sides.append(side)
-            return real(grid, psi, order, side)
-
-        monkeypatch.setattr(psifrac.operators, "hilfer_derivative_matrix", spy)
-        for alpha in (1.0, 0.75):
-            assemble_composed(make_spec(alpha=alpha, grid_n=33))
-        # alpha = 1 is built from the stencil, with no derivative matrix
-        assert sides == [Side.LEFT]
+                if alpha == 1.0:
+                    want = -left.entries @ left.entries
+                    tol = 1e-13 * np.abs(want).max()
+                    assert np.abs(got[1:-1] - want[1:-1]).max() <= tol, beta
+                    continue
+                # the midpoint rule of one plain product: 1.1e-13 of max|A|
+                # at square psi, where the first cells are tiny
+                want = tent_form_reference(spec)
+                assert np.array_equal(got[[0, -1]], want[[0, -1]])
+                assert np.abs(got - want).max() <= 5e-13 * np.abs(want).max(), (alpha, beta)
 
 
 PSIS = ["identity", "exp_minus_one", "square", "log1p"]
@@ -268,14 +261,24 @@ class TestEigenpair:
         assert abs(eig.lambda1 - PI2 / 4.0) / (PI2 / 4.0) < 0.01
 
     def test_fractional_regression_baseline(self):
-        # frozen at the first run of this configuration; the discrete
-        # composed operator at alpha=0.9 has a sign-changing bottom mode,
-        # so positivity is a recorded diagnostic, not an assertion
+        # frozen at the first run of the tent form at this configuration
         spec = make_spec(alpha=0.9, beta=0.5, grid_n=129, lam=1.0)
         eig = principal_eigenpair(assemble_composed(spec), tol=1e-9)
         assert eig.lambda1 > 0
-        assert eig.lambda1 == pytest.approx(0.8284798730249513, rel=1e-6)
-        assert eig.positive_interior is False
+        assert eig.lambda1 == pytest.approx(7.059013069286783, rel=1e-6)
+        assert eig.positive_interior is True
+
+    def test_fractional_lambda1_falls_with_refinement(self):
+        # the midpoint form approaches its limit from above, at order about
+        # 0.5: 4.2060, 4.1929, 4.1836
+        lams = [
+            principal_eigenpair(
+                assemble_composed(make_spec(alpha=0.75, beta=0.5, grid_n=n)), tol=1e-10
+            ).lambda1
+            for n in (129, 257, 513)
+        ]
+        assert lams[0] > lams[1] > lams[2] > 4.17
+        assert lams[1] - lams[2] < lams[0] - lams[1]
 
     def test_lambda1_monotone_in_T(self):
         for psi in ("identity", "exp_minus_one"):
@@ -319,18 +322,6 @@ class TestEigenpair:
         with pytest.raises(RuntimeError, match="did not converge"):
             principal_eigenpair(small_op, tol=1e-13, max_iter=3)
 
-    def test_complex_bottom_pair_is_diagnosed(self):
-        # off the catalog (T = 10) this combination has a complex-conjugate
-        # pair at the bottom of the spectrum, which shows up as a complex
-        # Ritz value; no catalog corner has one
-        spec = make_spec(alpha=0.75, beta=0.0, psi="log1p", T=10.0, grid_n=33)
-        op = assemble_composed(spec)
-        with pytest.raises(RuntimeError, match="complex pair"):
-            principal_eigenpair(op, tol=1e-9, max_iter=2000)
-        # the diagnosis needs no long iteration budget
-        with pytest.raises(RuntimeError, match="complex pair"):
-            principal_eigenpair(op, tol=1e-9, max_iter=50)
-
     @pytest.mark.parametrize("psi", PSIS)
     def test_every_catalog_corner_has_a_real_positive_bottom(self, psi):
         # a real lambda1 > 0 at every (alpha, beta), and e > 0 on the
@@ -366,8 +357,8 @@ class TestEProblem:
         assert e[1:-1].min() > 0.0
 
     def test_fractional_positivity_is_reported_not_assumed(self):
-        # at alpha=0.9 the discrete e genuinely dips negative; the pipeline
-        # surfaces it (build_pair refuses such an e) instead of hiding it
+        # e's positivity is a computed outcome, which build_pair checks
+        # (refusing a sign-changing e) instead of assuming it
         spec = make_spec(alpha=0.9, grid_n=129)
         e = solve_e(assemble_composed(spec))
         assert np.isfinite(e).all()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tent_reference
-from psifrac import assemble_composed, make_spec, validate_spec
+from psifrac import assemble_composed, make_spec, principal_eigenpair, solve_e, validate_spec
 from psifrac.analysis import TentBasis
 from psifrac.cli import SUBCOMMANDS, main
 from psifrac.core import KirchhoffKind, NonlinearityKind, PsiKind
@@ -90,6 +90,20 @@ def test_solve_interior_matches_dense_solve(spec, seed):
     assert got[0] == 0.0 and got[-1] == 0.0
     err = np.linalg.norm(got[1:-1] - want)
     assert err <= 100.0 * cond * np.finfo(float).eps * np.linalg.norm(want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(fields=spec_fields(0), alpha=_floats(0.55, 0.999))
+def test_fractional_operator_keeps_the_positivity_the_pair_needs(fields, alpha):
+    # below alpha = 1 the tent form gives a positive bottom eigenpair, a
+    # positive e and an inverse-positive interior block at every admissible
+    # spec drawn here (T <= 3; wider spans are the eigen stopping rule's)
+    op = assemble_composed(make_spec(**{**fields, "alpha": alpha}))
+    eig = principal_eigenpair(op, tol=1e-9)
+    assert eig.lambda1 > 0 and eig.positive_interior
+    assert solve_e(op)[1:-1].min() > 0
+    inv = np.linalg.inv(op.interior_block())
+    assert inv.min() >= -1e-12 * np.abs(inv).max()
 
 
 alpha_one_specs = st.builds(

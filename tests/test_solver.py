@@ -12,7 +12,10 @@ from psifrac import (
     SolveReport,
     build_pair,
     comparison_check,
+    empirical_mu2,
+    linear_majorant,
     make_spec,
+    nonexistence_threshold,
     picard_step,
     principal_eigenpair,
     solve_e,
@@ -302,9 +305,11 @@ class TestComparisonCheck:
         assert comparison_check(th, 2.0 * th, spec, op) == "consistent"
 
     def test_fractional_counterexample_is_flagged(self):
-        # at alpha=0.9 the bilinear-form matrix is not inverse-positive:
-        # pick s with B(s, w_i) = delta_ij but s negative somewhere, then
-        # theta2 = theta1 + s satisfies the hypothesis yet breaks the order
+        # a field s with B(s, w_i) = delta_ij that is negative somewhere
+        # would make theta2 = theta1 + s satisfy the hypothesis and break the
+        # order.  At alpha = 0.9 the form matrix W A_int = K_int is
+        # inverse-positive, so there is none: every such s is nonnegative
+        # and the check finds the pair consistent
         spec = make_spec(alpha=0.9, grid_n=65)
         op = assemble_composed(spec)
         basis = TentBasis(spec)
@@ -313,20 +318,49 @@ class TestComparisonCheck:
         for j in range(1, n - 1):
             v = np.zeros(n)
             v[j] = 1.0
-            cols.append(basis.bilinear(op.d_left.entries @ v))
+            cols.append(basis.form(v, op.apply_left(v), op))
         K = np.column_stack(cols)
+        w = basis.node_weights[1:-1]
+        assert np.allclose(K, w[:, None] * op.interior_block(), rtol=1e-14, atol=0.0)
         Kinv = np.linalg.inv(K)
-        jneg, jcol = np.unravel_index(np.argmin(Kinv), Kinv.shape)
-        assert Kinv[jneg, jcol] < 0
+        assert Kinv.min() >= 0.0
+        _, jcol = np.unravel_index(np.argmin(Kinv), Kinv.shape)
         s = np.zeros(n)
         s[1:-1] = Kinv[:, jcol]
         s /= np.abs(s).max()
         theta1 = np.sin(np.pi * spec.grid.x)
         theta2 = theta1 + 1e-3 * s
-        verdict = comparison_check(theta1, theta2, spec, op)
-        assert verdict == "counterexample"
+        assert comparison_check(theta1, theta2, spec, op) == "consistent"
 
     def test_boundary_violation_rejected(self, catalog_spec, catalog_op):
         th = np.ones(catalog_spec.grid.n)
         with pytest.raises(ValueError, match="vanish"):
             comparison_check(th, th, catalog_spec, catalog_op)
+
+
+def test_fractional_dichotomy():
+    # gate 8 at alpha = 0.75, beta = 0.5, n = 257, lambda from 0.5 to 100.5
+    # in steps of 4: no positive solution below mu1, every lambda above mu2
+    # solves sandwiched and positive (mu1 = 4.193, mu2 = 18.25; the steps
+    # up to 12.5 do not solve, those from 16.5 on all do)
+    spec = make_spec(alpha=0.75, beta=0.5, grid_n=257, lam=50.0)
+    op = assemble_composed(spec)
+    eig = principal_eigenpair(op, tol=1e-9)
+    e = solve_e(op)
+    maj = linear_majorant(spec.h, spec.nu, a=1.0, s_max=1e6)
+    mu1 = nonexistence_threshold(eig.lambda1, spec.m.zeta_inf, maj.a)
+    mu2 = empirical_mu2(spec, op, eig, e, 0.8)
+    assert mu2 is not None and mu1 < mu2
+    above = 0
+    for lam in np.arange(0.5, 100.6, 4.0):
+        trial = dataclasses.replace(spec, lam=float(lam))
+        pair = build_pair(trial, eig, e, 0.8)
+        res = solve_between(
+            pair, trial, dataclasses.replace(op, spec=trial), tol=1e-10, max_iter=200
+        )
+        if lam < mu1:
+            assert not (res.converged and res.positive), lam
+        if lam > mu2:
+            above += 1
+            assert res.converged and res.positive and res.sandwich_ok, lam
+    assert above == 21
