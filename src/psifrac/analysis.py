@@ -11,9 +11,9 @@ The verifier evaluates the bilinear form of a candidate field against
 every tent test function (piecewise linear in the transformed variable u),
 whose derivative is known in closed form.  Below alpha = 1 that form is
 the operator itself: A = W^-1 K, with K the cell-midpoint rule of the
-tent derivatives' products (see `operators`), so the form of u is W (A u)
-and the solve and the verifier share one discretization.  At alpha = 1
-the tent derivatives are steps, and the form pairs the nodal D1 u with
+tent derivatives' products (see `operators`), so the form of u is W (A u),
+and the energy, the solve and the verifier share one discretization.  At
+alpha = 1 the tent derivatives are steps, and the form pairs D1 u with
 them cell by cell; smearing a tent's kink through a difference stencil
 would pollute the hats adjacent to the boundary with O(1) artifacts.
 Either way the form of e is the tent mass: the supersolution chain holds
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, Nonlinearity, ProblemSpec
-from .operators import ComposedOperator, EigenPair, energy_of_derivative, tent_masses
+from .operators import ComposedOperator, EigenPair, energy, tent_masses
 
 __all__ = [
     "Majorant",
@@ -228,7 +228,7 @@ class TentBasis:
     alpha = 1 the operator is this form, A = W^-1 K (see `operators`), and
     the form of u is W (A u).  At alpha = 1 the tent derivatives are steps:
     each tent keeps two weights, on its left and its right cell, and the
-    form is an O(n) cell trapezoid of the nodal D1 u against them.
+    form is an O(n) cell trapezoid of the operator's nodal D1 u against them.
 
     The form and the tent masses W (`node_weights`) both integrate in
     du = psi' dx, so the form of e is the tent mass (A e = 1).
@@ -247,17 +247,14 @@ class TentBasis:
             half_du = 0.5 * du
             self._steps = (c0 * half_du[:-1], (c0 + c1) * half_du[1:])
 
-    def bilinear(self, d_u: np.ndarray) -> np.ndarray:
-        """At alpha = 1, the form against every interior tent from d_u = D1 u at the nodes."""
-        left, right = self._steps
-        # left cell ends, then right cell ends, of the tent's two cells
-        return (left * d_u[:-2] + right * d_u[1:-1]) + (left * d_u[1:-1] + right * d_u[2:])
-
-    def form(self, u: np.ndarray, d_u: np.ndarray, op: ComposedOperator) -> np.ndarray:
-        """The form of u against every interior tent: W (A u) below alpha = 1, else from d_u."""
+    def form(self, u: np.ndarray, op: ComposedOperator) -> np.ndarray:
+        """The form of u against every interior tent: W (A u) below alpha = 1, else from D1 u."""
         if self._steps is None:
             return self.node_weights[1:-1] * op.apply_full(u)[1:-1]
-        return self.bilinear(d_u)
+        left, right = self._steps
+        d_u = op.apply_left(u)
+        # left cell ends, then right cell ends, of the tent's two cells
+        return (left * d_u[:-2] + right * d_u[1:-1]) + (left * d_u[1:-1] + right * d_u[2:])
 
 
 @dataclass(frozen=True)
@@ -332,8 +329,7 @@ def verify_weak_inequality(
     ui = _checked_interior(u, spec.grid.n, side)
     if basis is None:
         basis = TentBasis(spec)
-    d_u = op.apply_left(u)
-    left = spec.m(energy_of_derivative(d_u, op)) * basis.form(u, d_u, op)
+    left = spec.m(energy(u, op)) * basis.form(u, op)
     return _verdict(side, left, ui, spec, basis)
 
 
@@ -360,12 +356,11 @@ def empirical_mu2(
     located empirically.
 
     Both fields rescale fixed ones: phi = lambda^r * p with p the
-    subsolution at lambda = 1, and xi = zeta * e.  Their left derivatives,
-    energies and tent forms are computed once and scaled at each lambda;
-    the reaction side is evaluated on the fields themselves, after the
-    checks `verify_weak_inequality` makes.  The sub side is checked first,
-    and the pair (with its zeta) is built and xi checked only where it
-    passes.
+    subsolution at lambda = 1, and xi = zeta * e.  Their energies and tent
+    forms are computed once and scaled at each lambda; the reaction side
+    is evaluated on the fields themselves, after the checks
+    `verify_weak_inequality` makes.  The sub side is checked first, and
+    the pair (with its zeta) is built and xi checked only where it passes.
     """
     if 1.0 > lam_max + 1e-12:
         # an empty grid builds and refuses nothing
@@ -373,12 +368,10 @@ def empirical_mu2(
     n = spec.grid.n
     # build_pair's refusals, in its order; p is phi at lambda = 1
     e = _positive_e(e)
-    d_e = op.apply_left(e)
     p = build_subsolution(1.0, r, spec.nu, eig)
     basis = TentBasis(spec)
-    d_p = op.apply_left(p)
-    energy_p, form_p = energy_of_derivative(d_p, op), basis.form(p, d_p, op)
-    energy_e, form_e = energy_of_derivative(d_e, op), basis.form(e, d_e, op)
+    energy_p, form_p = energy(p, op), basis.form(p, op)
+    energy_e, form_e = energy(e, op), basis.form(e, op)
     lam = 1.0
     while lam <= lam_max + 1e-12:
         trial = dataclasses.replace(spec, lam=lam)

@@ -81,6 +81,15 @@ class RunConfig:
                     f"sweep_min must not exceed sweep_max "
                     f"(got {self.sweep_min} > {self.sweep_max})"
                 )
+            elif self.sweep_step > 0:
+                # lambda advances as round(lambda + step, 12), which a step below
+                # the rounding plus the float spacing can leave where it is
+                least = 1e-12 + math.ulp(max(abs(self.sweep_min), abs(self.sweep_max)))
+                if self.sweep_step < least:
+                    out.append(
+                        f"sweep_step must be at least {least!r} to move lambda, which is "
+                        f"rounded to 12 decimals (got {self.sweep_step})"
+                    )
         return out
 
 

@@ -15,8 +15,8 @@ Below alpha = 1, A = W^-1 K is the weak form the verifier integrates
 (Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
 w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
 tent masses.  K is symmetric positive definite, so A has a real spectrum;
-it is full, built and factored dense.  The nodal D_left stays for the
-Kirchhoff energy.
+it is full, built and factored dense.  The Kirchhoff energy reads D_left u
+at the cell midpoints from the table of tent derivatives K is built from.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlauum
 from scipy.special import gamma as gamma_fn
 
-from .calculus import _BLOCK, OperatorMatrix, hilfer_derivative_matrix, stencil_diagonals
+from .calculus import _BLOCK, OperatorMatrix, stencil_diagonals
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -138,16 +138,17 @@ class ComposedOperator:
 
     Field indices stay aligned with grid nodes (unit boundary rows of A);
     interior solves use the cached factorization of the interior block.
-    A and D_left are kept as the assembly built them: by their diagonals
-    at alpha = 1, dense otherwise.  Products and solves go through the
-    methods.  `a_full`, `d_left` and `interior_block()` build the dense
-    matrices on request, for tests and inspection; no pipeline step asks
-    for them.
+    A is kept as the assembly built it: by its diagonals at alpha = 1,
+    dense otherwise; `_left`, D_left at the energy's quadrature points, is
+    the diagonals of D1 or the table of `_tent_operator`.  Products and
+    solves go through the methods.  `a_full` and `interior_block()` build
+    the dense matrices on request, for tests and inspection; no pipeline
+    step asks for them.
     """
 
     spec: ProblemSpec
     _a: np.ndarray | tuple = field(repr=False, compare=False)
-    _d_left: np.ndarray | tuple = field(repr=False, compare=False)
+    _left: np.ndarray | tuple = field(repr=False, compare=False)
     _lu: _InteriorLU = field(repr=False, compare=False)
 
     @property
@@ -158,11 +159,6 @@ class ComposedOperator:
     def a_full(self) -> OperatorMatrix:
         """A as a dense matrix, boundary rows included."""
         return OperatorMatrix(_dense(self._a))
-
-    @property
-    def d_left(self) -> OperatorMatrix:
-        """The nodal left derivative as a dense matrix."""
-        return OperatorMatrix(_dense(self._d_left))
 
     @property
     def factorization(self) -> str:
@@ -203,8 +199,11 @@ class ComposedOperator:
         return _times(self._a, np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
-        """The nodal left derivative D_left f."""
-        return _times(self._d_left, np.asarray(f, dtype=float))
+        """D_left f at the energy's quadrature points: nodes at alpha = 1, cell midpoints below."""
+        f = np.asarray(f, dtype=float)
+        if isinstance(self._left, tuple):
+            return _times(self._left, f)
+        return (f @ self._left) / np.sqrt(np.diff(self.spec.grid.u))
 
 
 def tent_masses(u: np.ndarray) -> np.ndarray:
@@ -213,17 +212,18 @@ def tent_masses(u: np.ndarray) -> np.ndarray:
     return 0.5 * (ends[2:] - ends[:-2])
 
 
-def _tent_operator(u: np.ndarray, alpha: float) -> np.ndarray:
-    """W^-1 K for alpha < 1, with unit boundary rows.
+def _tent_operator(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """W^-1 K for alpha < 1, with unit boundary rows, and the table K comes from.
 
     The tent at node i is c0 (u - u_{i-1})_+ + c1 (u - u_i)_+ +
     c2 (u - u_{i+1})_+, so its left derivative T_i, for every beta, is the
     same combination of the kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).
-    K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The rows
-    U[i, m] = sqrt(du_m) T_i(um) over all cells but the last are
-    upper-triangular, built in blocks of _BLOCK tents; U U^T comes from
-    LAPACK dlauum in place and the last cell adds s s^T.  Column n-1 is the
-    form of the half tent at T, so that A also acts on fields with u(T) != 0.
+    K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The table
+    holds sqrt(du_m) T_i(um) in row i, column m, built in blocks of _BLOCK
+    tents; its row n-1 is the half tent at T, so that A also acts on fields
+    with u(T) != 0.  Its interior rows U over all cells but the last are
+    upper-triangular: U U^T comes from LAPACK dlauum, into a new array, and
+    the last cell's column s adds s s^T.
     """
     n = len(u)
     m = n - 2
@@ -233,8 +233,8 @@ def _tent_operator(u: np.ndarray, alpha: float) -> np.ndarray:
     c2 = 1.0 / du[1:]
     c1 = -(c0 + c2)
     scale = np.sqrt(du) / gamma_fn(2.0 - alpha)
-    upper = np.zeros((m, m))
-    s = np.empty(m)
+    table = np.zeros((n, n - 1))
+    inner = table[1:-1]
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         # kernels based at u_lo .. u_{lo+_BLOCK+1} at the midpoints of cells lo on;
@@ -244,34 +244,34 @@ def _tent_operator(u: np.ndarray, alpha: float) -> np.ndarray:
         np.power(t, 1.0 - alpha, out=t, where=t > 0.0)
         tents = c0[rows, None] * t[:-2] + c1[rows, None] * t[1:-1] + c2[rows, None] * t[2:]
         tents *= scale[lo:]
-        upper[rows, lo:] = tents[:, :-1]
-        s[rows] = tents[:, -1]
+        inner[rows, lo:] = tents
+    table[-1, -1] = last = scale[-1] * (0.5 * du[-1]) ** (1.0 - alpha) / du[-1]
+    s = inner[:, -1]
     # C-ordered arrays pass to LAPACK as their transposes: L = U^T is
     # lower-triangular, and L^T L = U U^T lands in L's lower triangle,
     # which is U's upper one; U's strict lower triangle stays zero
-    k = dlauum(upper.T, lower=1, overwrite_c=1)[0].T
+    k = dlauum(inner[:, :-1].T, lower=1, overwrite_c=0)[0].T
     dsyr(1.0, s, lower=1, a=k.T, overwrite_a=1)
     # K = k + k^T with the diagonal halved first, which is exact
     k.flat[:: m + 1] *= 0.5
     w = tent_masses(u)[1:-1]
     a = np.zeros((n, n))
-    inner = a[1:-1, 1:-1]
+    a_inner = a[1:-1, 1:-1]
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        inner[rows] = (k[rows] + k[:, rows].T) / w[rows, None]
-    last = scale[-1] * (0.5 * du[-1]) ** (1.0 - alpha) / du[-1]
+        a_inner[rows] = (k[rows] + k[:, rows].T) / w[rows, None]
     a[1:-1, -1] = s * last / w
     a[0, 0] = a[-1, -1] = 1.0
-    return a
+    return a, table
 
 
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
     At alpha = 1 the diagonals of D_left = D1 and of A = -D1.D1 come from
-    the stencil.  Below, A is the tent form W^-1 K of `_tent_operator` and
-    D_left the nodal left derivative.  Rows 0 and n-1 are unit rows
-    enforcing u = 0 at the boundary.
+    the stencil.  Below, A is the tent form W^-1 K of `_tent_operator`, and
+    the table it is built from gives D_left at the cell midpoints.  Rows 0
+    and n-1 are unit rows enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
@@ -283,9 +283,9 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
             v.setflags(write=False)
         kl = ku = 2
     else:
-        left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order).entries
-        a = _tent_operator(spec.grid.u, spec.order.alpha)
+        a, left = _tent_operator(spec.grid.u, spec.order.alpha)
         a.setflags(write=False)
+        left.setflags(write=False)
         # a fractional interior block is full
         kl = ku = n - 3
     return ComposedOperator(spec, a, left, _InteriorLU.of(a, n, kl, ku))
@@ -405,17 +405,15 @@ def solve_e(op: ComposedOperator) -> Field:
 
 
 def energy(u: Field, op: ComposedOperator) -> float:
-    """Trapezoid quadrature of |D_left u|^2 over the grid (the Kirchhoff argument)."""
+    """The Kirchhoff argument int |D_left u|^2 dx from the samples of `apply_left`.
+
+    The trapezoid of the nodal D1 u at alpha = 1; below, the midpoint rule
+    of the tent derivatives K is built from, u^T W (A u) at identity psi.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise ValueError(f"field length {u.shape} does not match grid size {op.n}")
-    return energy_of_derivative(op.apply_left(u), op)
-
-
-def energy_of_derivative(d_u: np.ndarray, op: ComposedOperator) -> float:
-    """The energy of u from its nodal left derivative d_u = D_left u.
-
-    For callers that need d_u anyway: the quadrature is `energy`'s own, so
-    the result is bitwise the same without a second matrix-vector product.
-    """
-    return float(np.trapezoid(d_u * d_u, op.spec.grid.x))
+    d_u = op.apply_left(u)
+    if op.spec.order.alpha == 1.0:
+        return float(np.trapezoid(d_u * d_u, op.spec.grid.x))
+    return float(np.diff(op.spec.grid.x) @ (d_u * d_u))

@@ -17,7 +17,9 @@ the left rule with four powers per cell (entries bit for bit); and
 `composed_reference`, the alpha = 1 operator composed as dense matrices
 from the package's stencil (diagonals, factors and pivots bit for bit);
 `tent_form_reference`, the alpha < 1 operator summed tent by tent and cell
-by cell in one plain product (entries to rounding);
+by cell in one plain product (entries to rounding), and
+`tent_energy_reference`, the alpha < 1 energy from the same tent
+derivatives, added up tent by tent (to rounding);
 `write_csv_reference`, the CSV writer that formats row by row, value by
 value (file bytes); and `build_parser_reference`, the option parser that
 adds every shared option to each subparser (help text, parses and errors).
@@ -201,9 +203,9 @@ def _picard_reaction(u_int, phi_int, spec):
     return spec.lam * (spec.h(u_int) - floored ** (-spec.nu))
 
 
-def _picard_energy(u, op):
-    du = op.d_left.entries @ u
-    return float(np.trapezoid(du * du, op.spec.grid.x))
+def _picard_energy(u, d1, x):
+    du = d1 @ u
+    return float(np.trapezoid(du * du, x))
 
 
 def _picard_residual(u, energy_u, pair, spec, op):
@@ -215,11 +217,12 @@ def _picard_residual(u, energy_u, pair, spec, op):
 def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, verified=False):
     """Projected Picard iteration that solves every one of its iterations.
 
-    Each iteration freezes M at the iterate's energy, solves on the
-    interior, counts and clips to [phi, xi], averages with the old iterate
-    once damping is on, and stops when both the step and the residual are
-    small.  Nothing is skipped, so `psifrac.solver.solve_between` must
-    return the same report, bit for bit, whatever work it saves.
+    For alpha = 1.  Each iteration freezes M at the iterate's energy, the
+    trapezoid of the nodal D1 u, solves on the interior, counts and clips
+    to [phi, xi], averages with the old iterate once damping is on, and
+    stops when both the step and the residual are small.  Nothing is
+    skipped, so `psifrac.solver.solve_between` must return the same
+    report, bit for bit, whatever work it saves.
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
@@ -241,7 +244,8 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             from_super=from_super,
         )
     u = (pair.xi if from_super else pair.phi).copy()
-    energy_u = _picard_energy(u, op)
+    _, d1 = composed_reference(spec)
+    energy_u = _picard_energy(u, d1, spec.grid.x)
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals = []
     activity = []
@@ -260,7 +264,7 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             damped += 1
         step = float(np.abs(v - u).max())
         u = v
-        energy_u = _picard_energy(u, op)
+        energy_u = _picard_energy(u, d1, spec.grid.x)
         residuals.append(_picard_residual(u, energy_u, pair, spec, op))
         if step <= tol * (1.0 + float(np.abs(u).max())) and residuals[-1] <= 100.0 * tol:
             converged = True
@@ -331,13 +335,11 @@ def tent_reference(spec):
     return lv * half_dx, rv * half_dx, tw
 
 
-def tent_form_reference(spec):
-    """A = W^-1 K below alpha = 1, from every tent derivative at every cell midpoint.
+def _tent_derivatives(spec):
+    """Row i: the closed-form left derivative of the tent at node i at the cell midpoints.
 
-    Row i of T holds the closed-form left derivative of the tent at node i
-    (the half tent at T for i = n-1) at the cell midpoints, one shifted
-    kernel at a time; K = T diag(du) T^T as one plain product, W the tent
-    masses.  Rows 0 and n-1 are unit rows.
+    One shifted kernel at a time; row 0 is zero and row n-1 holds the half
+    tent at T.
     """
     u = spec.grid.u
     n = spec.grid.n
@@ -355,11 +357,38 @@ def tent_form_reference(spec):
         left, right = 1.0 / du[i - 1], 1.0 / du[i]
         t[i] = left * ramp(u[i - 1]) - (left + right) * ramp(u[i]) + right * ramp(u[i + 1])
     t[n - 1] = ramp(u[n - 2]) / du[n - 2]
-    k = (t * du) @ t.T
+    return t
+
+
+def tent_form_reference(spec):
+    """A = W^-1 K below alpha = 1, from every tent derivative at every cell midpoint.
+
+    Row i of T holds the closed-form left derivative of the tent at node i
+    (the half tent at T for i = n-1) at the cell midpoints, one shifted
+    kernel at a time; K = T diag(du) T^T as one plain product, W the tent
+    masses.  Rows 0 and n-1 are unit rows.
+    """
+    u = spec.grid.u
+    n = spec.grid.n
+    t = _tent_derivatives(spec)
+    k = (t * np.diff(u)) @ t.T
     a = np.zeros((n, n))
     a[1:-1] = k[1:-1] / (0.5 * (u[2:] - u[:-2]))[:, None]
     a[0, 0] = a[-1, -1] = 1.0
     return a
+
+
+def tent_energy_reference(spec, f):
+    """The energy sum_m dx_m (D_left f)(um)^2 below alpha = 1, f taken tent by tent.
+
+    D_left f at the cell midpoints adds f_i times the tent derivatives of
+    `tent_form_reference` over the nodes 1 .. n-1, one tent at a time.
+    """
+    t = _tent_derivatives(spec)
+    d = np.zeros(spec.grid.n - 1)
+    for i in range(1, spec.grid.n):
+        d += f[i] * t[i]
+    return float(np.sum(np.diff(spec.grid.x) * d * d))
 
 
 def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):

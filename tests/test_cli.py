@@ -256,6 +256,29 @@ class TestRunConfigValidation:
         assert "sweep_step" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "bounds, step",
+        [(("1", "2"), "4e-13"), (("1", "2"), "1e-12"), (("1", "1e6"), "1e-11")],
+    )
+    def test_step_that_cannot_move_lambda_is_rejected(self, tmp_path, capsys, bounds, step):
+        # lambda advances as round(lambda + step, 12): below the rounding, or
+        # below the float spacing at 1e6, it would repeat one value forever
+        lo, hi = bounds
+        sweep = ["--sweep-min", lo, "--sweep-max", hi, "--sweep-step", step]
+        argv = ["sweep", "--output-dir", str(tmp_path / "out"), "--grid-n", "33", *sweep]
+        bad = cli.config_from_args(build_parser().parse_args(argv)).violations()
+        assert len(bad) == 1 and bad[0].startswith("sweep_step"), bad
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sweep_step" in err
+
+    def test_smallest_moving_step_is_accepted(self, tmp_path):
+        argv = ["sweep", "--output-dir", str(tmp_path), "--sweep-min", "1", "--sweep-max", "2"]
+        for step in ("1.5e-12", "0.5"):
+            args = build_parser().parse_args([*argv, "--sweep-step", step])
+            assert cli.config_from_args(args).violations() == []
+
+    @pytest.mark.parametrize(
         "bounds, msg",
         [
             (["--sweep-max", "inf"], "finite"),

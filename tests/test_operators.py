@@ -8,8 +8,15 @@ import scipy.linalg
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgbtrf
 
+import psifrac.calculus
 import psifrac.operators
-from oracles import classical_e, composed_reference, lapack_band, tent_form_reference
+from oracles import (
+    classical_e,
+    composed_reference,
+    lapack_band,
+    tent_energy_reference,
+    tent_form_reference,
+)
 from psifrac import (
     Side,
     assemble_composed,
@@ -37,10 +44,10 @@ class TestFactoredAssembly:
             for beta in (0.0, 0.5, 1.0):
                 spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
                 op = assemble_composed(spec)
-                left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
-                assert np.array_equal(op.d_left.entries, left.entries)
                 got = op.a_full.entries
                 if alpha == 1.0:
+                    # the left derivative is D1, bit for bit
+                    left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
                     want = -left.entries @ left.entries
                     tol = 1e-13 * np.abs(want).max()
                     assert np.abs(got[1:-1] - want[1:-1]).max() <= tol, beta
@@ -50,6 +57,26 @@ class TestFactoredAssembly:
                 want = tent_form_reference(spec)
                 assert np.array_equal(got[[0, -1]], want[[0, -1]])
                 assert np.abs(got - want).max() <= 5e-13 * np.abs(want).max(), (alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    def test_no_nodal_derivative_below_alpha_one(self, alpha, monkeypatch):
+        # the energy reads the operator's own tent table: no n x n nodal
+        # D_left is built
+        calls = []
+        for module in (psifrac.calculus, psifrac.operators):
+            for name in ("hilfer_derivative_matrix", "_left_derivative_entries"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def spy(*args, _real=real, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, spy)
+        for beta in (0.0, 0.5, 1.0):
+            op = assemble_composed(make_spec(alpha=alpha, beta=beta, grid_n=65))
+            energy(np.sin(np.pi * op.spec.grid.x), op)
+        assert calls == []
 
 
 PSIS = ["identity", "exp_minus_one", "square", "log1p"]
@@ -71,7 +98,8 @@ class TestBandedInterior:
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.linalg.norm(got[1:-1] - want) <= 1e-12 * np.linalg.norm(want)
         u = rng.standard_normal(n)
-        for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, op.d_left.entries)):
+        d1 = hilfer_derivative_matrix(op.spec.grid, op.spec.psi, op.spec.order).entries
+        for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, d1)):
             assert np.all(np.abs(apply(u) - mat @ u) <= 1e-14 * (np.abs(mat) @ np.abs(u)))
         v = u[1:-1]
         block = op.interior_block()
@@ -163,11 +191,12 @@ class TestBandConstruction:
     def test_matches_dense_composition_bitwise(self, psi, n):
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
         a, d1 = composed_reference(op.spec)
-        for stored, dense in ((op._a, a), (op._d_left, d1)):
+        for stored, dense in ((op._a, a), (op._left, d1)):
             assert [d for d, _ in stored] == [0, -1, 1, -2, 2]
             for d, v in stored:
                 assert _bitwise(v, np.diagonal(dense, d)), d
-        assert np.array_equal(op.a_full.entries, a) and np.array_equal(op.d_left.entries, d1)
+        assert np.array_equal(op.a_full.entries, a)
+        assert np.array_equal(psifrac.operators._dense(op._left), d1)
         block = a[1:-1, 1:-1]
         if n >= 10:
             assert op.factorization == "banded"
@@ -382,6 +411,47 @@ class TestEnergy:
         with pytest.raises(ValueError, match="length"):
             energy(np.ones(small_op.n + 1), small_op)
 
+    @pytest.mark.parametrize("alpha", [0.75, 0.6])
+    def test_fractional_closed_form(self, alpha):
+        # f = x - x^2 at identity psi: D_left f = x^(1-a)/G(2-a) - 2 x^(2-a)/G(3-a),
+        # whose square integrates term by term
+        a, b = 1.0 / math.gamma(2.0 - alpha), 2.0 / math.gamma(3.0 - alpha)
+        want = a * a / (3 - 2 * alpha) - 2 * a * b / (4 - 2 * alpha) + b * b / (5 - 2 * alpha)
+        errors = []
+        for n in (65, 257, 1025):
+            op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=n))
+            x = op.spec.grid.x
+            errors.append(abs(energy(x - x * x, op) - want) / want)
+        # 4.5e-5 at alpha = 0.75 and 1.6e-4 at 0.6, n = 257
+        assert errors[1] <= 1e-3
+        assert errors[0] > errors[1] > errors[2], errors
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    def test_fractional_energy_is_the_operators_form(self, alpha, beta):
+        # the discrete Rayleigh identity E(u) = u_int^T (W A u)_int at identity psi
+        op = assemble_composed(make_spec(alpha=alpha, beta=beta, grid_n=129))
+        w = psifrac.operators.tent_masses(op.spec.grid.u)[1:-1]
+        rng = np.random.default_rng(int(100 * alpha))
+        for _ in range(5):
+            u = rng.standard_normal(op.n)
+            u[0] = u[-1] = 0.0
+            form = u[1:-1] @ (w * op.apply_full(u)[1:-1])
+            assert abs(energy(u, op) - form) <= 1e-12 * form
+
+    @pytest.mark.parametrize("psi", PSIS)
+    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    def test_fractional_energy_matches_tent_reference(self, alpha, psi):
+        # the midpoint rule in x of the tent derivatives, for every psi
+        # (1.7e-14 relative at the worst case, square psi)
+        spec = make_spec(alpha=alpha, beta=0.5, psi=psi, grid_n=129)
+        op = assemble_composed(spec)
+        u = np.random.default_rng(5).standard_normal(op.n)
+        u[0] = u[-1] = 0.0
+        for f in (u, np.sin(np.pi * spec.grid.x / spec.grid.T)):
+            want = tent_energy_reference(spec, f)
+            assert abs(energy(f, op) - want) <= 1e-12 * want
+
 
 class TestIntegrationByParts:
     """The adjoint identity behind the eigenvalue argument holds only
@@ -424,4 +494,4 @@ def test_operator_reuse_across_lambda():
     op50 = dataclasses.replace(op, spec=dataclasses.replace(spec, lam=50.0))
     assert op50.spec.lam == 50.0
     # the replaced operator shares what the assembly stored: nothing is rebuilt
-    assert op50._a is op._a and op50._d_left is op._d_left and op50._lu is op._lu
+    assert op50._a is op._a and op50._left is op._left and op50._lu is op._lu

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tent_reference
-from psifrac import assemble_composed, make_spec, principal_eigenpair, solve_e, validate_spec
+from psifrac import (
+    assemble_composed,
+    hilfer_derivative_matrix,
+    make_spec,
+    principal_eigenpair,
+    solve_e,
+    validate_spec,
+)
 from psifrac.analysis import TentBasis
 from psifrac.cli import SUBCOMMANDS, main
 from psifrac.core import KirchhoffKind, NonlinearityKind, PsiKind
@@ -123,7 +130,8 @@ def test_alpha_one_band_matches_dense(spec, seed):
     op = assemble_composed(spec)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(op.n)
-    for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, op.d_left.entries)):
+    d1 = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order).entries
+    for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, d1)):
         assert np.all(np.abs(apply(f) - mat @ f) <= 1e-14 * (np.abs(mat) @ np.abs(f)))
     v = f[1:-1]
     block = op.interior_block()
@@ -134,9 +142,10 @@ def test_alpha_one_band_matches_dense(spec, seed):
     assert np.linalg.norm(got[1:-1] - want) <= 1e-12 * np.linalg.norm(want)
     in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
     wl, wr, _ = tent_reference(in_u)
-    want = wl @ f[:-1] + wr @ f[1:]
-    scale = np.abs(wl) @ np.abs(f[:-1]) + np.abs(wr) @ np.abs(f[1:])
-    assert np.all(np.abs(TentBasis(spec).bilinear(f) - want) <= 1e-12 * scale)
+    d = d1 @ f
+    want = wl @ d[:-1] + wr @ d[1:]
+    scale = np.abs(wl) @ np.abs(d[:-1]) + np.abs(wr) @ np.abs(d[1:])
+    assert np.all(np.abs(TentBasis(spec).form(f, op) - want) <= 1e-12 * scale)
 
 
 @st.composite
