@@ -61,8 +61,8 @@ class RunConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if not self.tol > 0:
-            out.append(f"tol must be positive (got {self.tol})")
+        if not 0 < self.tol < math.inf:
+            out.append(f"tol must be positive and finite (got {self.tol})")
         if self.max_iter < 1:
             out.append(f"max_iter must be at least 1 (got {self.max_iter})")
         if self.subcommand not in SUBCOMMANDS:

@@ -300,8 +300,8 @@ class ProblemSpec:
         out = []
         if not 0.0 < self.nu < 1.0:
             out.append(f"nu must lie in (0,1) (got {self.nu})")
-        if not self.lam > 0:
-            out.append(f"lambda must be positive (got {self.lam})")
+        if not 0 < self.lam < np.inf:
+            out.append(f"lambda must be positive and finite (got {self.lam})")
         return out
 
 

@@ -2,21 +2,22 @@
 
 The operator A realizes u -> D_right(D_left u) with homogeneous Dirichlet
 data: its two boundary rows are unit rows.  All solves work on the
-interior block, whose LU factorization is computed once at assembly and
-reused; the stored objects are immutable afterwards.
+interior block, whose factors are computed once at assembly and reused;
+the stored objects are immutable afterwards.
 
 At alpha = 1, D_left is the d/du stencil and A = -D1.D1: both have
 bandwidth (2, 2) and are built from the stencil as their five diagonals,
 with no n x n array.  They are multiplied diagonal by diagonal, and the
-interior block is factored in LAPACK band storage (dgbtrf) whenever that
-band with its fill, 2 kl + ku + 1 rows, is smaller than the dense block.
+interior block is factored in LAPACK band storage (dgbtrf).
 
 Below alpha = 1, A = W^-1 K is the weak form the verifier integrates
 (Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
 w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
-tent masses.  K is symmetric positive definite, so A has a real spectrum;
-it is full, built and factored dense.  The Kirchhoff energy reads D_left u
-at the cell midpoints from the table of tent derivatives K is built from.
+tent masses.  K is symmetric positive definite, so A has a real spectrum,
+and the table of tent derivatives at the cell midpoints is its triangular
+factor: neither K nor A is formed, products are two passes over the table
+and solves two triangular solves with it (dtrtrs).  The Kirchhoff energy
+reads D_left u from it too.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.blas import dsyr
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dlauum
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtrtrs
 from scipy.special import gamma as gamma_fn
 
 from .calculus import _BLOCK, OperatorMatrix, stencil_diagonals
@@ -43,14 +43,12 @@ __all__ = [
     "tent_masses",
 ]
 
-# A stored square matrix is a dense array, or a tuple of its diagonals
-# (offset, entries) from the main one outward, entries in row order.
+# A banded square matrix is stored as a tuple of its diagonals (offset,
+# entries) from the main one outward, entries in row order.
 
 
-def _times(a, x: np.ndarray) -> np.ndarray:
-    """a @ x, summed over the diagonals from the main one outward when a is stored by them."""
-    if isinstance(a, np.ndarray):
-        return a @ x
+def _times(a: tuple, x: np.ndarray) -> np.ndarray:
+    """a @ x for a stored by its diagonals, summed from the main one outward."""
     (_, main), *rest = a
     y = main * x
     for d, v in rest:
@@ -61,10 +59,8 @@ def _times(a, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dense(a) -> np.ndarray:
-    """The dense matrix of a stored one."""
-    if isinstance(a, np.ndarray):
-        return a
+def _dense(a: tuple) -> np.ndarray:
+    """The dense matrix of one stored by its diagonals."""
     n = len(a[0][1])
     out = np.zeros((n, n))
     for d, v in a:
@@ -73,83 +69,106 @@ def _dense(a) -> np.ndarray:
     return out
 
 
-def _interior_band(a: tuple, m: int, kl: int, ku: int) -> np.ndarray:
-    """The interior block of A, stored by diagonals, in LAPACK storage for dgbtrf.
-
-    ab[kl + ku + i - j, j] = A[i + 1, j + 1] for -kl <= j - i <= ku, under
-    kl rows of fill.
-    """
-    ab = np.zeros((2 * kl + ku + 1, m), order="F")
-    for d, v in a:
-        ab[kl + ku - d, max(d, 0) : m + min(d, 0)] = v[1 : 1 + m - abs(d)]
-    return ab
-
-
 @dataclass(frozen=True)
-class _InteriorLU:
-    """LU factors of the interior block, in band storage or dense."""
+class _Band:
+    """A at alpha = 1 by its diagonals, and the band LU factors of its interior block."""
 
-    bandwidth: tuple[int, int]
-    banded: bool
+    diagonals: tuple
     lu: np.ndarray
     piv: np.ndarray
+    kind = "banded"
 
     @classmethod
-    def of(cls, a, n: int, kl: int, ku: int) -> _InteriorLU:
-        """Factor the interior block of the stored A, of bandwidth (kl, ku).
-
-        The band is factored when it is the smaller storage, with the kl
-        rows of fill that LU with partial pivoting needs; else the block
-        is factored dense.
-        """
-        m = n - 2
-        if (2 * kl + ku + 1) * m < m * m:
-            return cls.of_band(_interior_band(a, m, kl, ku), kl, ku)
-        return cls((kl, ku), False, *lu_factor(_dense(a)[1:-1, 1:-1]))
-
-    @classmethod
-    def of_band(cls, ab: np.ndarray, kl: int, ku: int) -> _InteriorLU:
-        """Factor a block given in LAPACK band storage, which is overwritten."""
-        # outside the band every entry is an exact zero, so checking the
-        # band is lu_factor's finiteness check
-        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), kl, ku, overwrite_ab=True)
+    def of(cls, a: tuple) -> _Band:
+        """Factor the interior block in LAPACK storage: ab[4 + i - j, j] = A[i + 1, j + 1]."""
+        m = len(a[0][1]) - 2
+        ab = np.zeros((7, m), order="F")  # the band, 2 rows of fill on top
+        for d, v in a:
+            ab[4 - d, max(d, 0) : m + min(d, 0)] = v[1 : 1 + m - abs(d)]
+        # outside the band every entry is an exact zero, so checking the band
+        # checks the block's finiteness
+        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), 2, 2, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal gbtrf")
         if info > 0:
             # a zero pivot is reported as lu_factor reports it, not raised
-            warnings.warn(
-                f"Diagonal number {info} is exactly zero. Singular matrix.", LinAlgWarning
-            )
-        return cls((kl, ku), True, lu, piv)
+            msg = f"Diagonal number {info} is exactly zero. Singular matrix."
+            warnings.warn(msg, LinAlgWarning)
+        return cls(a, lu, piv)
+
+    def times(self, f: np.ndarray) -> np.ndarray:
+        return _times(self.diagonals, f)
+
+    def dense(self) -> np.ndarray:
+        return _dense(self.diagonals)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if not self.banded:
-            return lu_solve((self.lu, self.piv), rhs)
-        kl, ku = self.bandwidth
-        x, info = dgbtrs(self.lu, kl, ku, np.asarray_chkfinite(rhs), self.piv)
+        x, info = dgbtrs(self.lu, 2, 2, np.asarray_chkfinite(rhs), self.piv)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal gbtrs")
         return x
+
+
+def _k_solve(table: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b, K = V V^T: two solves with V^T = table[1:].T, F-ordered and read in place."""
+    for trans in (1, 0):
+        b, info = dtrtrs(table[1:].T, b, lower=1, trans=trans)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs on the tent table failed (info {info})")
+    return b
+
+
+@dataclass(frozen=True)
+class _Tents:
+    """A = W^-1 K below alpha = 1, kept as the table of tent derivatives.
+
+    V = table[1:] is square and upper-triangular: its rows are the interior
+    tents and the half tent at T, its columns the cells, and K = V V^T.  The
+    interior block K_int is K's leading block, so K_int x = b is K z = (b, 0)
+    less the multiple of g = K^-1 e_last that zeroes z's last entry.
+    """
+
+    table: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    kind = "tent table"
+
+    @classmethod
+    def of(cls, table: np.ndarray, w: np.ndarray) -> _Tents:
+        # the table is checked once, as a dense LU checks its matrix
+        last = np.append(np.zeros(len(table) - 2), 1.0)
+        return cls(table, w, _k_solve(np.asarray_chkfinite(table), last))
+
+    def times(self, f: np.ndarray) -> np.ndarray:
+        out = f.copy()  # unit boundary rows
+        out[1:-1] = self.table[1:-1] @ (f @ self.table) / self.w
+        return out
+
+    def dense(self) -> np.ndarray:
+        a = np.eye(len(self.table))
+        a[1:-1] = self.table[1:-1] @ self.table.T / self.w[:, None]
+        return a
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        z = _k_solve(self.table, np.append(self.w * np.asarray_chkfinite(rhs), 0.0))
+        return z[:-1] - (z[-1] / self.g[-1]) * self.g[:-1]
 
 
 @dataclass(frozen=True)
 class ComposedOperator:
     """Dirichlet realization of D_right(D_left u) on the grid, in weak form below alpha = 1.
 
-    Field indices stay aligned with grid nodes (unit boundary rows of A);
-    interior solves use the cached factorization of the interior block.
-    A is kept as the assembly built it: by its diagonals at alpha = 1,
-    dense otherwise; `_left`, D_left at the energy's quadrature points, is
-    the diagonals of D1 or the table of `_tent_operator`.  Products and
-    solves go through the methods.  `a_full` and `interior_block()` build
-    the dense matrices on request, for tests and inspection; no pipeline
-    step asks for them.
+    Field indices stay aligned with grid nodes (unit boundary rows of A).
+    `_a` holds A as the assembly built it, with the factors its solves
+    use: the diagonals and their band LU at alpha = 1, the tent table
+    below; `_left`, D_left at the energy's quadrature points, is the
+    diagonals of D1 or that table.  `a_full` and `interior_block()` build
+    the dense matrices on request, for tests only.
     """
 
     spec: ProblemSpec
-    _a: np.ndarray | tuple = field(repr=False, compare=False)
+    _a: _Band | _Tents = field(repr=False, compare=False)
     _left: np.ndarray | tuple = field(repr=False, compare=False)
-    _lu: _InteriorLU = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -158,29 +177,27 @@ class ComposedOperator:
     @property
     def a_full(self) -> OperatorMatrix:
         """A as a dense matrix, boundary rows included."""
-        return OperatorMatrix(_dense(self._a))
+        return OperatorMatrix(self._a.dense())
 
     @property
     def factorization(self) -> str:
-        """How the interior block is factored: "banded" or "dense"."""
-        return "banded" if self._lu.banded else "dense"
+        """How interior solves are made: "banded" (band LU) or "tent table" (K's factor)."""
+        return self._a.kind
 
     @property
     def interior_bandwidth(self) -> tuple[int, int]:
         """(kl, ku) of the interior block: (2, 2) at alpha = 1, full below."""
-        return self._lu.bandwidth
+        return (2, 2) if isinstance(self._a, _Band) else (self.n - 3, self.n - 3)
 
     def interior_block(self) -> np.ndarray:
-        return _dense(self._a)[1:-1, 1:-1]
+        return self._a.dense()[1:-1, 1:-1]
 
     def solve_block(self, rhs_interior: np.ndarray) -> np.ndarray:
         """The interior block's solve: A_int^{-1} rhs, without boundary entries."""
-        return self._lu.solve(rhs_interior)
+        return self._a.solve(rhs_interior)
 
     def apply_block(self, v: np.ndarray) -> np.ndarray:
         """The interior block's product: A_int v, without boundary entries."""
-        if isinstance(self._a, np.ndarray):
-            return self._a[1:-1, 1:-1] @ v
         # zero boundary values add exact zeros to the interior rows
         return self.apply_full(np.concatenate(([0.0], v, [0.0])))[1:-1]
 
@@ -196,7 +213,7 @@ class ComposedOperator:
         return out
 
     def apply_full(self, f: Field) -> Field:
-        return _times(self._a, np.asarray(f, dtype=float))
+        return self._a.times(np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
         """D_left f at the energy's quadrature points: nodes at alpha = 1, cell midpoints below."""
@@ -212,18 +229,17 @@ def tent_masses(u: np.ndarray) -> np.ndarray:
     return 0.5 * (ends[2:] - ends[:-2])
 
 
-def _tent_operator(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """W^-1 K for alpha < 1, with unit boundary rows, and the table K comes from.
+def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
+    """The table of tent derivatives for alpha < 1: K's upper-triangular factor.
 
     The tent at node i is c0 (u - u_{i-1})_+ + c1 (u - u_i)_+ +
     c2 (u - u_{i+1})_+, so its left derivative T_i, for every beta, is the
     same combination of the kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).
     K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The table
     holds sqrt(du_m) T_i(um) in row i, column m, built in blocks of _BLOCK
-    tents; its row n-1 is the half tent at T, so that A also acts on fields
-    with u(T) != 0.  Its interior rows U over all cells but the last are
-    upper-triangular: U U^T comes from LAPACK dlauum, into a new array, and
-    the last cell's column s adds s s^T.
+    tents; row 0 is zero and row n-1 is the half tent at T, so that A also
+    acts on fields with u(T) != 0.  Tent i vanishes on the cells before
+    cell i-1, so rows 1 .. n-1 are upper-triangular.
     """
     n = len(u)
     m = n - 2
@@ -245,50 +261,29 @@ def _tent_operator(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]
         tents = c0[rows, None] * t[:-2] + c1[rows, None] * t[1:-1] + c2[rows, None] * t[2:]
         tents *= scale[lo:]
         inner[rows, lo:] = tents
-    table[-1, -1] = last = scale[-1] * (0.5 * du[-1]) ** (1.0 - alpha) / du[-1]
-    s = inner[:, -1]
-    # C-ordered arrays pass to LAPACK as their transposes: L = U^T is
-    # lower-triangular, and L^T L = U U^T lands in L's lower triangle,
-    # which is U's upper one; U's strict lower triangle stays zero
-    k = dlauum(inner[:, :-1].T, lower=1, overwrite_c=0)[0].T
-    dsyr(1.0, s, lower=1, a=k.T, overwrite_a=1)
-    # K = k + k^T with the diagonal halved first, which is exact
-    k.flat[:: m + 1] *= 0.5
-    w = tent_masses(u)[1:-1]
-    a = np.zeros((n, n))
-    a_inner = a[1:-1, 1:-1]
-    for lo in range(0, m, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        a_inner[rows] = (k[rows] + k[:, rows].T) / w[rows, None]
-    a[1:-1, -1] = s * last / w
-    a[0, 0] = a[-1, -1] = 1.0
-    return a, table
+    table[-1, -1] = scale[-1] * (0.5 * du[-1]) ** (1.0 - alpha) / du[-1]
+    return table
 
 
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
     At alpha = 1 the diagonals of D_left = D1 and of A = -D1.D1 come from
-    the stencil.  Below, A is the tent form W^-1 K of `_tent_operator`, and
-    the table it is built from gives D_left at the cell midpoints.  Rows 0
+    the stencil.  Below, A is the tent form W^-1 K, kept as the table of
+    `_tent_table`, which also gives D_left at the cell midpoints.  Rows 0
     and n-1 are unit rows enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
-    n = spec.grid.n
     if spec.order.alpha == 1.0:
         left, a = stencil_diagonals(spec.grid)
         for _, v in (*left, *a):
             v.setflags(write=False)
-        kl = ku = 2
-    else:
-        a, left = _tent_operator(spec.grid.u, spec.order.alpha)
-        a.setflags(write=False)
-        left.setflags(write=False)
-        # a fractional interior block is full
-        kl = ku = n - 3
-    return ComposedOperator(spec, a, left, _InteriorLU.of(a, n, kl, ku))
+        return ComposedOperator(spec, _Band.of(a), left)
+    table = _tent_table(spec.grid.u, spec.order.alpha)
+    table.setflags(write=False)
+    return ComposedOperator(spec, _Tents.of(table, tent_masses(spec.grid.u)[1:-1]), table)
 
 
 @dataclass(frozen=True)
@@ -338,17 +333,17 @@ def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.nd
 def principal_eigenpair(
     op: ComposedOperator, tol: float = 1e-9, max_iter: int = 5000
 ) -> EigenPair:
-    """Smallest-magnitude eigenpair by shift-invert Arnoldi on the cached LU.
+    """Smallest-magnitude eigenpair by shift-invert Arnoldi on the cached factors.
 
     Builds up to 20 Arnoldi vectors of A^{-1} from the normalized ones
-    vector, applying A^{-1} through the interior LU factorization.  The
+    vector, applying A^{-1} through the interior block's solve.  The
     Ritz pair of largest |mu| gives lambda1 = 1/mu, its real part: the
     spectrum is real (below alpha = 1 A = W^-1 K is similar to the
     symmetric W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz
     vector then applies the stopping rule: its Rayleigh quotient differs from the Ritz value by at
     most tol (relative) and the eigen-residual is below 10 * tol * |lambda1|.
     Otherwise Arnoldi restarts from the improved vector.  max_iter bounds
-    the total number of LU solves, Arnoldi steps included, and
+    the total number of interior solves, Arnoldi steps included, and
     `iterations` reports that total.  Raises on non-convergence.
     """
     m = op.n - 2
@@ -376,7 +371,7 @@ def principal_eigenpair(
             converged = float(np.abs(op.apply_block(v) - lam * v).max()) <= 10.0 * tol * abs(lam)
     if not converged:
         raise RuntimeError(
-            f"shift-invert Arnoldi did not converge in {max_iter} LU solves "
+            f"shift-invert Arnoldi did not converge in {max_iter} interior solves "
             f"(last lambda {lam:.6g})"
         )
     # orient by the dominant component, then sup-normalize on the full grid
@@ -408,7 +403,7 @@ def energy(u: Field, op: ComposedOperator) -> float:
     """The Kirchhoff argument int |D_left u|^2 dx from the samples of `apply_left`.
 
     The trapezoid of the nodal D1 u at alpha = 1; below, the midpoint rule
-    of the tent derivatives K is built from, u^T W (A u) at identity psi.
+    of the tent derivatives in K's factor, u^T W (A u) at identity psi.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):

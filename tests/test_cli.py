@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import build_parser_reference, write_csv_reference
+import psifrac.operators
 from psifrac import cli
 from psifrac.cli import SUBCOMMANDS, build_parser, main, write_csv
 
@@ -300,6 +301,13 @@ class TestRunConfigValidation:
         assert code == 1
         assert "nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol"])
+    def test_infinity_is_status_one(self, tmp_path, capsys, flag):
+        # an infinite tol would accept the first Picard iterate as converged
+        code, _, report = run_cli(tmp_path, "solve", "--grid-n", "33", flag, "inf")
+        assert code == 1 and report is None
+        assert "must be positive and finite (got inf)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_subnormal_beta_runs(self, tmp_path, sub):
         # beta enters only as the Caputo shift at beta = 1, so no tiny beta
@@ -348,6 +356,35 @@ class TestRunConfigValidation:
         code, _, report = run_cli(tmp_path, "eigen", "--alpha", alpha, "--T", "1e120", "--grid-n", "33")
         assert code == 2 and report is None
         assert "numerical failure: principal eigenpair: overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("info", [-2, 1])
+    def test_failed_triangular_solve_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch, info
+    ):
+        real = psifrac.operators.dtrtrs
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs)[0], info
+
+        monkeypatch.setattr(psifrac.operators, "dtrtrs", failing)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert f"numerical failure: assembly: dtrtrs on the tent table failed (info {info})" in err
+
+    def test_non_finite_load_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # the table's solve refuses a NaN right-hand side, as a dense LU did
+        seen = []
+
+        def nan_load(op):
+            seen.append(op.factorization)
+            return op.solve_interior(np.full(op.n - 2, np.nan))
+
+        monkeypatch.setattr(cli, "solve_e", nan_load)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        assert code == 2 and report is None and seen == ["tent table"]
+        err = capsys.readouterr().err
+        assert "numerical failure: e-solve: array must not contain infs or NaNs" in err
 
     @pytest.mark.parametrize("alpha", ["1", "0.75"])
     def test_convergence_on_a_wide_valid_span_runs(self, tmp_path, alpha):
@@ -419,14 +456,14 @@ class TestDiagnostics:
         for path in out.glob("*.csv"):
             assert "banded" not in path.read_text()
 
-    def test_fractional_interior_is_dense(self, tmp_path):
-        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
+    def test_fractional_interior_is_the_tent_table(self, tmp_path):
+        code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
         assert code == 0
+        # the block of 63 rows is full, and solved through K's triangular factor
         interior = report["diagnostics"]["interior"]
-        assert interior["factorization"] == "dense"
-        kl, ku = interior["bandwidth"]
-        # the block has 63 rows, and its LU band would not be smaller
-        assert 2 * kl + ku + 1 >= 63
+        assert interior == {"factorization": "tent table", "bandwidth": [62, 62]}
+        for path in out.glob("*.csv"):
+            assert "tent" not in path.read_text()
 
 
 class TestDeterminism:

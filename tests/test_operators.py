@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import psifrac.calculus
 import psifrac.operators
@@ -84,7 +84,8 @@ PSIS = ["identity", "exp_minus_one", "square", "log1p"]
 
 class TestBandedInterior:
     """At alpha = 1 A, its interior block and D_left have bandwidth (2, 2):
-    they are factored and multiplied by the band, every other one dense."""
+    they are factored and multiplied by the band.  Below, the tent table is
+    K's triangular factor: solves and products go through it."""
 
     @pytest.mark.parametrize("n", [33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
@@ -107,27 +108,65 @@ class TestBandedInterior:
 
     @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
     def test_fractional_block_stays_dense_and_bitwise(self, alpha):
+        # the interior block is full, and its solve is bit for bit the two
+        # triangular solves with V = table[1:] (K = V V^T) followed by the
+        # elimination of the half tent at T with g = K^-1 e_last
         op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=129))
-        assert op.factorization == "dense"
-        block = op.interior_block()
-        b = np.random.default_rng(7).standard_normal(op.n - 2)
-        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(block), b)
-        assert np.array_equal(op.solve_interior(b)[1:-1], want)
-        assert np.array_equal(op.apply_block(b), block @ b)
+        assert op.factorization == "tent table"
+        assert op.interior_bandwidth == (op.n - 3, op.n - 3)
+        assert np.all(op.interior_block() != 0.0)
+        table, w = op._a.table, op._a.w
 
-    def test_smallest_grid_falls_back_to_dense(self):
-        # the LU band (2 kl + ku + 1 = 7 rows) is not smaller than an
-        # interior block of 6 or 7 rows
-        for n, kind in ((8, "dense"), (9, "dense"), (10, "banded")):
-            op = assemble_composed(make_spec(alpha=1.0, grid_n=n))
-            assert (op.factorization, op.interior_bandwidth) == (kind, (2, 2)), n
-            b = np.linspace(1.0, 2.0, n - 2)
-            want = np.linalg.solve(op.interior_block(), b)
-            assert np.allclose(op.solve_interior(b)[1:-1], want, rtol=1e-12, atol=0.0)
+        def k_solve(r):
+            y = scipy.linalg.solve_triangular(table[1:].T, r, lower=True, trans=1)
+            return scipy.linalg.solve_triangular(table[1:].T, y, lower=True, trans=0)
+
+        g = k_solve(np.append(np.zeros(op.n - 2), 1.0))
+        b = np.random.default_rng(7).standard_normal(op.n - 2)
+        z = k_solve(np.append(w * b, 0.0))
+        want = z[:-1] - (z[-1] / g[-1]) * g[:-1]
+        got = op.solve_interior(b)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert _bitwise(got[1:-1], want)
+        assert _bitwise(op.solve_block(b), want)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    def test_fractional_solve_matches_reference_by_backward_error(self, alpha):
+        # below alpha = 1 the interior block is solved through the tent
+        # table, with no LU.  Against the reference's block the normwise
+        # backward error is at most 76 eps (square psi, n = 33), which is
+        # the rounding by which the two blocks differ: a dense solve of the
+        # table's own block scores the same there.  Against that own block
+        # it is at most 3.6 eps componentwise
+        eps = np.finfo(float).eps
+        for psi in PSIS:
+            for beta in (0.0, 0.5, 1.0):
+                for n in (9, 33, 129):
+                    spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
+                    op = assemble_composed(spec)
+                    assert op.factorization == "tent table"
+                    b = np.random.default_rng(n).standard_normal(n - 2)
+                    got = op.solve_interior(b)
+                    assert got[0] == 0.0 and got[-1] == 0.0
+                    x = got[1:-1]
+                    ref = tent_form_reference(spec)[1:-1, 1:-1]
+                    scale = np.abs(ref).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+                    assert np.abs(ref @ x - b).max() <= 256 * eps * scale, (psi, beta, n)
+                    own = op.interior_block()
+                    scale = (np.abs(own) @ np.abs(x) + np.abs(b)).max()
+                    assert np.abs(own @ x - b).max() <= 16 * eps * scale, (psi, beta, n)
+                    # the product is two passes over the table: 7.3 eps at most
+                    v = b[::-1]
+                    bound = 1e-14 * (np.abs(own) @ np.abs(v))
+                    assert np.all(np.abs(op.apply_block(v) - own @ v) <= bound), (psi, beta, n)
 
     def test_factorization_follows_the_band(self, monkeypatch):
+        # one band LU at alpha = 1; below it the table's triangular solves,
+        # and no dense LU, K or A exists to factor
+        for name in ("lu_factor", "lu_solve", "dlauum", "dsyr"):
+            assert not hasattr(psifrac.operators, name), name
         calls = []
-        for name in ("lu_factor", "dgbtrf"):
+        for name in ("dgbtrf", "dtrtrs"):
             real = getattr(psifrac.operators, name)
 
             def spy(*args, _real=real, _name=name, **kwargs):
@@ -135,13 +174,14 @@ class TestBandedInterior:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(psifrac.operators, name, spy)
-        for n in (33, 129):
+        for n in (8, 33, 129):
             assemble_composed(make_spec(alpha=1.0, grid_n=n))
-        assert calls == ["dgbtrf", "dgbtrf"]
+        assert calls == ["dgbtrf"] * 3
         calls.clear()
         for alpha in (0.9, 0.75):
+            # g = K^-1 e_last, by one solve with V and one with V^T
             assemble_composed(make_spec(alpha=alpha, grid_n=33))
-        assert calls == ["lu_factor", "lu_factor"]
+        assert calls == ["dtrtrs"] * 4
 
     def test_illegal_argument_raises(self, monkeypatch):
         real = psifrac.operators.dgbtrf
@@ -155,17 +195,19 @@ class TestBandedInterior:
             assemble_composed(make_spec(alpha=1.0, grid_n=33))
 
     def test_singular_block_surfaces_like_dense(self):
-        # a pentadiagonal block with a zero row: both paths warn with the
-        # same message and then refuse the non-finite right-hand side that
-        # a solve against the singular factors produces
+        # a pentadiagonal block with a zero row: the band LU warns with the
+        # message a dense LU gives, and both then refuse the non-finite
+        # right-hand side that a solve against the singular factors produces
         m = 20
         block = sum(np.diag(np.full(m - abs(d), 3.0 - abs(d)), d) for d in range(-2, 3))
         block[7] = 0.0
+        a = np.eye(m + 2)
+        a[1:-1, 1:-1] = block
+        diagonals = tuple((d, np.diagonal(a, d)) for d in (0, -1, 1, -2, 2))
         with pytest.warns(LinAlgWarning) as dense_warning:
             dense = scipy.linalg.lu_factor(block)
         with pytest.warns(LinAlgWarning) as band_warning:
-            band = psifrac.operators._InteriorLU.of_band(lapack_band(block, 2, 2), 2, 2)
-        assert band.banded
+            band = psifrac.operators._Band.of(diagonals)
         assert str(band_warning[0].message) == str(dense_warning[0].message)
         b = np.ones(m)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,6 +218,18 @@ class TestBandedInterior:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve(x_band)
 
+    def test_non_finite_table_is_refused_at_assembly(self, monkeypatch):
+        real = psifrac.operators._tent_table
+
+        def with_nan(u, alpha):
+            table = real(u, alpha)
+            table[5, 9] = np.nan
+            return table
+
+        monkeypatch.setattr(psifrac.operators, "_tent_table", with_nan)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            assemble_composed(make_spec(alpha=0.75, grid_n=33))
+
 
 def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
     """Same shape and the same bytes: signed zeros count."""
@@ -184,32 +238,34 @@ def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestBandConstruction:
     """At alpha = 1, A and D_left are built as diagonals from the stencil,
-    bit for bit the dense composition's, and no n x n array is formed."""
+    bit for bit the dense composition's, and no n x n array is formed;
+    below, the tent table is the only one."""
 
     @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
     def test_matches_dense_composition_bitwise(self, psi, n):
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
         a, d1 = composed_reference(op.spec)
-        for stored, dense in ((op._a, a), (op._left, d1)):
+        for stored, dense in ((op._a.diagonals, a), (op._left, d1)):
             assert [d for d, _ in stored] == [0, -1, 1, -2, 2]
             for d, v in stored:
                 assert _bitwise(v, np.diagonal(dense, d)), d
         assert np.array_equal(op.a_full.entries, a)
         assert np.array_equal(psifrac.operators._dense(op._left), d1)
+        # one band LU at every n, the smallest grids included
+        assert op.factorization == "banded"
         block = a[1:-1, 1:-1]
-        if n >= 10:
-            assert op.factorization == "banded"
-            lu, piv, info = dgbtrf(lapack_band(block, 2, 2), 2, 2)
-            assert info == 0
-        else:
-            # the LU band would not be smaller: the dense fallback, built from the band
-            assert op.factorization == "dense"
-            lu, piv = scipy.linalg.lu_factor(block)
-        assert _bitwise(op._lu.lu, lu) and _bitwise(op._lu.piv, piv)
+        lu, piv, info = dgbtrf(lapack_band(block, 2, 2), 2, 2)
+        assert info == 0
+        assert _bitwise(op._a.lu, lu) and _bitwise(op._a.piv, piv)
+        # the solve is dgbtrs on those factors, bit for bit, and backward
+        # stable for the dense block (0.72 eps at most): no verdict rests on
+        # how a threaded dense solve of an ill-conditioned block rounds
         b = np.random.default_rng(n).standard_normal(n - 2)
-        want = np.linalg.solve(block, b)
-        assert np.allclose(op.solve_interior(b)[1:-1], want, rtol=1e-10, atol=0.0)
+        x = op.solve_interior(b)[1:-1]
+        assert _bitwise(x, dgbtrs(lu, 2, 2, b, piv)[0])
+        scale = (np.abs(block) @ np.abs(x) + np.abs(b)).max()
+        assert np.abs(block @ x - b).max() <= 8 * np.finfo(float).eps * scale
 
     def test_no_square_array_at_alpha_one(self):
         # one 2049 x 2049 float64 array is 33.6 MB
@@ -230,6 +286,28 @@ class TestBandConstruction:
             tracemalloc.stop()
         assert all(r.margins.shape == (2047,) for r in reports)
         assert peak < 4e6, peak
+
+    def test_table_is_the_only_square_array_below_alpha_one(self):
+        # the n x (n-1) tent table is 8.4 MB at n = 1025; no K, dense A or
+        # LU factors are built next to it
+        spec = make_spec(alpha=0.75, beta=0.5, grid_n=1025, lam=50.0)
+        table_bytes = 8.0 * spec.grid.n * (spec.grid.n - 1)
+        tracemalloc.start()
+        try:
+            op = assemble_composed(spec)
+            eig = principal_eigenpair(op, tol=1e-9)
+            e = solve_e(op)
+            basis = TentBasis(spec)
+            pair = build_pair(spec, eig, e, 0.8)
+            reports = [
+                verify_weak_inequality(pair.phi, op, "sub", basis),
+                verify_weak_inequality(pair.xi, op, "super", basis),
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.margins.shape == (1023,) for r in reports)
+        assert peak < 1.5 * table_bytes, peak / table_bytes
 
 
 class TestAssembly:
@@ -494,4 +572,4 @@ def test_operator_reuse_across_lambda():
     op50 = dataclasses.replace(op, spec=dataclasses.replace(spec, lam=50.0))
     assert op50.spec.lam == 50.0
     # the replaced operator shares what the assembly stored: nothing is rebuilt
-    assert op50._a is op._a and op50._left is op._left and op50._lu is op._lu
+    assert op50._a is op._a and op50._left is op._left

@@ -81,8 +81,8 @@ def test_assemble_composed_returns_or_raises_value_error(spec):
 @settings(deadline=None, max_examples=150)
 @given(spec=spec_fields(0).map(lambda fields: make_spec(**fields)), seed=st.integers(0, 2**32 - 1))
 def test_solve_interior_matches_dense_solve(spec, seed):
-    # the banded (alpha = 1, grid_n >= 10) and dense factorizations both
-    # agree with a plain dense solve to the block's conditioning
+    # the band LU (alpha = 1) and the tent table's triangular solves (below)
+    # both agree with a plain dense solve to the block's conditioning
     try:
         op = assemble_composed(spec)
     except ValueError:

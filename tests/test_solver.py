@@ -150,7 +150,7 @@ class TestSolveBetween:
         # it bitwise; the report still counts all 120 iterations and the
         # damping switch, but only the iterations up to the repeat solve.
         # Solves are counted through the operator's own solve, which at
-        # alpha = 1 runs on the banded factors and never reaches lu_solve
+        # alpha = 1 runs on the banded factors
         assert catalog_op.factorization == "banded"
         spec = dataclasses.replace(catalog_spec, lam=5.0)
         op = dataclasses.replace(catalog_op, spec=spec)
