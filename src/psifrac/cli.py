@@ -118,17 +118,19 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Run one numerical stage: overflow, a non-finite array or a LinAlgError in it exits 2.
+    """Run one numerical stage: overflow, a non-finite array, a LinAlgError or no memory exits 2.
 
-    Overflow and invalid operations raise where they happen; they and the
-    finiteness checks of numpy and scipy (ValueErrors) are re-raised as a
-    RuntimeError that names the stage.
+    Overflow and invalid operations raise where they happen; they, a failed
+    allocation and the finiteness checks of numpy and scipy (ValueErrors)
+    are re-raised as a RuntimeError that names the stage.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise RuntimeError(f"{name}: {exc}") from None
+    except MemoryError as exc:
+        raise RuntimeError(f"{name}: {str(exc) or 'out of memory'}") from None
     except ValueError as exc:
         if isinstance(exc, np.linalg.LinAlgError) or "infs or NaNs" in str(exc):
             raise RuntimeError(f"{name}: {exc}") from None
@@ -149,7 +151,7 @@ def _common_pipeline(rc: RunConfig):
     with _stage("assembly"):
         op = assemble_composed(rc.spec)
     with _stage("principal eigenpair"):
-        eig = principal_eigenpair(op, tol=min(rc.tol, 1e-8), max_iter=max(rc.max_iter, 5000))
+        eig = principal_eigenpair(op, tol=min(rc.tol, 1e-8))
     with _stage("e-solve"):
         e = solve_e(op)
     with _stage("majorant"):

@@ -213,9 +213,11 @@ class KirchhoffFn:
     def violations(self) -> list[str]:
         out = []
         # written so that NaN fails each check
-        if not self.zeta0 > 0:
-            out.append(f"zeta0 must be positive (got {self.zeta0})")
-        if not self.zeta_inf >= self.zeta0:
+        if not 0 < self.zeta0 < np.inf:
+            out.append(f"zeta0 must be positive and finite (got {self.zeta0})")
+        if not self.zeta_inf < np.inf:
+            out.append(f"zeta_inf must be finite (got {self.zeta_inf})")
+        elif not self.zeta_inf >= self.zeta0:
             out.append(f"zeta_inf must be at least zeta0 (got {self.zeta_inf} < {self.zeta0})")
         if self.kind is KirchhoffKind.AFFINE and self.b0 < 0:
             out.append(f"affine slope must be nonnegative (got {self.b0})")
@@ -361,7 +363,14 @@ def make_spec(
     zeta0: float = 1.0,
     zeta_inf: float = 1.0,
 ) -> ProblemSpec:
-    """Convenience constructor used by the CLI and tests."""
+    """Convenience constructor used by the CLI and tests.
+
+    Refuses a non-finite T or psi_k with a ValueError before it builds the
+    nodes, which no such value can give.
+    """
+    for name, value in (("T", T), ("psi_k", psi_k)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite (got {value})")
     psif = PsiFunction.from_name(psi, psi_k)
     return ProblemSpec(
         order=FractionalOrder(alpha, beta),

@@ -308,7 +308,7 @@ class EigenPair:
 
 
 def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k steps of Arnoldi on A^{-1} from v: the orthonormal basis and its Hessenberg.
+    """k >= 1 steps of Arnoldi on A^{-1} from v: the orthonormal basis and its Hessenberg.
 
     Gram-Schmidt is applied twice per step.  Stops early when the Krylov
     space becomes invariant, so the basis may have fewer than k columns.
@@ -323,69 +323,49 @@ def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.nd
             w -= basis[:, : j + 1] @ c
             hess[: j + 1, j] += c
         hess[j + 1, j] = np.linalg.norm(w)
-        invariant = hess[j + 1, j] <= 1e-14 * np.abs(hess[: j + 1, j]).max()
-        if invariant or j + 1 == k:
-            return basis[:, : j + 1], hess[: j + 1, : j + 1]
-        basis[:, j + 1] = w / hess[j + 1, j]
-    raise ValueError("k must be positive")
-
-
-def principal_eigenpair(
-    op: ComposedOperator, tol: float = 1e-9, max_iter: int = 5000
-) -> EigenPair:
-    """Smallest-magnitude eigenpair by shift-invert Arnoldi on the cached factors.
-
-    Builds up to 20 Arnoldi vectors of A^{-1} from the normalized ones
-    vector, applying A^{-1} through the interior block's solve.  The
-    Ritz pair of largest |mu| gives lambda1 = 1/mu, its real part: the
-    spectrum is real (below alpha = 1 A = W^-1 K is similar to the
-    symmetric W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz
-    vector then applies the stopping rule: its Rayleigh quotient differs from the Ritz value by at
-    most tol (relative) and the eigen-residual is below 10 * tol * |lambda1|.
-    Otherwise Arnoldi restarts from the improved vector.  max_iter bounds
-    the total number of interior solves, Arnoldi steps included, and
-    `iterations` reports that total.  Raises on non-convergence.
-    """
-    m = op.n - 2
-    v = np.ones(m)
-    lam = 0.0
-    solves = 0
-    converged = False
-    while not converged and solves < max_iter:
-        basis, hess = _inverse_arnoldi(op, v, min(20, m, max_iter - solves))
-        solves += basis.shape[1]
-        mus, ys = np.linalg.eig(hess)
-        top = int(np.argmax(np.abs(mus)))
-        lam = 1.0 / float(mus[top].real)
-        v = basis @ ys[:, top].real
-        if solves == max_iter:
+        if j + 1 == k or hess[j + 1, j] <= 1e-14 * np.abs(hess[: j + 1, j]).max():
             break
-        w = op.solve_block(v)
-        solves += 1
-        w = w / np.abs(w).max()
-        lam_new = float(w @ op.apply_block(w)) / float(w @ w)
-        drift = abs(lam_new - lam)
-        v = w
-        lam = lam_new
-        if drift <= tol * abs(lam):
-            converged = float(np.abs(op.apply_block(v) - lam * v).max()) <= 10.0 * tol * abs(lam)
-    if not converged:
-        raise RuntimeError(
-            f"shift-invert Arnoldi did not converge in {max_iter} interior solves "
-            f"(last lambda {lam:.6g})"
-        )
-    # orient by the dominant component, then sup-normalize on the full grid
+        basis[:, j + 1] = w / hess[j + 1, j]
+    return basis[:, : j + 1], hess[: j + 1, : j + 1]
+
+
+def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
+    """Smallest-magnitude eigenpair by one pass of shift-invert Arnoldi on the cached factors.
+
+    Builds k = min(20, n - 2) Arnoldi vectors of A^{-1} from the ones
+    vector (fewer if the Krylov space becomes invariant), applying A^{-1}
+    through the interior block's solve.  The Ritz pair of largest |mu|
+    approximates (1/lambda1, psi1): the spectrum is real (below alpha = 1
+    A = W^-1 K is similar to the symmetric W^-1/2 K W^-1/2).  One
+    inverse-iteration step from the Ritz vector and its Rayleigh quotient
+    give the pair, accepted if its eigen-residual is at most
+    10 * tol * |lambda1|.  `iterations` counts the interior solves, the
+    Arnoldi steps plus that one step: at most k + 1.  Raises RuntimeError
+    otherwise, with the residual and its threshold.
+    """
+    basis, hess = _inverse_arnoldi(op, np.ones(op.n - 2), min(20, op.n - 2))
+    mus, ys = np.linalg.eig(hess)
+    w = op.solve_block(basis @ ys[:, np.argmax(np.abs(mus))].real)
+    solves = basis.shape[1] + 1
+    # sup-normalize, then orient by the dominant component
+    v = w / np.abs(w).max()
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
-    full = np.zeros(op.n)
-    full[1:-1] = v / np.abs(v).max()
-    resid = float(np.abs(op.apply_block(full[1:-1]) - lam * full[1:-1]).max())
+    av = op.apply_block(v)
+    lam = float(v @ av) / float(v @ v)
+    resid = float(np.abs(av - lam * v).max())
+    threshold = 10.0 * tol * abs(lam)
+    if not resid <= threshold:
+        raise RuntimeError(
+            f"shift-invert Arnoldi did not converge in {solves} interior solves: "
+            f"residual {resid:.3g} above {threshold:.3g} (lambda {lam:.6g})"
+        )
     return EigenPair(
         lambda1=lam,
-        psi1=full,
+        psi1=np.concatenate(([0.0], v, [0.0])),
         iterations=solves,
         residual=resid,
-        positive_interior=bool(np.all(full[1:-1] > 0.0)),
+        positive_interior=bool(np.all(v > 0.0)),
     )
 
 

@@ -43,6 +43,29 @@ class TestEigen:
         assert abs(report["e_sup"] - 0.125) < 1e-3
 
 
+    def test_rounding_floor_corner_fails_after_one_pass(self, tmp_path, capsys, monkeypatch):
+        # the residual bound 10 * 1e-10 * lambda1 ~ 1e-16 lies below this
+        # corner's rounding floor: the single Arnoldi pass and its
+        # inverse-iteration step are all the solves made before the failure
+        solves = []
+        real = psifrac.operators.ComposedOperator.solve_block
+
+        def counting(self, rhs):
+            solves.append(1)
+            return real(self, rhs)
+
+        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_block", counting)
+        flags = ["--alpha", "0.9", "--psi", "exp_minus_one", "--T", "10"]
+        code, _, report = run_cli(tmp_path, "eigen", "--grid-n", "1025", *flags)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: shift-invert Arnoldi did not converge "
+            "in 21 interior solves: residual "
+        )
+        assert len(solves) <= 21
+
+
 class TestValidation:
     def test_alpha_below_half_is_status_one(self, tmp_path, capsys):
         code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.3")
@@ -308,6 +331,31 @@ class TestRunConfigValidation:
         assert code == 1 and report is None
         assert "must be positive and finite (got inf)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--zeta-inf", "inf"], ["--zeta0", "inf", "--zeta-inf", "inf"]]
+    )
+    def test_infinite_kirchhoff_bound_is_status_one(self, tmp_path, capsys, flags):
+        # an infinite zeta_inf would give mu1 = 0, and an infinite zeta0 a NaN
+        code, _, report = run_cli(tmp_path, "solve", "--grid-n", "33", *flags)
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("error: zeta") for line in err), err
+        assert any("must be finite (got inf)" in line for line in err)
+
+    @pytest.mark.parametrize(
+        "flags, msg",
+        [
+            (["--T", "inf"], "T must be finite (got inf)"),
+            (["--psi", "exp_minus_one", "--psi-k", "inf"], "psi_k must be finite (got inf)"),
+        ],
+    )
+    def test_non_finite_node_data_gives_only_the_error(self, tmp_path, capsys, flags, msg):
+        # refused before the nodes are built, so no RuntimeWarning of the
+        # node arithmetic reaches stderr (and none raises under pytest)
+        code, _, report = run_cli(tmp_path, "solve", "--grid-n", "33", *flags)
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_subnormal_beta_runs(self, tmp_path, sub):
         # beta enters only as the Caputo shift at beta = 1, so no tiny beta
@@ -371,6 +419,25 @@ class TestRunConfigValidation:
         assert code == 2 and report is None
         err = capsys.readouterr().err
         assert f"numerical failure: assembly: dtrtrs on the tent table failed (info {info})" in err
+
+    @pytest.mark.parametrize(
+        "exc, shown",
+        [
+            (MemoryError("Unable to allocate 728. TiB"), "Unable to allocate 728. TiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_failed_allocation_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch, exc, shown
+    ):
+        # as the n x (n - 1) tent table at n = 1e7 fails; nothing is allocated here
+        def no_memory(u, alpha):
+            raise exc
+
+        monkeypatch.setattr(psifrac.operators, "_tent_table", no_memory)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"numerical failure: assembly: {shown}\n"
 
     def test_non_finite_load_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the table's solve refuses a NaN right-hand side, as a dense LU did

@@ -121,6 +121,27 @@ def test_kirchhoff_affine_is_capped():
     assert m(1e9) == 2.0
 
 
+@pytest.mark.parametrize(
+    "zeta0, zeta_inf, msg",
+    [
+        (1.0, math.inf, "zeta_inf must be finite"),
+        (1.0, math.nan, "zeta_inf must be finite"),
+        (math.inf, math.inf, "zeta0 must be positive and finite"),
+        (math.nan, 2.0, "zeta0 must be positive and finite"),
+    ],
+)
+def test_kirchhoff_bounds_must_be_finite(zeta0, zeta_inf, msg):
+    for kind in KirchhoffKind:
+        bad = KirchhoffFn(kind, zeta0=zeta0, zeta_inf=zeta_inf).violations()
+        assert any(m.startswith(msg) for m in bad), bad
+
+
+@pytest.mark.parametrize("kw", [dict(T=math.inf), dict(T=math.nan), dict(psi_k=-math.inf)])
+def test_non_finite_node_data_is_refused_before_the_nodes(kw):
+    with pytest.raises(ValueError, match="must be finite"):
+        make_spec(psi="exp_minus_one", **kw)
+
+
 def test_unknown_catalog_names_rejected():
     with pytest.raises(ValueError, match="unknown psi kind"):
         PsiFunction.from_name("cubic")

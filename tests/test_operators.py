@@ -421,13 +421,30 @@ class TestEigenpair:
 
     def test_lu_solve_count_is_bounded(self):
         # a count, not a timing: at alpha = 1 the bottom eigenvalue ratio is
-        # 1.002, so plain inverse iteration would need hundreds of solves
-        op = assemble_composed(make_spec(alpha=1.0, grid_n=1025))
-        assert principal_eigenpair(op, tol=1e-10).iterations <= 40
+        # 1.002, so plain inverse iteration would need hundreds of solves;
+        # one Arnoldi pass takes 20 solves and the inverse-iteration step one
+        for kw in (dict(alpha=1.0), dict(alpha=0.75, beta=0.5)):
+            op = assemble_composed(make_spec(grid_n=1025, **kw))
+            assert principal_eigenpair(op, tol=1e-10).iterations == 21, kw
 
     def test_nonconvergence_raises(self, small_op):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            principal_eigenpair(small_op, tol=1e-13, max_iter=3)
+        # no pair meets a residual bound of 10 * 1e-20 * lambda1, far below rounding
+        lam = principal_eigenpair(small_op, tol=1e-9).lambda1
+        with pytest.raises(RuntimeError, match="did not converge in 21 interior solves") as err:
+            principal_eigenpair(small_op, tol=1e-20)
+        msg = str(err.value)
+        assert f"above {10.0 * 1e-20 * lam:.3g}" in msg
+        assert float(msg.split("residual ")[1].split()[0]) > 10.0 * 1e-20 * lam
+
+    def test_invariant_krylov_space_stops_the_pass_early(self):
+        # at alpha = 1 on the uniform grid the ones vector is symmetric about
+        # the midpoint, and so is its Krylov space: it stops growing before
+        # k = n - 2 = 6 steps, and lambda1 is exact to rounding
+        op = assemble_composed(make_spec(alpha=1.0, grid_n=8))
+        eig = principal_eigenpair(op, tol=1e-10)
+        assert eig.iterations < 7
+        lam = np.linalg.eigvals(op.interior_block())
+        assert eig.lambda1 == pytest.approx(np.abs(lam).min(), rel=1e-13)
 
     @pytest.mark.parametrize("psi", PSIS)
     def test_every_catalog_corner_has_a_real_positive_bottom(self, psi):

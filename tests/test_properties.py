@@ -1,4 +1,4 @@
-"""Properties over the problem-spec space, at grids of at most 33 nodes.
+"""Properties over the problem-spec space, at grids of at most 65 nodes.
 
 Every draw is either wholly admissible or takes each value from a range
 that straddles its admissible set, so that both the accepted and the
@@ -111,6 +111,24 @@ def test_fractional_operator_keeps_the_positivity_the_pair_needs(fields, alpha):
     assert solve_e(op)[1:-1].min() > 0
     inv = np.linalg.inv(op.interior_block())
     assert inv.min() >= -1e-12 * np.abs(inv).max()
+
+
+@settings(deadline=None, max_examples=100)
+@given(fields=spec_fields(0), n=st.integers(8, 65))
+def test_one_arnoldi_pass_finds_the_dense_bottom_or_raises(fields, n):
+    # one pass of k = min(20, n - 2) Arnoldi steps and one inverse-iteration
+    # step either meets the residual bound, and then lambda1 is the dense
+    # solver's smallest-|lambda| eigenvalue, or raises
+    op = assemble_composed(make_spec(**{**fields, "grid_n": n}))
+    try:
+        eig = principal_eigenpair(op, tol=1e-10)
+    except RuntimeError as exc:
+        assert "did not converge" in str(exc)
+        return
+    vals = scipy.linalg.eig(op.interior_block(), right=False)
+    lam = vals[np.argmin(np.abs(vals))].real
+    assert abs(eig.lambda1 - lam) <= 1e-10 * abs(lam)
+    assert eig.iterations <= min(20, n - 2) + 1
 
 
 alpha_one_specs = st.builds(
