@@ -8,16 +8,14 @@ Xi = zeta * e, and the discrete weak-inequality verifier that certifies
 the pair against every interior tent test function.
 
 The verifier evaluates the bilinear form of a candidate field against
-every tent test function (piecewise linear in the transformed variable u),
-whose derivative is known in closed form.  Below alpha = 1 that form is
-the operator itself: A = W^-1 K, with K the cell-midpoint rule of the
-tent derivatives' products (see `operators`), so the form of u is W (A u),
-and the energy, the solve and the verifier share one discretization.  At
-alpha = 1 the tent derivatives are steps, and the form pairs D1 u with
-them cell by cell; smearing a tent's kink through a difference stencil
-would pollute the hats adjacent to the boundary with O(1) artifacts.
-Either way the form of e is the tent mass: the supersolution chain holds
-discretely.
+every interior tent test function (piecewise linear in the transformed
+variable u).  That form is the operator's, W (A u) with W the tent
+masses, at every alpha: below alpha = 1, A = W^-1 K with K the
+cell-midpoint rule of the tent derivatives' products (see `operators`);
+at alpha = 1 the tent derivatives are steps and A is -D1.D1.  The energy
+is the same cell-midpoint rule of D_left u, so the solve, the energy and
+the verifier share one discretization, and the form of e is the tent
+mass: the supersolution chain holds discretely.
 """
 
 from __future__ import annotations
@@ -223,38 +221,17 @@ class TentBasis:
     """The interior tent test functions: their masses and the bilinear form against them.
 
     The tent at node i is piecewise linear in u with value 1 at u_i and 0
-    at its neighbors; its left derivative, the same for every beta, combines
-    three shifted kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).  Below
-    alpha = 1 the operator is this form, A = W^-1 K (see `operators`), and
-    the form of u is W (A u).  At alpha = 1 the tent derivatives are steps:
-    each tent keeps two weights, on its left and its right cell, and the
-    form is an O(n) cell trapezoid of the operator's nodal D1 u against them.
-
-    The form and the tent masses W (`node_weights`) both integrate in
-    du = psi' dx, so the form of e is the tent mass (A e = 1).
+    at its neighbors.  The form of u against the tents is the operator's,
+    W (A u) (see `operators`), and the tent masses W (`node_weights`)
+    integrate in du = psi' dx, so the form of e is the tent mass (A e = 1).
     """
 
     def __init__(self, spec: ProblemSpec):
-        u = spec.grid.u
-        self.node_weights = tent_masses(u)
-        self._steps = None
-        if spec.order.alpha == 1.0:
-            du = np.diff(u)
-            # the steps' sums over the tent's left cell and its right cell;
-            # beyond them c0 + c1 + c2 vanishes
-            c0 = 1.0 / du[:-1]
-            c1 = -(1.0 / du[:-1] + 1.0 / du[1:])
-            half_du = 0.5 * du
-            self._steps = (c0 * half_du[:-1], (c0 + c1) * half_du[1:])
+        self.node_weights = tent_masses(spec.grid.u)
 
     def form(self, u: np.ndarray, op: ComposedOperator) -> np.ndarray:
-        """The form of u against every interior tent: W (A u) below alpha = 1, else from D1 u."""
-        if self._steps is None:
-            return self.node_weights[1:-1] * op.apply_full(u)[1:-1]
-        left, right = self._steps
-        d_u = op.apply_left(u)
-        # left cell ends, then right cell ends, of the tent's two cells
-        return (left * d_u[:-2] + right * d_u[1:-1]) + (left * d_u[1:-1] + right * d_u[2:])
+        """The form of u against every interior tent: W (A u)."""
+        return self.node_weights[1:-1] * op.apply_full(u)[1:-1]
 
 
 @dataclass(frozen=True)

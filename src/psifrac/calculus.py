@@ -176,18 +176,18 @@ def _d1_at(c: np.ndarray, start: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return np.where((k >= 0) & (k <= 2), c[rows, np.clip(k, 0, 2)], 0.0)
 
 
-def stencil_diagonals(grid: Grid) -> tuple[tuple, tuple]:
-    """D1 and -D1.D1 with unit boundary rows, as their diagonals: alpha = 1 with no n x n array.
+def stencil_diagonals(grid: Grid) -> tuple:
+    """-D1.D1 with unit boundary rows, as its diagonals: alpha = 1 with no n x n array.
 
-    Each is a tuple of (offset, entries) over the offsets 0, -1, 1, -2, 2
+    A tuple of (offset, entries) over the offsets 0, -1, 1, -2, 2
     (bandwidth (2, 2)), entries in row order as `np.diagonal` lists them.
-    Entry (i, j) of the product is the three-term sum `_stencil_times`
-    forms on the dense D1, in the same order, so both come out bit for bit
-    the diagonals of the dense matrices.
+    Entry (i, j) is the three-term sum `_stencil_times` forms on the dense
+    D1, in the same order, so it comes out bit for bit the diagonals of
+    the dense product.
     """
     n = grid.n
     c, start = _d1_stencil(grid.u)
-    d1, a = [], []
+    a = []
     for d in (0, -1, 1, -2, 2):
         i = np.arange(max(0, -d), n - max(0, d))
         j = i + d
@@ -200,9 +200,8 @@ def stencil_diagonals(grid: Grid) -> tuple[tuple, tuple]:
         )
         # unit rows at both boundary nodes
         prod[(i == 0) | (i == n - 1)] = 1.0 if d == 0 else 0.0
-        d1.append((d, _d1_at(c, start, i, j)))
         a.append((d, prod))
-    return tuple(d1), tuple(a)
+    return tuple(a)
 
 
 def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
@@ -231,15 +230,13 @@ def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarra
 
 
 def hilfer_derivative_matrix(
-    grid: Grid, psi: PsiFunction, order: FractionalOrder, side: Side = Side.LEFT
+    grid: Grid, psi: PsiFunction, order: FractionalOrder
 ) -> OperatorMatrix:
     """Left Hilfer-type fractional derivative of order alpha and type beta as a matrix.
 
     D1 . I^{1-alpha}; at beta = 1, alpha < 1 it acts on f - f(0), and at
-    alpha = 1 it is D1 exactly.  `side` is Side.LEFT, the only side built.
+    alpha = 1 it is D1 exactly.  No right derivative is built.
     """
-    if side is not Side.LEFT:
-        raise ValueError(f"only the left derivative is built, got side {side}")
     bad = grid.violations()
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))

@@ -121,13 +121,14 @@ def _stage(name: str):
     """Run one numerical stage: overflow, a non-finite array, a LinAlgError or no memory exits 2.
 
     Overflow and invalid operations raise where they happen; they, a failed
-    allocation and the finiteness checks of numpy and scipy (ValueErrors)
-    are re-raised as a RuntimeError that names the stage.
+    allocation, the finiteness checks of numpy and scipy (ValueErrors) and
+    the stage's own RuntimeErrors are re-raised as a RuntimeError that
+    names the stage.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         raise RuntimeError(f"{name}: {exc}") from None
     except MemoryError as exc:
         raise RuntimeError(f"{name}: {str(exc) or 'out of memory'}") from None
@@ -349,7 +350,7 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
         with _stage(f"convergence table at n = {n}"):
             grid = Grid.make(spec.grid.T, n, spec.psi)
             collar = max(2, int(np.ceil(0.05 * n)))
-            hil = hilfer_derivative_matrix(grid, spec.psi, spec.order, Side.LEFT)
+            hil = hilfer_derivative_matrix(grid, spec.psi, spec.order)
             u = grid.u
             for delta in CONVERGENCE_DELTAS:
                 f = (u - u[0]) ** (delta - 1.0)

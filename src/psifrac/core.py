@@ -149,7 +149,9 @@ class Grid:
     @classmethod
     def make(cls, T: float, n: int, psi: PsiFunction) -> "Grid":
         x = np.linspace(0.0, float(T), int(n))
-        g = cls(float(T), int(n), x, psi(x))
+        # an overflowing psi(T) is reported by violations(), not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = cls(float(T), int(n), x, psi(x))
         g.x.setflags(write=False)
         g.u.setflags(write=False)
         return g
@@ -170,6 +172,9 @@ class Grid:
             out.append(f"grid_n must be at least 8 (got {self.n})")
         if len(self.x) != self.n or len(self.u) != self.n:
             out.append("node arrays must have length grid_n")
+            return out
+        if not np.all(np.isfinite(self.u)):
+            out.append("transformed nodes must be finite (psi(T) overflows)")
             return out
         if self.n >= 2:
             if not np.all(np.diff(self.x) > 0):

@@ -5,10 +5,9 @@ data: its two boundary rows are unit rows.  All solves work on the
 interior block, whose factors are computed once at assembly and reused;
 the stored objects are immutable afterwards.
 
-At alpha = 1, D_left is the d/du stencil and A = -D1.D1: both have
-bandwidth (2, 2) and are built from the stencil as their five diagonals,
-with no n x n array.  They are multiplied diagonal by diagonal, and the
-interior block is factored in LAPACK band storage (dgbtrf).
+At alpha = 1, A = -D1.D1 with D1 the d/du stencil: its five diagonals
+come from the stencil, with no n x n array, and the interior block is
+factored in LAPACK band storage (dgbtrf).
 
 Below alpha = 1, A = W^-1 K is the weak form the verifier integrates
 (Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
@@ -16,8 +15,11 @@ w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
 tent masses.  K is symmetric positive definite, so A has a real spectrum,
 and the table of tent derivatives at the cell midpoints is its triangular
 factor: neither K nor A is formed, products are two passes over the table
-and solves two triangular solves with it (dtrtrs).  The Kirchhoff energy
-reads D_left u from it too.
+and solves two triangular solves with it (dtrtrs).
+
+At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
+D_left u: the table's values below alpha = 1, and at alpha = 1, where the
+tent derivatives are steps, the difference quotients of u.
 """
 
 from __future__ import annotations
@@ -161,14 +163,12 @@ class ComposedOperator:
     Field indices stay aligned with grid nodes (unit boundary rows of A).
     `_a` holds A as the assembly built it, with the factors its solves
     use: the diagonals and their band LU at alpha = 1, the tent table
-    below; `_left`, D_left at the energy's quadrature points, is the
-    diagonals of D1 or that table.  `a_full` and `interior_block()` build
-    the dense matrices on request, for tests only.
+    below.  `a_full` and `interior_block()` build the dense matrices on
+    request, for tests only.
     """
 
     spec: ProblemSpec
     _a: _Band | _Tents = field(repr=False, compare=False)
-    _left: np.ndarray | tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -216,11 +216,12 @@ class ComposedOperator:
         return self._a.times(np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
-        """D_left f at the energy's quadrature points: nodes at alpha = 1, cell midpoints below."""
+        """D_left f at the cell midpoints: difference quotients at alpha = 1, the table below."""
         f = np.asarray(f, dtype=float)
-        if isinstance(self._left, tuple):
-            return _times(self._left, f)
-        return (f @ self._left) / np.sqrt(np.diff(self.spec.grid.u))
+        du = np.diff(self.spec.grid.u)
+        if isinstance(self._a, _Band):
+            return np.diff(f) / du
+        return (f @ self._a.table) / np.sqrt(du)
 
 
 def tent_masses(u: np.ndarray) -> np.ndarray:
@@ -268,22 +269,22 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
-    At alpha = 1 the diagonals of D_left = D1 and of A = -D1.D1 come from
-    the stencil.  Below, A is the tent form W^-1 K, kept as the table of
-    `_tent_table`, which also gives D_left at the cell midpoints.  Rows 0
-    and n-1 are unit rows enforcing u = 0 at the boundary.
+    At alpha = 1 the diagonals of A = -D1.D1 come from the stencil.  Below,
+    A is the tent form W^-1 K, kept as the table of `_tent_table`, which
+    also gives D_left at the cell midpoints.  Rows 0 and n-1 are unit rows
+    enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
     if spec.order.alpha == 1.0:
-        left, a = stencil_diagonals(spec.grid)
-        for _, v in (*left, *a):
+        a = stencil_diagonals(spec.grid)
+        for _, v in a:
             v.setflags(write=False)
-        return ComposedOperator(spec, _Band.of(a), left)
+        return ComposedOperator(spec, _Band.of(a))
     table = _tent_table(spec.grid.u, spec.order.alpha)
     table.setflags(write=False)
-    return ComposedOperator(spec, _Tents.of(table, tent_masses(spec.grid.u)[1:-1]), table)
+    return ComposedOperator(spec, _Tents.of(table, tent_masses(spec.grid.u)[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -380,15 +381,13 @@ def solve_e(op: ComposedOperator) -> Field:
 
 
 def energy(u: Field, op: ComposedOperator) -> float:
-    """The Kirchhoff argument int |D_left u|^2 dx from the samples of `apply_left`.
+    """The Kirchhoff argument int |D_left u|^2 dx: the cell-midpoint rule in x of `apply_left`.
 
-    The trapezoid of the nodal D1 u at alpha = 1; below, the midpoint rule
-    of the tent derivatives in K's factor, u^T W (A u) at identity psi.
+    The sum over cells of dx_m (D_left u)(um)^2, the tent derivatives' rule
+    at every alpha; at identity psi below alpha = 1 it is u^T W (A u).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise ValueError(f"field length {u.shape} does not match grid size {op.n}")
     d_u = op.apply_left(u)
-    if op.spec.order.alpha == 1.0:
-        return float(np.trapezoid(d_u * d_u, op.spec.grid.x))
     return float(np.diff(op.spec.grid.x) @ (d_u * d_u))

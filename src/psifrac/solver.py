@@ -196,7 +196,7 @@ def comparison_check(
     Evaluates the ordered-form hypothesis
     M(energy(theta1)) * B(theta1, w) <= M(energy(theta2)) * B(theta2, w)
     for every interior tent w, then checks theta1 <= theta2 pointwise.
-    B is the form of `TentBasis.form`: below alpha = 1, W (A theta), whose
+    B is the form of `TentBasis.form`, W (A theta); below alpha = 1 its
     interior block W A_int = K_int has an entrywise nonnegative inverse at
     the catalog corners.  Returns "hypothesis-fails", "consistent", or
     "counterexample" (the hypothesis holds but the ordering does not: the

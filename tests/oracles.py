@@ -7,19 +7,22 @@ inequality, and the closed forms are evaluated straight from special
 functions.  Expected values frozen into tests were computed with these
 routines.  The exceptions are frozen copies of straightforward versions
 of package code that the package must reproduce exactly: `picard_reference`,
-the projected Picard loop that recomputes every iteration (reports bit for
-bit); `tent_reference`, the per-tent kernel loop of the verifier's test
-functions (weights bit for bit); `mu2_reference`, the lambda-scan that
-builds and verifies the full pair at every grid point (the same threshold);
-`right_integral_reference`, the right-side product-integration rule
-written out on its own (entries bit for bit); `left_integral_reference`,
-the left rule with four powers per cell (entries bit for bit); and
-`composed_reference`, the alpha = 1 operator composed as dense matrices
+the alpha = 1 projected Picard loop that recomputes every iteration, with
+the energy's cell rule written out (reports bit for bit);
+`tent_reference`, the per-tent kernel loop of the verifier's test
+functions (tent masses bit for bit; at alpha = 1 and identity psi its
+step form is the verifier's form to rounding); `mu2_reference`, the
+lambda-scan that builds and verifies the full pair at every grid point
+(the same threshold); `right_integral_reference`, the right-side
+product-integration rule written out on its own (entries bit for bit);
+`left_integral_reference`, the left rule with four powers per cell
+(entries bit for bit); and
+`composed_reference`, the alpha = 1 operator composed as a dense matrix
 from the package's stencil (diagonals, factors and pivots bit for bit);
 `tent_form_reference`, the alpha < 1 operator summed tent by tent and cell
 by cell in one plain product (entries to rounding), and
-`tent_energy_reference`, the alpha < 1 energy from the same tent
-derivatives, added up tent by tent (to rounding);
+`tent_energy_reference`, the energy at every alpha from the same tent
+derivatives (steps at alpha = 1), added up tent by tent (to rounding);
 `write_csv_reference`, the CSV writer that formats row by row, value by
 value (file bytes); and `build_parser_reference`, the option parser that
 adds every shared option to each subparser (help text, parses and errors).
@@ -90,7 +93,7 @@ def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
 
 
 def composed_reference(spec):
-    """The alpha = 1 pair (A, D1) as dense matrices: -D1 times the dense D1, unit boundary rows.
+    """The alpha = 1 operator A as a dense matrix: -D1 times the dense D1, unit boundary rows.
 
     The stencil acts on the dense D1 row block by row block, three rows at a
     time, exactly as the package composed it before it built A by its band.
@@ -112,7 +115,7 @@ def composed_reference(spec):
     a[0, 0] = 1.0
     a[-1, :] = 0.0
     a[-1, -1] = 1.0
-    return a, d1
+    return a
 
 
 def lapack_band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
@@ -203,9 +206,11 @@ def _picard_reaction(u_int, phi_int, spec):
     return spec.lam * (spec.h(u_int) - floored ** (-spec.nu))
 
 
-def _picard_energy(u, d1, x):
-    du = d1 @ u
-    return float(np.trapezoid(du * du, x))
+def _picard_energy(u, spec):
+    # the cell rule: sum over cells of dx_m ((u_{m+1} - u_m) / du_m)^2
+    x, t = spec.grid.x, spec.grid.u
+    d = (u[1:] - u[:-1]) / (t[1:] - t[:-1])
+    return float((x[1:] - x[:-1]) @ (d * d))
 
 
 def _picard_residual(u, energy_u, pair, spec, op):
@@ -218,11 +223,11 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
     """Projected Picard iteration that solves every one of its iterations.
 
     For alpha = 1.  Each iteration freezes M at the iterate's energy, the
-    trapezoid of the nodal D1 u, solves on the interior, counts and clips
-    to [phi, xi], averages with the old iterate once damping is on, and
-    stops when both the step and the residual are small.  Nothing is
-    skipped, so `psifrac.solver.solve_between` must return the same
-    report, bit for bit, whatever work it saves.
+    midpoint rule in x of the difference quotients of u, solves on the
+    interior, counts and clips to [phi, xi], averages with the old iterate
+    once damping is on, and stops when both the step and the residual are
+    small.  Nothing is skipped, so `psifrac.solver.solve_between` must
+    return the same report, bit for bit, whatever work it saves.
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
@@ -244,8 +249,7 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             from_super=from_super,
         )
     u = (pair.xi if from_super else pair.phi).copy()
-    _, d1 = composed_reference(spec)
-    energy_u = _picard_energy(u, d1, spec.grid.x)
+    energy_u = _picard_energy(u, spec)
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals = []
     activity = []
@@ -264,7 +268,7 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             damped += 1
         step = float(np.abs(v - u).max())
         u = v
-        energy_u = _picard_energy(u, d1, spec.grid.x)
+        energy_u = _picard_energy(u, spec)
         residuals.append(_picard_residual(u, energy_u, pair, spec, op))
         if step <= tol * (1.0 + float(np.abs(u).max())) and residuals[-1] <= 100.0 * tol:
             converged = True
@@ -294,8 +298,9 @@ def tent_reference(spec):
 
     Returns (wl, wr, node_weights): each tent's three shifted kernels are
     evaluated at every left and right cell end separately.  At alpha = 1
-    `psifrac.analysis.TentBasis` holds the band of wl and wr in `_steps`,
-    and at every alpha the masses in `node_weights`.
+    wl and wr are steps, banded, and at identity psi wl @ d[:-1] + wr @ d[1:]
+    with d the nodal D1 f is the form of `psifrac.analysis.TentBasis`;
+    `node_weights` are its masses at every alpha.
     """
     u = spec.grid.u
     x = spec.grid.x
@@ -379,10 +384,11 @@ def tent_form_reference(spec):
 
 
 def tent_energy_reference(spec, f):
-    """The energy sum_m dx_m (D_left f)(um)^2 below alpha = 1, f taken tent by tent.
+    """The energy sum_m dx_m (D_left f)(um)^2 at every alpha, f taken tent by tent.
 
     D_left f at the cell midpoints adds f_i times the tent derivatives of
-    `tent_form_reference` over the nodes 1 .. n-1, one tent at a time.
+    `tent_form_reference` over the nodes 1 .. n-1, one tent at a time; at
+    alpha = 1 those are steps, and D_left f the difference quotients of f.
     """
     t = _tent_derivatives(spec)
     d = np.zeros(spec.grid.n - 1)

@@ -56,7 +56,7 @@ def test_criterion_1_operator_oracle():
                 grids = {}
                 for n in ns:
                     grids[n] = Grid.make(1.0, n, psi)
-                    mats[n] = hilfer_derivative_matrix(grids[n], psi, order, Side.LEFT)
+                    mats[n] = hilfer_derivative_matrix(grids[n], psi, order)
                 for delta in (1.5, 2.5):
                     errs = []
                     for n in ns:
@@ -120,7 +120,7 @@ def test_criterion_3_semigroup_and_left_inverse():
         g = Grid.make(1.0, 512, psi)
         order = FractionalOrder(0.75, 0.5)
         integ = frac_integral_matrix(g, psi, order.alpha, Side.LEFT).entries
-        deriv = hilfer_derivative_matrix(g, psi, order, Side.LEFT).entries
+        deriv = hilfer_derivative_matrix(g, psi, order).entries
         s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
         for fname, fn in SMOOTH.items():
             f = fn(s)

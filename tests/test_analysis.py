@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import psifrac.analysis
-from oracles import mu2_reference, tent_form_reference, tent_reference
+from oracles import composed_reference, mu2_reference, tent_form_reference, tent_reference
 from psifrac import (
     assemble_composed,
     build_pair,
     build_subsolution,
     build_supersolution,
     empirical_mu2,
+    hilfer_derivative_matrix,
     linear_majorant,
     make_spec,
     nonexistence_threshold,
@@ -346,33 +347,24 @@ class TestTentBasis:
         in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
         wl, wr, node_weights = tent_reference(in_u)
         assert np.array_equal(basis.node_weights, node_weights)
-        if alpha < 1.0:
-            # below alpha = 1 the form is the operator's, W (A f)
-            op = assemble_composed(spec)
-            f = np.random.default_rng(n).standard_normal(n)
-            ref = tent_form_reference(spec)
-            want = node_weights[1:-1] * (ref @ f)[1:-1]
-            scale = node_weights[1:-1] * (np.abs(ref) @ np.abs(f))[1:-1]
-            got = basis.form(f, op)
-            # the tents' three-kernel cancellation on the tiny first cells
-            # of square psi rounds at 3.5e-13 of the largest row
-            assert np.abs(got - want).max() <= 1e-12 * scale.max()
-            return
-        # at alpha = 1 each tent keeps two weights, its left and right cell's,
-        # the same at both cell ends
-        rows = np.arange(n - 2)
-        band = np.zeros(wl.shape, dtype=bool)
-        band[rows, rows] = band[rows, rows + 1] = True
-        dense = np.zeros(wl.shape)
-        dense[rows, rows], dense[rows, rows + 1] = basis._steps
-        for w in (wl, wr):
-            if psi == "identity":
-                assert np.array_equal(dense, w)
-            else:
-                # off the band the reference holds the rounding residue of
-                # c0 + c1 + c2 = 0 (2.84e-14 of max|w| at square, n = 257)
-                assert np.array_equal(dense[band], w[band])
-                assert np.abs(w[~band]).max() <= 3e-14 * np.abs(w).max()
+        # the form is the operator's, W (A f), at every alpha: A the dense
+        # -D1.D1 at alpha = 1, the tent form summed tent by tent below
+        op = assemble_composed(spec)
+        f = np.random.default_rng(n).standard_normal(n)
+        ref = composed_reference(spec) if alpha == 1.0 else tent_form_reference(spec)
+        want = node_weights[1:-1] * (ref @ f)[1:-1]
+        scale = node_weights[1:-1] * (np.abs(ref) @ np.abs(f))[1:-1]
+        got = basis.form(f, op)
+        # the tents' three-kernel cancellation on the tiny first cells
+        # of square psi rounds at 3.5e-13 of the largest row
+        assert np.abs(got - want).max() <= 1e-12 * scale.max()
+        if alpha == 1.0 and psi == "identity":
+            # on a uniform grid in u it is also the tent-by-tent step form:
+            # each tent's cell-end weights against the nodal D1 f
+            d = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order).entries @ f
+            steps = wl @ d[:-1] + wr @ d[1:]
+            scale = np.abs(wl) @ np.abs(d[:-1]) + np.abs(wr) @ np.abs(d[1:])
+            assert np.all(np.abs(got - steps) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("psi", ["identity", "exp_minus_one", "square", "log1p"])

@@ -94,7 +94,7 @@ class TestHilferDerivative:
     def test_classical_derivative_of_square(self):
         g = grid_for(IDENTITY, n=129)
         for beta in (0.0, 0.5, 1.0):
-            m = hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(1.0, beta), Side.LEFT)
+            m = hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(1.0, beta))
             got = apply(m, g.x**2)
             assert got == pytest.approx(2.0 * g.x, abs=1e-10)
 
@@ -103,14 +103,14 @@ class TestHilferDerivative:
             g = grid_for(psi, n=64)
             d1 = first_derivative_matrix(g, psi).entries
             for beta in (0.0, 1.0):
-                m = hilfer_derivative_matrix(g, psi, FractionalOrder(1.0, beta), Side.LEFT)
+                m = hilfer_derivative_matrix(g, psi, FractionalOrder(1.0, beta))
                 assert np.array_equal(m.entries, d1)
 
     def test_power_rule_identity(self):
         # x^1.5 under (alpha=0.75, beta=0.5): Gamma(2.5)/Gamma(1.75) x^0.75
         g = grid_for(IDENTITY, n=513)
         order = FractionalOrder(0.75, 0.5)
-        m = hilfer_derivative_matrix(g, IDENTITY, order, Side.LEFT)
+        m = hilfer_derivative_matrix(g, IDENTITY, order)
         got = apply(m, g.x**1.5)
         coef = math.gamma(2.5) / math.gamma(1.75)
         assert coef == pytest.approx(1.4464, abs=1e-4)
@@ -118,20 +118,15 @@ class TestHilferDerivative:
         collar = max(2, int(np.ceil(0.05 * g.n)))
         assert np.abs(got - want)[collar:-1].max() < 5e-3
 
-    def test_only_the_left_side_is_built(self):
-        g = grid_for(IDENTITY, n=33)
-        with pytest.raises(ValueError, match="only the left derivative"):
-            hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(0.75, 0.5), Side.RIGHT)
-
     def test_zero_field_maps_to_zero(self):
         g = grid_for(IDENTITY, n=65)
-        m = hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(0.75, 0.5), Side.LEFT)
+        m = hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(0.75, 0.5))
         assert np.all(apply(m, np.zeros(g.n)) == 0.0)
 
     def test_matches_power_oracle_smooth_case(self):
         g = grid_for(IDENTITY, n=513)
         order = FractionalOrder(0.75, 0.5)
-        m = hilfer_derivative_matrix(g, IDENTITY, order, Side.LEFT)
+        m = hilfer_derivative_matrix(g, IDENTITY, order)
         f = (g.u - g.u[0]) ** 1.5
         want = hilfer_power_oracle(order, 2.5, IDENTITY, g)
         collar = max(2, int(np.ceil(0.05 * g.n)))
@@ -197,7 +192,7 @@ class TestLeftFactors:
             for beta in (0.0, 0.5, 1.0):
                 order = FractionalOrder(alpha, beta)
                 want = rl_reference(g, psi, order)
-                got = hilfer_derivative_matrix(g, psi, order, Side.LEFT).entries
+                got = hilfer_derivative_matrix(g, psi, order).entries
                 if alpha == 1.0:
                     assert np.array_equal(got, d1)
                 tol = 1e-13 * np.abs(want).max()
@@ -217,7 +212,7 @@ class TestLeftFactors:
         monkeypatch.setattr(calc, "_d1_entries", lambda u: real_d1(u).view(_MatmulSpy))
         monkeypatch.setattr(_MatmulSpy, "products", 0)
         g = grid_for(IDENTITY, n=33)
-        hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(alpha, beta), Side.LEFT)
+        hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(alpha, beta))
         assert _MatmulSpy.products == 0
 
 
@@ -244,8 +239,8 @@ class TestTypeParameter:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
     def test_caputo_shift_only_touches_the_value_at_zero(self, psi, alpha):
         g = grid_for(psi, n=129)
-        rl = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 0.0), Side.LEFT)
-        caputo = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 1.0), Side.LEFT)
+        rl = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 0.0))
+        caputo = hilfer_derivative_matrix(g, psi, FractionalOrder(alpha, 1.0))
         s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
         for f in (s * (1.0 - s), np.sin(np.pi * s), np.expm1(s), s**1.5):
             assert np.array_equal(apply(caputo, f), apply(rl, f))
@@ -365,7 +360,7 @@ def test_left_inverse_property(psi, alpha, beta, fname):
     g = grid_for(psi, n=512)
     order = FractionalOrder(alpha, beta)
     integ = frac_integral_matrix(g, psi, alpha, Side.LEFT)
-    deriv = hilfer_derivative_matrix(g, psi, order, Side.LEFT)
+    deriv = hilfer_derivative_matrix(g, psi, order)
     s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
     f = SMOOTH_FNS[fname](s)
     err = np.abs(deriv.entries @ (integ.entries @ f) - f)[1:-1].max()
@@ -378,7 +373,7 @@ def test_oracle_convergence_is_monotone(beta):
     errs = []
     for n in (64, 128, 256, 512):
         g = grid_for(IDENTITY, n=n)
-        m = hilfer_derivative_matrix(g, IDENTITY, order, Side.LEFT)
+        m = hilfer_derivative_matrix(g, IDENTITY, order)
         f = (g.u - g.u[0]) ** 1.5
         want = hilfer_power_oracle(order, 2.5, IDENTITY, g)
         collar = max(2, int(np.ceil(0.05 * n)))

@@ -60,7 +60,7 @@ class TestEigen:
         assert code == 2 and report is None
         err = capsys.readouterr().err
         assert err.startswith(
-            "numerical failure: shift-invert Arnoldi did not converge "
+            "numerical failure: principal eigenpair: shift-invert Arnoldi did not converge "
             "in 21 interior solves: residual "
         )
         assert len(solves) <= 21
@@ -355,6 +355,23 @@ class TestRunConfigValidation:
         code, _, report = run_cli(tmp_path, "solve", "--grid-n", "33", *flags)
         assert code == 1 and report is None
         assert capsys.readouterr().err == f"error: {msg}\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--psi", "exp_minus_one", "--T", "1000"],
+            ["--psi", "exp_minus_one", "--psi-k", "1e300"],
+            ["--psi", "square", "--T", "1e200"],
+        ],
+    )
+    def test_overflowing_nodes_give_only_errors(self, tmp_path, capsys, flags):
+        # finite data whose psi(T) overflows: the nodes are built without a
+        # RuntimeWarning, and the refusal names the overflow
+        code, _, report = run_cli(tmp_path, "solve", "--grid-n", "33", *flags)
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("error: ") for line in err), err
+        assert "error: transformed nodes must be finite (psi(T) overflows)" in err
 
     @pytest.mark.parametrize("sub", ["eigen", "convergence"])
     def test_subnormal_beta_runs(self, tmp_path, sub):

@@ -18,7 +18,6 @@ from oracles import (
     tent_form_reference,
 )
 from psifrac import (
-    Side,
     assemble_composed,
     build_pair,
     energy,
@@ -47,7 +46,7 @@ class TestFactoredAssembly:
                 got = op.a_full.entries
                 if alpha == 1.0:
                     # the left derivative is D1, bit for bit
-                    left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order, Side.LEFT)
+                    left = hilfer_derivative_matrix(spec.grid, spec.psi, spec.order)
                     want = -left.entries @ left.entries
                     tol = 1e-13 * np.abs(want).max()
                     assert np.abs(got[1:-1] - want[1:-1]).max() <= tol, beta
@@ -83,8 +82,8 @@ PSIS = ["identity", "exp_minus_one", "square", "log1p"]
 
 
 class TestBandedInterior:
-    """At alpha = 1 A, its interior block and D_left have bandwidth (2, 2):
-    they are factored and multiplied by the band.  Below, the tent table is
+    """At alpha = 1 A and its interior block have bandwidth (2, 2): they are
+    factored and multiplied by the band.  Below, the tent table is
     K's triangular factor: solves and products go through it."""
 
     @pytest.mark.parametrize("n", [33, 129, 769])
@@ -99,9 +98,8 @@ class TestBandedInterior:
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.linalg.norm(got[1:-1] - want) <= 1e-12 * np.linalg.norm(want)
         u = rng.standard_normal(n)
-        d1 = hilfer_derivative_matrix(op.spec.grid, op.spec.psi, op.spec.order).entries
-        for apply, mat in ((op.apply_full, op.a_full.entries), (op.apply_left, d1)):
-            assert np.all(np.abs(apply(u) - mat @ u) <= 1e-14 * (np.abs(mat) @ np.abs(u)))
+        a = op.a_full.entries
+        assert np.all(np.abs(op.apply_full(u) - a @ u) <= 1e-14 * (np.abs(a) @ np.abs(u)))
         v = u[1:-1]
         block = op.interior_block()
         assert np.all(np.abs(op.apply_block(v) - block @ v) <= 1e-14 * (np.abs(block) @ np.abs(v)))
@@ -237,21 +235,19 @@ def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestBandConstruction:
-    """At alpha = 1, A and D_left are built as diagonals from the stencil,
-    bit for bit the dense composition's, and no n x n array is formed;
-    below, the tent table is the only one."""
+    """At alpha = 1, A is built as diagonals from the stencil, bit for bit
+    the dense composition's, and no n x n array is formed; below, the tent
+    table is the only one."""
 
     @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
     def test_matches_dense_composition_bitwise(self, psi, n):
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
-        a, d1 = composed_reference(op.spec)
-        for stored, dense in ((op._a.diagonals, a), (op._left, d1)):
-            assert [d for d, _ in stored] == [0, -1, 1, -2, 2]
-            for d, v in stored:
-                assert _bitwise(v, np.diagonal(dense, d)), d
+        a = composed_reference(op.spec)
+        assert [d for d, _ in op._a.diagonals] == [0, -1, 1, -2, 2]
+        for d, v in op._a.diagonals:
+            assert _bitwise(v, np.diagonal(a, d)), d
         assert np.array_equal(op.a_full.entries, a)
-        assert np.array_equal(psifrac.operators._dense(op._left), d1)
         # one band LU at every n, the smallest grids included
         assert op.factorization == "banded"
         block = a[1:-1, 1:-1]
@@ -506,7 +502,7 @@ class TestEnergy:
         with pytest.raises(ValueError, match="length"):
             energy(np.ones(small_op.n + 1), small_op)
 
-    @pytest.mark.parametrize("alpha", [0.75, 0.6])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75, 0.6])
     def test_fractional_closed_form(self, alpha):
         # f = x - x^2 at identity psi: D_left f = x^(1-a)/G(2-a) - 2 x^(2-a)/G(3-a),
         # whose square integrates term by term
@@ -517,9 +513,23 @@ class TestEnergy:
             op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=n))
             x = op.spec.grid.x
             errors.append(abs(energy(x - x * x, op) - want) / want)
-        # 4.5e-5 at alpha = 0.75 and 1.6e-4 at 0.6, n = 257
+        # 4.5e-5 at alpha = 0.75 and 1.6e-4 at 0.6, n = 257; at alpha = 1
+        # the difference quotients are exact at the midpoints, and the error
+        # is the midpoint rule's, 2.4e-4 at n = 65
         assert errors[1] <= 1e-3
         assert errors[0] > errors[1] > errors[2], errors
+
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_energy_is_continuous_at_alpha_one(self, psi):
+        # one rule on both sides of alpha = 1: E(x - x^2) moves by 3.5e-6
+        # relative at identity psi (1.6e-5 at square psi) from alpha = 1 to
+        # 1 - 1e-6; a second rule at alpha = 1 would show as a jump
+        energies = []
+        for alpha in (1.0, 1.0 - 1e-6):
+            op = assemble_composed(make_spec(alpha=alpha, beta=0.5, psi=psi, grid_n=65))
+            x = op.spec.grid.x
+            energies.append(energy(x - x * x, op))
+        assert abs(energies[0] - energies[1]) <= 1e-4 * energies[0], energies
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
@@ -535,10 +545,11 @@ class TestEnergy:
             assert abs(energy(u, op) - form) <= 1e-12 * form
 
     @pytest.mark.parametrize("psi", PSIS)
-    @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
+    @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.75, 0.6])
     def test_fractional_energy_matches_tent_reference(self, alpha, psi):
         # the midpoint rule in x of the tent derivatives, for every psi
-        # (1.7e-14 relative at the worst case, square psi)
+        # (1.7e-14 relative at the worst case, square psi); at alpha = 1
+        # they are steps, and D_left f is the difference quotients of f
         spec = make_spec(alpha=alpha, beta=0.5, psi=psi, grid_n=129)
         op = assemble_composed(spec)
         u = np.random.default_rng(5).standard_normal(op.n)
@@ -589,4 +600,4 @@ def test_operator_reuse_across_lambda():
     op50 = dataclasses.replace(op, spec=dataclasses.replace(spec, lam=50.0))
     assert op50.spec.lam == 50.0
     # the replaced operator shares what the assembly stored: nothing is rebuilt
-    assert op50._a is op._a and op50._left is op._left
+    assert op50._a is op._a
