@@ -24,10 +24,10 @@ row-independent; assembled matrices are immutable and safe to share.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .core import Field, FractionalOrder, Grid, PsiFunction
 
@@ -96,7 +96,7 @@ def _left_integral_entries(
         m1 = ui * m0 - (d[:, :-1] - d[:, 1:]) / (a + 1)
         W[lo:hi, : hi - 1] = (u[1:hi] * m0 - m1) / du[: hi - 1]
         W[lo:hi, 1:hi] += (m1 - u[: hi - 1] * m0) / du[: hi - 1]
-    W /= gamma_fn(a)
+    W /= math.gamma(a)
     return W
 
 
@@ -263,7 +263,7 @@ def hilfer_power_oracle(
         )
     u = grid.u
     w = u - u[0]
-    coef = gamma_fn(delta) / gamma_fn(arg)
+    coef = math.gamma(delta) / math.gamma(arg)
     expo = delta - 1.0 - order.alpha
     if abs(expo) < 1e-12:
         # degenerate constant image; snap float residue so 0^0 cannot bite

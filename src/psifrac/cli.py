@@ -182,7 +182,11 @@ def _base_report(rc: RunConfig, op, eig, e, maj, mu1) -> dict:
             "interior": {
                 "factorization": op.factorization,
                 "bandwidth": list(op.interior_bandwidth),
-            }
+            },
+            "eigen": dict(
+                solves=eig.iterations, residual=eig.residual, threshold=eig.threshold,
+                lambda2=eig.lambda2, psi1_error_estimate=eig.psi1_error_estimate,
+            ),
         },
     }
     if mu1 is None:

@@ -342,12 +342,13 @@ def cell_width_violations(u: np.ndarray) -> list[str]:
     rule's (psi(T) - psi(0))/(1 - alpha) stays finite for 1 - alpha >= 2^-53.
     """
     du = np.diff(u)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     with np.errstate(over="ignore"):
         sums = du[:-1] + du[1:]
-        products = np.concatenate((du[:-1] * du[1:], du[:-1] * sums, du[1:] * sums))
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    if products.min() >= tiny and products.max() <= huge:
-        return []
+        # map is lazy: each product is reduced to its range before the next is formed
+        products = map(np.multiply, (du[:-1], du[:-1], du[1:]), (du[1:], sums, sums))
+        if all(tiny <= p.min() and p.max() <= huge for p in products):
+            return []
     return [
         f"cell widths in psi(x) must keep their pairwise products in the normal "
         f"float range [{tiny:g}, {huge:g}] (got widths {du.min():g} to {du.max():g})"

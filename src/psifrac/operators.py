@@ -24,13 +24,13 @@ tent derivatives are steps, the difference quotients of u.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dtrtrs
-from scipy.special import gamma as gamma_fn
 
 from .calculus import _BLOCK, OperatorMatrix, stencil_diagonals
 from .core import Field, ProblemSpec, validate_spec
@@ -249,7 +249,7 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
     c0 = 1.0 / du[:-1]
     c2 = 1.0 / du[1:]
     c1 = -(c0 + c2)
-    scale = np.sqrt(du) / gamma_fn(2.0 - alpha)
+    scale = np.sqrt(du) / math.gamma(2.0 - alpha)
     table = np.zeros((n, n - 1))
     inner = table[1:-1]
     for lo in range(0, m, _BLOCK):
@@ -294,7 +294,8 @@ class EigenPair:
     psi1 is sup-normalized with positive sign and zero boundary values.
     positive_interior reports whether every interior value is strictly
     positive: a computed outcome, which the subsolution refuses to raise
-    into a power when it fails.
+    into a power when it fails.  lambda2 is the Ritz value next to lambda1
+    (None after one Arnoldi step), the next eigenvalue the ones vector reaches.
     """
 
     lambda1: float
@@ -302,21 +303,34 @@ class EigenPair:
     iterations: int
     residual: float
     positive_interior: bool
+    threshold: float
+    lambda2: float | None
 
     @property
     def psi1_min_interior(self) -> float:
         return float(self.psi1[1:-1].min())
 
+    @property
+    def psi1_error_estimate(self) -> float | None:
+        """residual / |lambda2 - lambda1|, psi1's error bound were A symmetric."""
+        gap = 0.0 if self.lambda2 is None else abs(self.lambda2 - self.lambda1)
+        return self.residual / gap if gap else None
 
-def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k >= 1 steps of Arnoldi on A^{-1} from v: the orthonormal basis and its Hessenberg.
 
-    Gram-Schmidt is applied twice per step.  Stops early when the Krylov
-    space becomes invariant, so the basis may have fewer than k columns.
+def _inverse_arnoldi(op: ComposedOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """At most k >= 1 Arnoldi steps on A^{-1} from the ones vector: Ritz vector and values.
+
+    Returns the dominant Ritz vector x = V_j y and the Ritz values by
+    decreasing |mu|.  After step j the dominant Ritz pair (mu, y) of H_j,
+    |y| = 1, leaves the Arnoldi residual h_{j+1,j} y_j v_{j+1}, so
+    w = A^{-1} x, sup-normalized, has A w - w / mu of about
+    ||h_{j+1,j} v_{j+1}||_inf |y_j| / (mu^2 ||x||_inf).  The pass stops once
+    that is at most tol / |mu|, or when the Krylov space becomes invariant.
+    Gram-Schmidt is applied twice per step.
     """
-    basis = np.zeros((v.size, k))
+    basis = np.zeros((op.n - 2, k))
     hess = np.zeros((k + 1, k))
-    basis[:, 0] = v / np.linalg.norm(v)
+    basis[:, 0] = 1.0 / np.sqrt(op.n - 2)
     for j in range(k):
         w = op.solve_block(basis[:, j])
         for _ in range(2):
@@ -324,30 +338,34 @@ def _inverse_arnoldi(op: ComposedOperator, v: np.ndarray, k: int) -> tuple[np.nd
             w -= basis[:, : j + 1] @ c
             hess[: j + 1, j] += c
         hess[j + 1, j] = np.linalg.norm(w)
-        if j + 1 == k or hess[j + 1, j] <= 1e-14 * np.abs(hess[: j + 1, j]).max():
-            break
+        mus, ys = np.linalg.eig(hess[: j + 1, : j + 1])
+        order = np.argsort(-np.abs(mus))
+        mus, y = mus[order].real, ys[:, order[0]].real
+        x = basis[:, : j + 1] @ y
+        est = np.abs(w).max() * abs(y[j]) / (mus[0] ** 2 * np.abs(x).max())
+        invariant = hess[j + 1, j] <= 1e-14 * np.abs(hess[: j + 1, j]).max()
+        if j + 1 == k or est <= tol / abs(mus[0]) or invariant:
+            return x, mus
         basis[:, j + 1] = w / hess[j + 1, j]
-    return basis[:, : j + 1], hess[: j + 1, : j + 1]
 
 
 def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
     """Smallest-magnitude eigenpair by one pass of shift-invert Arnoldi on the cached factors.
 
-    Builds k = min(20, n - 2) Arnoldi vectors of A^{-1} from the ones
-    vector (fewer if the Krylov space becomes invariant), applying A^{-1}
-    through the interior block's solve.  The Ritz pair of largest |mu|
-    approximates (1/lambda1, psi1): the spectrum is real (below alpha = 1
-    A = W^-1 K is similar to the symmetric W^-1/2 K W^-1/2).  One
-    inverse-iteration step from the Ritz vector and its Rayleigh quotient
-    give the pair, accepted if its eigen-residual is at most
-    10 * tol * |lambda1|.  `iterations` counts the interior solves, the
-    Arnoldi steps plus that one step: at most k + 1.  Raises RuntimeError
-    otherwise, with the residual and its threshold.
+    Builds at most k = min(20, n - 2) Arnoldi vectors of A^{-1} from the
+    ones vector, through the interior block's solve, and stops once the
+    dominant Ritz pair's residual bound is a tenth of the acceptance
+    threshold.  That pair approximates (1/lambda1, psi1): the spectrum is
+    real (below alpha = 1 A = W^-1 K is similar to the symmetric
+    W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz vector and
+    its Rayleigh quotient give the pair, accepted if its eigen-residual is
+    at most 10 * tol * |lambda1|.  `iterations` counts the interior solves,
+    the Arnoldi steps plus that one step: at most k + 1.  Raises
+    RuntimeError otherwise, with the residual and its threshold.
     """
-    basis, hess = _inverse_arnoldi(op, np.ones(op.n - 2), min(20, op.n - 2))
-    mus, ys = np.linalg.eig(hess)
-    w = op.solve_block(basis @ ys[:, np.argmax(np.abs(mus))].real)
-    solves = basis.shape[1] + 1
+    x, mus = _inverse_arnoldi(op, min(20, op.n - 2), tol)
+    w = op.solve_block(x)
+    solves = len(mus) + 1
     # sup-normalize, then orient by the dominant component
     v = w / np.abs(w).max()
     if v[np.argmax(np.abs(v))] < 0:
@@ -367,6 +385,8 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
         iterations=solves,
         residual=resid,
         positive_interior=bool(np.all(v > 0.0)),
+        threshold=threshold,
+        lambda2=float(1.0 / mus[1]) if len(mus) > 1 else None,
     )
 
 

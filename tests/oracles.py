@@ -16,7 +16,8 @@ lambda-scan that builds and verifies the full pair at every grid point
 (the same threshold); `right_integral_reference`, the right-side
 product-integration rule written out on its own (entries bit for bit);
 `left_integral_reference`, the left rule with four powers per cell
-(entries bit for bit); and
+(entries bit for bit; both rules divide by `math.gamma`, as the package
+does); and
 `composed_reference`, the alpha = 1 operator composed as a dense matrix
 from the package's stencil (diagonals, factors and pivots bit for bit);
 `tent_form_reference`, the alpha < 1 operator summed tent by tent and cell
@@ -69,7 +70,7 @@ def left_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
         wr = (m1 - uj * m0) / du
         W[i, :i] += wl
         W[i, 1 : i + 1] += wr
-    return W / gamma_fn(a)
+    return W / math.gamma(a)
 
 
 def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
@@ -89,7 +90,7 @@ def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
         wr = (m1 - uj * m0) / du
         W[i, i:-1] += wl
         W[i, i + 1 :] += wr
-    return W / gamma_fn(a)
+    return W / math.gamma(a)
 
 
 def composed_reference(spec):

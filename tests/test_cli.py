@@ -1,11 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import build_parser_reference, write_csv_reference
+import psifrac
 import psifrac.operators
 from psifrac import cli
 from psifrac.cli import SUBCOMMANDS, build_parser, main, write_csv
@@ -59,11 +65,12 @@ class TestEigen:
         code, _, report = run_cli(tmp_path, "eigen", "--grid-n", "1025", *flags)
         assert code == 2 and report is None
         err = capsys.readouterr().err
-        assert err.startswith(
-            "numerical failure: principal eigenpair: shift-invert Arnoldi did not converge "
-            "in 21 interior solves: residual "
+        head = re.match(
+            r"numerical failure: principal eigenpair: shift-invert Arnoldi did not converge "
+            r"in (\d+) interior solves: residual ",
+            err,
         )
-        assert len(solves) <= 21
+        assert head and int(head.group(1)) == len(solves) <= 21
 
 
 class TestValidation:
@@ -540,6 +547,24 @@ class TestDiagnostics:
         for path in out.glob("*.csv"):
             assert "banded" not in path.read_text()
 
+    @pytest.mark.parametrize("sub", ["eigen", "solve", "verify", "sweep"])
+    def test_eigen_diagnostics_in_report_only(self, tmp_path, sub):
+        extra = self.SWEEP if sub == "sweep" else []
+        code, out, report = run_cli(tmp_path, sub, *FAST, *extra)
+        assert code == 0
+        eig = report["diagnostics"]["eigen"]
+        assert set(eig) == {"solves", "residual", "threshold", "lambda2", "psi1_error_estimate"}
+        assert eig["solves"] <= min(20, 65 - 2) + 1
+        # the pipeline's tol is min(--tol, 1e-8)
+        assert eig["threshold"] == 10.0 * 1e-9 * abs(report["lambda1"])
+        assert eig["residual"] <= eig["threshold"]
+        # at alpha = 1 the bottom pair of -D1.D1 is near-degenerate
+        assert report["lambda1"] < eig["lambda2"] < 1.1 * report["lambda1"]
+        gap = eig["lambda2"] - report["lambda1"]
+        assert eig["psi1_error_estimate"] == eig["residual"] / gap
+        for path in out.glob("*.csv"):
+            assert "lambda2" not in path.read_text()
+
     def test_fractional_interior_is_the_tent_table(self, tmp_path):
         code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
         assert code == 0
@@ -548,6 +573,17 @@ class TestDiagnostics:
         assert interior == {"factorization": "tent table", "bandwidth": [62, 62]}
         for path in out.glob("*.csv"):
             assert "tent" not in path.read_text()
+
+
+def test_the_cli_does_not_load_scipy_special():
+    # the gamma function comes from math, and scipy.linalg does not load
+    # scipy.special, so importing the CLI leaves it out
+    src = str(Path(psifrac.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, psifrac.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -418,17 +418,33 @@ class TestEigenpair:
     def test_lu_solve_count_is_bounded(self):
         # a count, not a timing: at alpha = 1 the bottom eigenvalue ratio is
         # 1.002, so plain inverse iteration would need hundreds of solves;
-        # one Arnoldi pass takes 20 solves and the inverse-iteration step one
+        # the Arnoldi pass stops once its Ritz residual bound is a tenth of
+        # the threshold (9 steps here) and the inverse-iteration step is one
         for kw in (dict(alpha=1.0), dict(alpha=0.75, beta=0.5)):
             op = assemble_composed(make_spec(grid_n=1025, **kw))
-            assert principal_eigenpair(op, tol=1e-10).iterations == 21, kw
+            assert principal_eigenpair(op, tol=1e-10).iterations <= 11, kw
+
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_every_catalog_corner_stops_early_well_inside_the_bound(self, psi):
+        # the stop rule asks a tenth of the acceptance threshold of the Ritz
+        # residual bound, so the accepted residual keeps that margin, and
+        # no corner needs the full pass of min(20, n - 2) + 1 = 21 solves
+        for alpha in (1.0, 0.9, 0.75, 0.6):
+            for beta in (0.0, 0.5, 1.0):
+                op = assemble_composed(make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=129))
+                eig = principal_eigenpair(op, tol=1e-10)
+                assert eig.iterations <= 12, (alpha, beta)
+                assert eig.threshold == 10.0 * 1e-10 * abs(eig.lambda1)
+                assert eig.residual <= 0.1 * eig.threshold, (alpha, beta)
 
     def test_nonconvergence_raises(self, small_op):
-        # no pair meets a residual bound of 10 * 1e-20 * lambda1, far below rounding
+        # no pair meets a residual bound of 10 * 1e-20 * lambda1, far below
+        # rounding; the pass stops at its cap or once its bound stalls
         lam = principal_eigenpair(small_op, tol=1e-9).lambda1
-        with pytest.raises(RuntimeError, match="did not converge in 21 interior solves") as err:
+        with pytest.raises(RuntimeError, match=r"did not converge in \d+ interior solves") as err:
             principal_eigenpair(small_op, tol=1e-20)
         msg = str(err.value)
+        assert int(msg.split(" in ")[1].split()[0]) <= min(20, small_op.n - 2) + 1
         assert f"above {10.0 * 1e-20 * lam:.3g}" in msg
         assert float(msg.split("residual ")[1].split()[0]) > 10.0 * 1e-20 * lam
 

@@ -113,19 +113,28 @@ def test_fractional_operator_keeps_the_positivity_the_pair_needs(fields, alpha):
 @settings(deadline=None, max_examples=100)
 @given(fields=spec_fields(0), n=st.integers(8, 65))
 def test_one_arnoldi_pass_finds_the_dense_bottom_or_raises(fields, n):
-    # one pass of k = min(20, n - 2) Arnoldi steps and one inverse-iteration
-    # step either meets the residual bound, and then lambda1 is the dense
-    # solver's smallest-|lambda| eigenvalue, or raises
+    # one pass of at most k = min(20, n - 2) Arnoldi steps and one
+    # inverse-iteration step either meets the residual bound, and then
+    # lambda1 is the dense solver's smallest-|lambda| eigenvalue, or raises
     op = assemble_composed(make_spec(**{**fields, "grid_n": n}))
     try:
         eig = principal_eigenpair(op, tol=1e-10)
     except RuntimeError as exc:
         assert "did not converge" in str(exc)
         return
-    vals = scipy.linalg.eig(op.interior_block(), right=False)
-    lam = vals[np.argmin(np.abs(vals))].real
-    assert abs(eig.lambda1 - lam) <= 1e-10 * abs(lam)
+    vals, vecs = scipy.linalg.eig(op.interior_block())
+    order = np.argsort(np.abs(vals))
+    lam = vals[order].real
+    assert abs(eig.lambda1 - lam[0]) <= 1e-10 * abs(lam[0])
     assert eig.iterations <= min(20, n - 2) + 1
+    # lambda2 is the dense second eigenvalue wherever the ones vector reaches
+    # its mode; a mode it barely reaches (near alpha = 1 at identity psi,
+    # where A is almost symmetric about the midpoint) the pass may miss, but
+    # the Ritz value next to lambda1 never falls more than 0.1% below lambda2
+    reach = np.abs(np.linalg.solve(vecs, np.ones(n - 2)))[order]
+    if reach[1] >= 1e-3 * reach.max():
+        assert abs(eig.lambda2 - lam[1]) <= 1e-4 * abs(lam[1])
+    assert abs(eig.lambda2) >= (1.0 - 1e-3) * abs(lam[1])
 
 
 alpha_one_specs = st.builds(
