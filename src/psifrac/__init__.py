@@ -56,7 +56,7 @@ from .operators import (
     principal_eigenpair,
     solve_e,
 )
-from .solver import SolveReport, comparison_check, picard_step, solve_between
+from .solver import SolveReport, comparison_check, picard_block, picard_step, solve_between
 
 __all__ = [
     "__version__",
@@ -95,6 +95,7 @@ __all__ = [
     "empirical_mu2",
     "SolveReport",
     "picard_step",
+    "picard_block",
     "solve_between",
     "comparison_check",
 ]

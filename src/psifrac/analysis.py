@@ -21,6 +21,7 @@ mass: the supersolution chain holds discretely.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -317,6 +318,32 @@ def nonexistence_threshold(lambda1: float, zeta_inf: float, a: float) -> float:
     return lambda1 / (zeta_inf * a)
 
 
+# lambdas per sub-side block: past the answer at most 31 rows are wasted
+_LAMBDA_BLOCK = 32
+
+
+def _sub_passes(spec, p, energy_p, form_p, basis, lams) -> list[bool]:
+    """Whether phi = s p passes the sub side at each (lambda, s = lambda^r) of `lams`.
+
+    The rows of the block are the fields s p; the checks and the arithmetic
+    are `_checked_interior`'s and `_verdict`'s, row by row.
+    """
+    lam = np.array([lam for lam, _ in lams])[:, None]
+    s = np.array([s for _, s in lams])[:, None]
+    # D_left(s * p) = s * D_left p, so its energy is s^2 E(p), its form s B(p)
+    left = spec.m(np.array([s_ * s_ * energy_p for _, s_ in lams]))[:, None] * (s * form_p)
+    u = s * p
+    scale = 1.0 + np.abs(u).max(axis=1)
+    ui = u[:, 1:-1]
+    if np.any(np.abs(u[:, [0, -1]]).max(axis=1) > 1e-12 * scale) or np.any(ui <= 0.0):
+        for row in u:
+            _checked_interior(row, spec.grid.n, "sub")
+    react = lam * (spec.h(ui) - ui ** (-spec.nu))
+    right = react * basis.node_weights[1:-1]
+    tol_margin = 1e-8 * (1.0 + np.abs(right).max(axis=1))
+    return ((right - left).min(axis=1) >= -tol_margin).tolist()
+
+
 def empirical_mu2(
     spec: ProblemSpec,
     op: ComposedOperator,
@@ -336,8 +363,12 @@ def empirical_mu2(
     subsolution at lambda = 1, and xi = zeta * e.  Their energies and tent
     forms are computed once and scaled at each lambda; the reaction side
     is evaluated on the fields themselves, after the checks
-    `verify_weak_inequality` makes.  The sub side is checked first, and
-    the pair (with its zeta) is built and xi checked only where it passes.
+    `verify_weak_inequality` makes.  The sub side is checked first, for
+    blocks of grid lambdas at once, and the pair (with its zeta) is built
+    and xi checked only where it passes, lambda by lambda in grid order.
+    A block in which some check refuses or some float operation fails is
+    evaluated one lambda at a time, so that the failure shows at the
+    lambda where a scan by single lambdas meets it.
     """
     if 1.0 > lam_max + 1e-12:
         # an empty grid builds and refuses nothing
@@ -349,18 +380,28 @@ def empirical_mu2(
     basis = TentBasis(spec)
     energy_p, form_p = energy(p, op), basis.form(p, op)
     energy_e, form_e = energy(e, op), basis.form(e, op)
+    # the grid by repeated addition, each lambda with its scalar lambda^r
+    grid = []
     lam = 1.0
     while lam <= lam_max + 1e-12:
-        trial = dataclasses.replace(spec, lam=lam)
-        s = lam**r
-        # D_left(s * p) = s * D_left p, so its energy is s^2 E(p), its form s B(p)
-        left = spec.m(s * s * energy_p) * (s * form_p)
-        if _verdict("sub", left, _checked_interior(s * p, n, "sub"), trial, basis).passed:
-            pair = build_pair(trial, eig, e, r)
-            z = pair.zeta
-            left = spec.m(z * z * energy_e) * (z * form_e)
-            xi_int = _checked_interior(pair.xi, n, "super")
-            if _verdict("super", left, xi_int, trial, basis).passed:
-                return lam
+        grid.append((lam, lam**r))
         lam += step
+    sub_passes = functools.partial(_sub_passes, spec, p, energy_p, form_p, basis)
+    for lo in range(0, len(grid), _LAMBDA_BLOCK):
+        block = grid[lo : lo + _LAMBDA_BLOCK]
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                passed = sub_passes(block)
+        except (FloatingPointError, ValueError):
+            passed = None
+        for i, (lam, _) in enumerate(block):
+            ok = passed[i] if passed is not None else sub_passes(block[i : i + 1])[0]
+            if ok:
+                trial = dataclasses.replace(spec, lam=lam)
+                pair = build_pair(trial, eig, e, r)
+                z = pair.zeta
+                left = spec.m(z * z * energy_e) * (z * form_e)
+                xi_int = _checked_interior(pair.xi, n, "super")
+                if _verdict("super", left, xi_int, trial, basis).passed:
+                    return lam
     return None

@@ -33,7 +33,7 @@ from .calculus import Side, frac_integral_matrix, hilfer_derivative_matrix, hilf
 from .config import CONFIG_DEFAULTS, load_config, spec_from_config
 from .core import Grid, ProblemSpec, cell_width_violations, validate_spec
 from .operators import assemble_composed, principal_eigenpair, solve_e
-from .solver import solve_between
+from .solver import STOPS, picard_block, solve_between
 
 SUBCOMMANDS = ("eigen", "solve", "verify", "sweep", "convergence")
 
@@ -117,25 +117,30 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 
 @contextlib.contextmanager
-def _stage(name: str):
+def _stage(name):
     """Run one numerical stage: overflow, a non-finite array, a LinAlgError or no memory exits 2.
 
     Overflow and invalid operations raise where they happen; they, a failed
     allocation, the finiteness checks of numpy and scipy (ValueErrors) and
     the stage's own RuntimeErrors are re-raised as a RuntimeError that
-    names the stage.
+    names the stage.  `name` is the name, or a function that gives it at
+    the failure.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, RuntimeError) as exc:
-        raise RuntimeError(f"{name}: {exc}") from None
+        raise RuntimeError(f"{_name(name)}: {exc}") from None
     except MemoryError as exc:
-        raise RuntimeError(f"{name}: {str(exc) or 'out of memory'}") from None
+        raise RuntimeError(f"{_name(name)}: {str(exc) or 'out of memory'}") from None
     except ValueError as exc:
         if isinstance(exc, np.linalg.LinAlgError) or "infs or NaNs" in str(exc):
-            raise RuntimeError(f"{name}: {exc}") from None
+            raise RuntimeError(f"{_name(name)}: {exc}") from None
         raise
+
+
+def _name(name) -> str:
+    return name() if callable(name) else name
 
 
 def _majorant_for(spec: ProblemSpec):
@@ -283,6 +288,11 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
     report["zeta"] = pair.zeta
     report["verify"] = [_verify_json(sub), _verify_json(sup)]
     report["solve"] = _solve_json(res)
+    report["diagnostics"]["picard"] = {
+        "stop": res.stop,
+        "solves": res.solves,
+        "pinned_nodes": res.pinned_nodes,
+    }
     x = rc.spec.grid.x
     write_csv(
         rc.output_dir / "solve.csv",
@@ -296,29 +306,45 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     op, eig, e, maj, mu1 = _common_pipeline(rc)
     with _stage("empirical mu2"):
         mu2 = empirical_mu2(rc.spec, op, eig, e, rc.r)
-    rows = []
+    lams, pairs = [], []
     lam = rc.sweep_min
     while lam <= rc.sweep_max + 1e-12:
-        spec_l = dataclasses.replace(rc.spec, lam=lam)
-        op_l = dataclasses.replace(op, spec=spec_l)
         with _stage(f"sweep at lambda = {lam:g}"):
-            pair = build_pair(spec_l, eig, e, rc.r)
-            res = solve_between(pair, spec_l, op_l, tol=rc.tol, max_iter=rc.max_iter)
-        rows.append((lam, res.converged, res.final_residual, res.energy_final, res.positive))
+            pairs.append(build_pair(dataclasses.replace(rc.spec, lam=lam), eig, e, rc.r))
+        lams.append(lam)
         lam = round(lam + rc.sweep_step, 12)
+    # every lambda in one block; a failure names the ones still iterating
+    solved = {}
+    with _stage(
+        lambda: "sweep at lambda = "
+        + ", ".join(f"{lam:g}" for j, lam in enumerate(lams) if j not in solved)
+    ):
+        for j, res in picard_block(pairs, rc.spec, lams, op, tol=rc.tol, max_iter=rc.max_iter):
+            solved[j] = res
+    runs = [solved[j] for j in range(len(lams))]
     report = _base_report(rc, op, eig, e, maj, mu1)
     report["empirical_mu2"] = mu2
     report["sweep"] = {
         "lambda_min": rc.sweep_min,
         "lambda_max": rc.sweep_max,
         "lambda_step": rc.sweep_step,
-        "runs": len(rows),
+        "runs": len(runs),
+    }
+    report["diagnostics"]["picard"] = {
+        "stops": {stop: sum(res.stop == stop for res in runs) for stop in STOPS},
+        "solves": sum(res.solves for res in runs),
     }
     write_csv(
         rc.output_dir / "sweep.csv",
         ["lambda", "converged", "residual", "energy", "positive"],
         # the validated range holds sweep_min, so there is at least one row
-        zip(*rows),
+        (
+            lams,
+            [res.converged for res in runs],
+            [res.final_residual for res in runs],
+            [res.energy_final for res in runs],
+            [res.positive for res in runs],
+        ),
     )
     return 0, report
 

@@ -20,10 +20,15 @@ and solves two triangular solves with it (dtrtrs).
 At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
 D_left u: the table's values below alpha = 1, and at alpha = 1, where the
 tent derivatives are steps, the difference quotients of u.
+
+Products, left derivatives, solves and energies also take a block of
+fields, one per row (the Picard sweep's lambda values), and return for
+each row bitwise what they return for that row alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +47,7 @@ __all__ = [
     "principal_eigenpair",
     "solve_e",
     "energy",
+    "energies",
     "tent_masses",
 ]
 
@@ -50,15 +56,23 @@ __all__ = [
 
 
 def _times(a: tuple, x: np.ndarray) -> np.ndarray:
-    """a @ x for a stored by its diagonals, summed from the main one outward."""
+    """a @ x (of each row of x) for a stored by its diagonals, summed from the main one outward."""
     (_, main), *rest = a
     y = main * x
     for d, v in rest:
         if d > 0:
-            y[:-d] += v * x[d:]
+            y[..., :-d] += v * x[..., d:]
         else:
-            y[-d:] += v * x[:d]
+            y[..., -d:] += v * x[..., :d]
     return y
+
+
+def _by_row(fn, x: np.ndarray) -> np.ndarray:
+    """fn of a field, or of each row of a block.
+
+    A product with a 2-D block is another BLAS call, not bitwise the one of each row.
+    """
+    return fn(x) if x.ndim == 1 else np.stack([fn(row) for row in x])
 
 
 def _dense(a: tuple) -> np.ndarray:
@@ -105,10 +119,12 @@ class _Band:
         return _dense(self.diagonals)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(self.lu, 2, 2, np.asarray_chkfinite(rhs), self.piv)
+        # a block's rows are the right-hand sides: one dgbtrs for all of them,
+        # each column solved as a single one is
+        x, info = dgbtrs(self.lu, 2, 2, np.asarray_chkfinite(rhs).T, self.piv)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal gbtrs")
-        return x
+        return x.T
 
 
 def _k_solve(table: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,7 +159,7 @@ class _Tents:
 
     def times(self, f: np.ndarray) -> np.ndarray:
         out = f.copy()  # unit boundary rows
-        out[1:-1] = self.table[1:-1] @ (f @ self.table) / self.w
+        out[..., 1:-1] = _by_row(lambda r: self.table[1:-1] @ (r @ self.table) / self.w, f)
         return out
 
     def dense(self) -> np.ndarray:
@@ -152,7 +168,10 @@ class _Tents:
         return a
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = _k_solve(self.table, np.append(self.w * np.asarray_chkfinite(rhs), 0.0))
+        return _by_row(self._solve, np.asarray_chkfinite(rhs))
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        z = _k_solve(self.table, np.append(self.w * rhs, 0.0))
         return z[:-1] - (z[-1] / self.g[-1]) * self.g[:-1]
 
 
@@ -174,6 +193,14 @@ class ComposedOperator:
     def n(self) -> int:
         return self.spec.grid.n
 
+    @functools.cached_property
+    def cell_widths(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell widths (du, dx) of the grid in u = psi(x) and in x."""
+        widths = np.diff(self.spec.grid.u), np.diff(self.spec.grid.x)
+        for w in widths:
+            w.setflags(write=False)
+        return widths
+
     @property
     def a_full(self) -> OperatorMatrix:
         """A as a dense matrix, boundary rows included."""
@@ -193,7 +220,11 @@ class ComposedOperator:
         return self._a.dense()[1:-1, 1:-1]
 
     def solve_block(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """The interior block's solve: A_int^{-1} rhs, without boundary entries."""
+        """The interior block's solve: A_int^{-1} rhs, without boundary entries.
+
+        rhs may be a block with one right-hand side per row; row j of the
+        result is bitwise the solve of row j alone.
+        """
         return self._a.solve(rhs_interior)
 
     def apply_block(self, v: np.ndarray) -> np.ndarray:
@@ -213,15 +244,19 @@ class ComposedOperator:
         return out
 
     def apply_full(self, f: Field) -> Field:
+        """A f, of a field or of each row of a block (bitwise the row's own product)."""
         return self._a.times(np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
-        """D_left f at the cell midpoints: difference quotients at alpha = 1, the table below."""
+        """D_left f at the cell midpoints: difference quotients at alpha = 1, the table below.
+
+        Of a field, or of each row of a block (bitwise the row's own).
+        """
         f = np.asarray(f, dtype=float)
-        du = np.diff(self.spec.grid.u)
+        du = self.cell_widths[0]
         if isinstance(self._a, _Band):
             return np.diff(f) / du
-        return (f @ self._a.table) / np.sqrt(du)
+        return _by_row(lambda r: r @ self._a.table, f) / np.sqrt(du)
 
 
 def tent_masses(u: np.ndarray) -> np.ndarray:
@@ -409,5 +444,15 @@ def energy(u: Field, op: ComposedOperator) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise ValueError(f"field length {u.shape} does not match grid size {op.n}")
-    d_u = op.apply_left(u)
-    return float(np.diff(op.spec.grid.x) @ (d_u * d_u))
+    return float(energies(u[None], op)[0])
+
+
+def energies(block: np.ndarray, op: ComposedOperator) -> np.ndarray:
+    """The energy of each row of a block of fields, bitwise `energy` of that row.
+
+    Each row's sum is its own dot product: a matrix-vector product of the
+    whole block would sum in another order.
+    """
+    d_u = op.apply_left(block)
+    dx = op.cell_widths[1]
+    return np.array([dx @ row for row in d_u * d_u])

@@ -6,24 +6,45 @@ onto the order interval [phi, xi].  Starting from phi the iteration climbs
 toward the minimal solution; `from_super=True` starts at xi and descends
 toward the maximal one.  Whether the two limits agree is recorded per run,
 never assumed.
+
+The iteration runs on a block: one row per pair (a sweep's lambda
+values), all advanced by the same step.  Each step makes one solve for
+every row still iterating (at alpha = 1 one band solve with a right-hand
+side per row) and does the elementwise work on the whole block; every
+operator call returns for each row bitwise what it returns for that row
+alone, so each row's report is the one its own loop would give.  A row
+leaves the block once it converges, reaches max_iter or repeats bitwise;
+`solve_between` is the block of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SubSuperPair, TentBasis
 from .core import Field, ProblemSpec
-from .operators import ComposedOperator, energy
+from .operators import ComposedOperator, energies, energy
 
-__all__ = ["SolveReport", "picard_step", "solve_between", "comparison_check"]
+__all__ = ["SolveReport", "picard_step", "picard_block", "solve_between", "comparison_check"]
+
+STOPS = ("residual", "fixed point", "pinned", "max_iter")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a sandwiched solve."""
+    """Outcome of a sandwiched solve.
+
+    `stop` says why the iteration ended: "residual" (converged with the
+    residual below 100 * tol), "fixed point" (converged on an iterate that
+    repeats bitwise with no bound active, its residual at the rounding
+    floor), "pinned" (an iterate that repeats bitwise with a bound active:
+    not converged) or "max_iter"; "degenerate" for the zero interval.
+    `solves` counts the solves computed; the iterations after a bitwise
+    repeat are recorded without one.
+    """
 
     converged: bool
     iterations: int
@@ -37,6 +58,8 @@ class SolveReport:
     damped_steps: int
     override: bool
     from_super: bool
+    stop: str
+    solves: int
 
     @property
     def final_residual(self) -> float:
@@ -46,18 +69,127 @@ class SolveReport:
     def projection_last10(self) -> int:
         return int(sum(self.projection_activity[-10:]))
 
+    @property
+    def pinned_nodes(self) -> int:
+        """The projection count of the last iteration."""
+        return self.projection_activity[-1] if self.projection_activity else 0
 
-def _reaction(u_int: np.ndarray, phi_int: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+
+def _reaction(u_int: np.ndarray, phi_int: np.ndarray, lam, spec: ProblemSpec) -> np.ndarray:
     # singular term evaluated at the floor max(u, phi): the sub-solution
     # keeps the continuum quotient finite, the floor mirrors it discretely
     floored = np.maximum(u_int, phi_int)
-    return spec.lam * (spec.h(u_int) - floored ** (-spec.nu))
+    return lam * (spec.h(u_int) - floored ** (-spec.nu))
 
 
-def _residual(u: Field, m_u: float, reaction: np.ndarray, op: ComposedOperator) -> float:
-    """Sup of M(E(u)) A u - reaction over the interior, given m_u = M(E(u)) and u's reaction."""
-    lhs = m_u * (op.apply_full(u)[1:-1])
-    return float(np.abs(lhs - reaction).max())
+class _Block:
+    """The iterates still iterating, one row each, with what their next step needs.
+
+    Row j holds its pair's phi and xi, its lambda, its tolerance eps and
+    the bounds phi - eps and xi + eps past which a solve counts as
+    projected; the iterate's energy, M(E) and reaction serve its residual
+    and next solve.
+    """
+
+    def __init__(self, op, spec, lams, pairs, u):
+        self.op, self.spec = op, spec
+        self.lam = np.array(lams, dtype=float)[:, None]
+        self.phi = np.array([p.phi for p in pairs], dtype=float)
+        self.xi = np.array([p.xi for p in pairs], dtype=float)
+        self.eps = 1e-12 * (1.0 + np.abs(self.xi).max(axis=1, keepdims=True))
+        self.below, self.above = self.phi - self.eps, self.xi + self.eps
+        self.set(u)
+
+    def set(self, u: np.ndarray) -> None:
+        self.u = u
+        self.energy = energies(u, self.op)
+        self.m = self.spec.m(self.energy)
+        self.reaction = _reaction(u[:, 1:-1], self.phi[:, 1:-1], self.lam, self.spec)
+
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the given rows."""
+        for name in ("lam", "phi", "xi", "eps", "below", "above", "u", "energy", "m", "reaction"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """The linear solves with M frozen at each iterate's energy, clipped to [phi, xi].
+
+        Returns the clipped fields and, per row, the nodes the clip moved.
+        """
+        v = np.zeros(self.u.shape)
+        v[:, 1:-1] = self.op.solve_block(self.reaction / self.m[:, None])
+        outside = ((v < self.below) | (v > self.above)).sum(axis=1)
+        return np.clip(v, self.phi, self.xi, out=v), outside
+
+    def residuals(self) -> np.ndarray:
+        """Sup over the interior of M(E(u)) A u - reaction, per row."""
+        lhs = self.m[:, None] * self.op.apply_full(self.u)[:, 1:-1]
+        return np.abs(lhs - self.reaction).max(axis=1)
+
+
+class _Record:
+    """One row's history, damping switch and stopping rule."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.residuals: list[float] = []
+        self.activity: list[int] = []
+        self.damped = 0
+        self.damping_on = False
+        self.converged = False
+        self.stop = "max_iter"
+        self.iterations = 0
+        self.solves = 0
+
+    def add(self, it: int, outside: int, residual: float, step: float, u_max: float) -> bool:
+        """Record iteration it; True once it converged."""
+        self.iterations = it
+        self.activity.append(outside)
+        self.residuals.append(residual)
+        if self.damping_on:
+            self.damped += 1
+        # a bitwise fixed point that no bound clips solves the equation to
+        # rounding, whose floor can exceed 100 * tol on fine grids
+        fixed = step == 0.0 and outside == 0
+        tol = self.tol
+        if step <= tol * (1.0 + u_max) and (residual <= 100.0 * tol or fixed):
+            self.converged = True
+            self.stop = "residual" if residual <= 100.0 * tol else "fixed point"
+            return True
+        if not self.damping_on and it % 50 == 0 and it >= 50:
+            if self.residuals[-1] >= self.residuals[-50]:
+                self.damping_on = True
+        return False
+
+    def repeat(self, it: int, max_iter: int, u_max: float) -> None:
+        """Record iterations it + 1 .. max_iter of an iterate that repeated bitwise at it.
+
+        The solve, clip, count and residual are functions of u alone, and
+        damping leaves u as it is (0.5 * (u + u) == u), so each is the last one.
+        """
+        self.stop = "pinned"
+        for later in range(it + 1, max_iter + 1):
+            if self.add(later, self.activity[-1], self.residuals[-1], 0.0, u_max):
+                return
+
+
+def _report(rec, u, energy_u, m_u, pair, eps, from_super, verified) -> SolveReport:
+    return SolveReport(
+        converged=rec.converged,
+        iterations=rec.iterations,
+        residual_history=tuple(rec.residuals),
+        u=u,
+        sandwich_ok=bool(np.all(u >= pair.phi - eps) and np.all(u <= pair.xi + eps)),
+        energy_final=energy_u,
+        kirchhoff_coeff_final=m_u,
+        positive=bool(np.all(u[1:-1] > 0.0)),
+        projection_activity=tuple(rec.activity),
+        damped_steps=rec.damped,
+        override=not verified,
+        from_super=from_super,
+        stop=rec.stop,
+        solves=rec.solves,
+    )
 
 
 def picard_step(
@@ -70,9 +202,76 @@ def picard_step(
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     if np.any(u_k < pair.phi - eps) or np.any(u_k > pair.xi + eps):
         raise ValueError("iterate must lie in the order interval [phi, xi]")
-    reaction = _reaction(u_k[1:-1], pair.phi[1:-1], spec)
-    v = op.solve_interior(reaction / spec.m(energy(u_k, op)))
-    return np.clip(v, pair.phi, pair.xi)
+    v, _ = _Block(op, spec, [spec.lam], [pair], u_k[None]).step()
+    return v[0]
+
+
+def picard_block(
+    pairs: Sequence[SubSuperPair],
+    spec: ProblemSpec,
+    lams: Sequence[float],
+    op: ComposedOperator,
+    tol: float = 1e-10,
+    max_iter: int = 400,
+    from_super: bool = False,
+    verified: bool = False,
+) -> Iterator[tuple[int, SolveReport]]:
+    """Solve for every pair at once: pair j with spec's data at lambda = lams[j].
+
+    Yields (j, report) as each pair leaves the block, so the rows not yet
+    yielded are the ones still iterating.  Each report is the one of
+    `solve_between` on that pair alone: see there for the stopping rules.
+    """
+    if len(pairs) != len(lams):
+        raise ValueError(f"{len(pairs)} pairs for {len(lams)} lambda values")
+    for pair in pairs:
+        if not pair.ordered():
+            raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
+    rows = []
+    for j, pair in enumerate(pairs):
+        if float(np.abs(pair.xi - pair.phi).max()) == 0.0 and float(np.abs(pair.xi).max()) == 0.0:
+            # degenerate interval: only possible when both fields vanish
+            rec = _Record(tol)
+            rec.stop = "degenerate"
+            zero = np.zeros(spec.grid.n)
+            yield j, _report(rec, zero, 0.0, float(spec.m(0.0)), pair, 0.0, from_super, verified)
+        else:
+            rows.append(j)
+    if not rows:
+        return
+    start = [pairs[j].xi if from_super else pairs[j].phi for j in rows]
+    block = _Block(op, spec, [lams[j] for j in rows], [pairs[j] for j in rows], np.array(start))
+    records = [_Record(tol) for _ in rows]
+    for it in range(1, max_iter + 1):
+        v, outside = block.step()
+        if any(rec.damping_on for rec in records):
+            damping = np.array([rec.damping_on for rec in records])
+            v[damping] = 0.5 * (v[damping] + block.u[damping])
+        steps = np.abs(v - block.u).max(axis=1)
+        block.set(v)
+        residuals = block.residuals()
+        u_max = np.abs(v).max(axis=1)
+        keep = []
+        for i, (rec, out, res, step, top) in enumerate(
+            zip(records, outside.tolist(), residuals.tolist(), steps.tolist(), u_max.tolist())
+        ):
+            rec.solves += 1
+            if not (rec.add(it, out, res, step, top) or step == 0.0 or it == max_iter):
+                keep.append(i)
+                continue
+            if step == 0.0 and not rec.converged:
+                rec.repeat(it, max_iter, top)
+            j = rows[i]
+            yield j, _report(
+                rec, v[i].copy(), float(block.energy[i]), float(block.m[i]), pairs[j],
+                float(block.eps[i, 0]), from_super, verified,
+            )  # fmt: skip
+        if not keep:
+            return
+        if len(keep) < len(records):
+            block.take(np.array(keep))
+            rows = [rows[i] for i in keep]
+            records = [records[i] for i in keep]
 
 
 def solve_between(
@@ -99,89 +298,13 @@ def solve_between(
     later iteration would recompute the same solve, projection count and
     residual, so they are recorded without being recomputed; the report,
     its iteration count, residual history and damped steps included, is
-    the same as if each iteration had been solved.
+    the same as if each iteration had been solved.  This is
+    `picard_block` with one pair.
     """
-    if not pair.ordered():
-        raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
-    n = spec.grid.n
-    span = float(np.abs(pair.xi - pair.phi).max())
-    if span == 0.0 and float(np.abs(pair.xi).max()) == 0.0:
-        # degenerate interval: only possible when both fields vanish
-        return SolveReport(
-            converged=False,
-            iterations=0,
-            residual_history=(),
-            u=np.zeros(n),
-            sandwich_ok=True,
-            energy_final=0.0,
-            kirchhoff_coeff_final=float(spec.m(0.0)),
-            positive=False,
-            projection_activity=(),
-            damped_steps=0,
-            override=not verified,
-            from_super=from_super,
-        )
-    u = (pair.xi if from_super else pair.phi).copy()
-    # M(E(u)) and the reaction of each iterate serve its residual and the
-    # next iteration's solve
-    energy_u = energy(u, op)
-    m_u = spec.m(energy_u)
-    reaction = _reaction(u[1:-1], pair.phi[1:-1], spec)
-    eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
-    residuals: list[float] = []
-    activity: list[int] = []
-    damped = 0
-    damping_on = False
-    converged = False
-    step = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        if step == 0.0:
-            # u repeated bitwise, and the solve, clip, count and residual are
-            # functions of u alone (damping too: 0.5 * (u + u) == u)
-            activity.append(activity[-1])
-            residuals.append(residuals[-1])
-        else:
-            # the linear solve with M frozen at the iterate's energy
-            v = op.solve_interior(reaction / m_u)
-            activity.append(int(np.count_nonzero((v < pair.phi - eps) | (v > pair.xi + eps))))
-            v = np.clip(v, pair.phi, pair.xi)
-            if damping_on:
-                v = 0.5 * (v + u)
-            step = float(np.abs(v - u).max())
-            u = v
-            energy_u = energy(u, op)
-            m_u = spec.m(energy_u)
-            reaction = _reaction(u[1:-1], pair.phi[1:-1], spec)
-            residuals.append(_residual(u, m_u, reaction, op))
-        if damping_on:
-            damped += 1
-        # a bitwise fixed point that no bound clips solves the equation to
-        # rounding, whose floor can exceed 100 * tol on fine grids
-        fixed = step == 0.0 and activity[-1] == 0
-        if step <= tol * (1.0 + float(np.abs(u).max())) and (
-            residuals[-1] <= 100.0 * tol or fixed
-        ):
-            converged = True
-            break
-        if not damping_on and it % 50 == 0 and it >= 50:
-            if residuals[-1] >= residuals[-50]:
-                damping_on = True
-    sandwich_ok = bool(np.all(u >= pair.phi - eps) and np.all(u <= pair.xi + eps))
-    return SolveReport(
-        converged=converged,
-        iterations=it,
-        residual_history=tuple(residuals),
-        u=u,
-        sandwich_ok=sandwich_ok,
-        energy_final=energy_u,
-        kirchhoff_coeff_final=float(m_u),
-        positive=bool(np.all(u[1:-1] > 0.0)),
-        projection_activity=tuple(activity),
-        damped_steps=damped,
-        override=not verified,
-        from_super=from_super,
+    ((_, report),) = picard_block(
+        [pair], spec, [spec.lam], op, tol, max_iter, from_super, verified
     )
+    return report
 
 
 def comparison_check(

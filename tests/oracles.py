@@ -228,7 +228,9 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
     interior, counts and clips to [phi, xi], averages with the old iterate
     once damping is on, and stops when both the step and the residual are
     small.  Nothing is skipped, so `psifrac.solver.solve_between` must
-    return the same report, bit for bit, whatever work it saves.
+    return the same report, bit for bit, whatever work it saves.  Its
+    `solves` are the iterations up to the first that repeats its iterate
+    bitwise (all of them if none does): only those can change the iterate.
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
@@ -248,9 +250,12 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             damped_steps=0,
             override=not verified,
             from_super=from_super,
+            stop="degenerate",
+            solves=0,
         )
     u = (pair.xi if from_super else pair.phi).copy()
     energy_u = _picard_energy(u, spec)
+    repeat = None
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals = []
     activity = []
@@ -268,6 +273,8 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             v = 0.5 * (v + u)
             damped += 1
         step = float(np.abs(v - u).max())
+        if step == 0.0 and repeat is None:
+            repeat = it
         u = v
         energy_u = _picard_energy(u, spec)
         residuals.append(_picard_residual(u, energy_u, pair, spec, op))
@@ -291,6 +298,8 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
         damped_steps=damped,
         override=not verified,
         from_super=from_super,
+        stop=("residual" if converged else "max_iter" if repeat is None else "pinned"),
+        solves=it if repeat is None else repeat,
     )
 
 

@@ -311,6 +311,42 @@ class TestEmpiricalMu2:
             empirical_mu2(catalog_spec, catalog_op, catalog_eig, e, r)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "alpha,n,want",
+        [
+            (1.0, 65, 77.25),
+            (1.0, 129, 77.25),
+            (1.0, 257, 77.5),
+            (1.0, 769, 77.5),
+            (1.0, 1025, 77.5),
+            (0.75, 65, 18.5),
+            (0.75, 129, 18.25),
+            (0.75, 257, 18.25),
+        ],
+    )
+    def test_pinned_values(self, alpha, n, want):
+        # the values of the scan by single lambdas; the blocks of 32 lambdas
+        # put 77.5 in the tenth block
+        spec = make_spec(alpha=alpha, grid_n=n)
+        op = assemble_composed(spec)
+        eig, e = principal_eigenpair(op, tol=1e-9), solve_e(op)
+        assert empirical_mu2(spec, op, eig, e, 0.8) == want
+
+    def test_refusal_inside_a_block_matches_reference(
+        self, catalog_spec, catalog_op, catalog_eig, catalog_e
+    ):
+        # a subnormal psi1 entry whose power underflows to 0: the block's
+        # check refuses, and the lambda-by-lambda pass raises the scan's error
+        psi1 = catalog_eig.psi1.copy()
+        psi1[7] = 1e-320
+        eig = dataclasses.replace(catalog_eig, psi1=psi1)
+        with pytest.raises(ValueError) as want:
+            mu2_reference(catalog_spec, catalog_op, eig, catalog_e, 0.8)
+        with pytest.raises(ValueError) as got:
+            empirical_mu2(catalog_spec, catalog_op, eig, catalog_e, 0.8)
+        assert str(got.value) == str(want.value)
+        assert "strictly positive" in str(got.value)
+
     def test_zeta_only_where_sub_side_passes(
         self, catalog_spec, catalog_op, catalog_eig, catalog_e, monkeypatch
     ):

@@ -15,6 +15,7 @@ import psifrac
 import psifrac.operators
 from psifrac import cli
 from psifrac.cli import SUBCOMMANDS, build_parser, main, write_csv
+from psifrac.solver import solve_between
 
 FAST = ["--grid-n", "65", "--tol", "1e-9"]
 
@@ -172,6 +173,69 @@ class TestSweep:
         assert lines[0] == "lambda,converged,residual,energy,positive"
         assert len(lines) == 4
         assert lines[1].startswith("2,false,") or lines[1].startswith("2,true,")
+
+
+class TestSweepBlock:
+    ARGV = ["sweep", *FAST, "--sweep-min", "2", "--sweep-max", "62", "--sweep-step", "20"]
+    LAMS = (2.0, 22.0, 42.0, 62.0)
+
+    def _solves(self, tmp_path):
+        """The solves each lambda of ARGV makes alone."""
+        args = build_parser().parse_args([*self.ARGV, "--output-dir", str(tmp_path)])
+        rc = cli.config_from_args(args)
+        op, eig, e, _, _ = cli._common_pipeline(rc)
+        out = {}
+        for lam in self.LAMS:
+            spec = dataclasses.replace(rc.spec, lam=lam)
+            pair = cli.build_pair(spec, eig, e, rc.r)
+            op_l = dataclasses.replace(op, spec=spec)
+            out[lam] = solve_between(pair, spec, op_l, tol=rc.tol, max_iter=rc.max_iter).solves
+        return out
+
+    def test_failure_in_the_block_names_the_lambdas_still_iterating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        solves = self._solves(tmp_path)
+        # the first band solve after a lambda has left the block fails
+        real = psifrac.operators._Band.solve
+
+        def failing(self, rhs):
+            if rhs.ndim == 2 and len(rhs) < len(solves):
+                raise np.linalg.LinAlgError("forced failure")
+            return real(self, rhs)
+
+        monkeypatch.setattr(psifrac.operators._Band, "solve", failing)
+        code, _, report = run_cli(tmp_path, *self.ARGV)
+        assert code == 2 and report is None
+        first = min(solves.values())
+        left = [f"{lam:g}" for lam, n in solves.items() if n > first]
+        assert 0 < len(left) < len(solves)
+        want = f"numerical failure: sweep at lambda = {', '.join(left)}: forced failure\n"
+        assert capsys.readouterr().err == want
+
+    def test_pair_failure_names_its_lambda(self, tmp_path, capsys, monkeypatch):
+        real = cli.build_pair
+
+        def failing(spec, eig, e, r):
+            if spec.lam == 42.0:
+                raise FloatingPointError("overflow encountered in multiply")
+            return real(spec, eig, e, r)
+
+        monkeypatch.setattr(cli, "build_pair", failing)
+        code, _, report = run_cli(tmp_path, *self.ARGV)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err == "numerical failure: sweep at lambda = 42: overflow encountered in multiply\n"
+
+    def test_picard_diagnostics_in_report_only(self, tmp_path):
+        solves = self._solves(tmp_path)
+        code, out, report = run_cli(tmp_path, *self.ARGV)
+        assert code == 0
+        picard = report["diagnostics"]["picard"]
+        # 2, 22 and 42 lie below the positive branch the sandwich holds
+        assert picard["stops"] == {"residual": 1, "fixed point": 0, "pinned": 3, "max_iter": 0}
+        assert picard["solves"] == sum(solves.values())
+        assert "pinned" not in (out / "sweep.csv").read_text()
 
 
 class TestConvergence:
@@ -546,6 +610,20 @@ class TestDiagnostics:
         # the CSVs carry no diagnostics, so their bytes do not depend on them
         for path in out.glob("*.csv"):
             assert "banded" not in path.read_text()
+
+    @pytest.mark.parametrize("lam, stop", [("50", "residual"), ("5", "pinned")])
+    def test_picard_diagnostics_in_report_only(self, tmp_path, lam, stop):
+        code, out, report = run_cli(tmp_path, "solve", *FAST, "--lambda", lam)
+        solve, picard = report["solve"], report["diagnostics"]["picard"]
+        assert code == (0 if solve["converged"] else 2)
+        assert picard["stop"] == stop
+        if stop == "residual":
+            assert picard["solves"] == solve["iterations"] and picard["pinned_nodes"] == 0
+        else:
+            # pinned below mu1: the repeats are recorded, not solved
+            assert picard["solves"] < solve["iterations"] == 400
+            assert 10 * picard["pinned_nodes"] == solve["projection_last10"] > 0
+        assert stop not in (out / "solve.csv").read_text()
 
     @pytest.mark.parametrize("sub", ["eigen", "solve", "verify", "sweep"])
     def test_eigen_diagnostics_in_report_only(self, tmp_path, sub):

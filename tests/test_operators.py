@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from psifrac import (
     verify_weak_inequality,
 )
 from psifrac.analysis import TentBasis
+from psifrac.operators import energies
 
 PI2 = math.pi**2
 
@@ -617,3 +619,38 @@ def test_operator_reuse_across_lambda():
     assert op50.spec.lam == 50.0
     # the replaced operator shares what the assembly stored: nothing is rebuilt
     assert op50._a is op._a
+
+
+@functools.cache
+def _block_op(alpha, n):
+    return assemble_composed(make_spec(alpha=alpha, grid_n=n))
+
+
+class TestBlockContract:
+    """Each row of a block through the operator is bitwise that row alone."""
+
+    @pytest.mark.parametrize("k", [1, 2, 25])
+    @pytest.mark.parametrize("n", [65, 257, 769])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    def test_rows_match_single_calls(self, alpha, n, k):
+        op = _block_op(alpha, n)
+        rng = np.random.default_rng(n + k)
+        x = op.spec.grid.x
+        # positive fields with zero boundary values, one per row of a C-ordered
+        # (k, n) block, as the Picard block holds its iterates
+        scale = rng.uniform(0.1, 50.0, (k, 1))
+        fields = scale * np.sin(np.pi * x) ** rng.uniform(0.5, 2.0, (k, 1))
+        fields[:, 1:-1] *= 1.0 + 0.01 * rng.standard_normal((k, n - 2))
+        rhs = fields[:, 1:-1] / rng.uniform(1.0, 2.0, (k, 1))
+        solved = op.solve_block(rhs)
+        applied = op.apply_full(fields)
+        left = op.apply_left(fields)
+        energy_rows = energies(fields, op)
+        assert solved.shape == (k, n - 2) and applied.shape == (k, n)
+        for j in range(k):
+            # fresh copies, as a solve of one field holds them
+            field = fields[j].copy()
+            assert _bitwise(solved[j], op.solve_block(rhs[j].copy()))
+            assert _bitwise(applied[j], op.apply_full(field))
+            assert _bitwise(left[j], op.apply_left(field))
+            assert energy_rows[j] == energy(field, op)

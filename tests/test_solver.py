@@ -16,6 +16,7 @@ from psifrac import (
     linear_majorant,
     make_spec,
     nonexistence_threshold,
+    picard_block,
     picard_step,
     principal_eigenpair,
     solve_e,
@@ -278,6 +279,79 @@ class TestMatchesReference:
         assert_same_report(
             solve_between(pair, spec, op, **kw), picard_reference(pair, spec, op, **kw)
         )
+
+
+class TestPicardBlock:
+    """Every row of the block against `solve_between` on its pair alone, field by field."""
+
+    # psi = exp_minus_one, nu = 0.3 (mu1 = 3.34, mu2 = 20): 2 lies below
+    # mu1 and pins at the bound, 5 and 10.5 pin in the gap, 30 to 100
+    # converge, and 8 at n = 65 never settles; damping switches on while
+    # some rows still solve
+    LAMS = (2.0, 5.0, 8.0, 10.5, 30.0, 60.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "n, from_super, damped",
+        [(65, False, 8.0), (65, True, 10.5), (257, False, None), (257, True, 10.5)],
+    )
+    def test_rows_match_single_solves(self, n, from_super, damped):
+        spec = make_spec(alpha=1.0, grid_n=n, nu=0.3, psi="exp_minus_one")
+        op = assemble_composed(spec)
+        eig, e = principal_eigenpair(op, tol=1e-9), solve_e(op)
+        specs = [dataclasses.replace(spec, lam=lam) for lam in self.LAMS]
+        pairs = [build_pair(s, eig, e, 0.8) for s in specs]
+        kw = dict(tol=1e-10, max_iter=400, from_super=from_super)
+        got = dict(picard_block(pairs, spec, self.LAMS, op, **kw))
+        assert sorted(got) == list(range(len(self.LAMS)))
+        for j, (s, pair) in enumerate(zip(specs, pairs)):
+            want = solve_between(pair, s, dataclasses.replace(op, spec=s), **kw)
+            assert_same_report(got[j], want)
+        stops = [got[j].stop for j in range(len(self.LAMS))]
+        assert stops[:2] == ["pinned", "pinned"] and stops[-3:] == ["residual"] * 3
+        # damped while still solving: more damped steps than recorded repeats
+        by_lam = dict(zip(self.LAMS, (got[j] for j in range(len(self.LAMS)))))
+        if damped is not None:
+            res = by_lam[damped]
+            assert res.damped_steps > res.iterations - res.solves
+
+    def test_fractional_rows_match_single_solves(self):
+        # below alpha = 1 the block solves and multiplies row by row
+        spec = make_spec(alpha=0.75, grid_n=65)
+        op = assemble_composed(spec)
+        eig, e = principal_eigenpair(op, tol=1e-9), solve_e(op)
+        lams = (2.0, 10.0, 30.0)
+        specs = [dataclasses.replace(spec, lam=lam) for lam in lams]
+        pairs = [build_pair(s, eig, e, 0.8) for s in specs]
+        got = dict(picard_block(pairs, spec, lams, op, tol=1e-10, max_iter=200))
+        for j, (s, pair) in enumerate(zip(specs, pairs)):
+            want = solve_between(pair, s, dataclasses.replace(op, spec=s), tol=1e-10, max_iter=200)
+            assert_same_report(got[j], want)
+        assert got[0].stop == "pinned" and got[2].stop == "residual"
+
+    def test_rows_leave_as_they_stop(self, small_spec, small_op, small_eig, small_e):
+        # a row is yielded when it stops: the one pinned at once before the one that converges
+        lams = (60.0, 2.0)
+        pairs = [
+            build_pair(dataclasses.replace(small_spec, lam=lam), small_eig, small_e, 0.8)
+            for lam in lams
+        ]
+        order = [j for j, _ in picard_block(pairs, small_spec, lams, small_op, max_iter=100)]
+        assert order == [1, 0]
+
+    def test_fixed_point_stop_is_reported(self):
+        # test_fixed_point_at_rounding_floor_converges' solve, as the report names it
+        spec, op, eig, e = _problem(769, "constant")
+        spec = dataclasses.replace(spec, lam=100.0)
+        pair = build_pair(spec, eig, e, 0.8)
+        res = solve_between(
+            pair, spec, dataclasses.replace(op, spec=spec), tol=1e-10, max_iter=200
+        )
+        assert res.stop == "fixed point" and res.solves == res.iterations
+        assert res.pinned_nodes == 0
+
+    def test_mismatched_lambdas_rejected(self, catalog_pair, catalog_spec, catalog_op):
+        with pytest.raises(ValueError, match="2 pairs for 1 lambda"):
+            list(picard_block([catalog_pair] * 2, catalog_spec, [50.0], catalog_op))
 
 
 class TestComparisonCheck:
