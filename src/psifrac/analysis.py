@@ -10,9 +10,9 @@ the pair against every interior tent test function.
 The verifier evaluates the bilinear form of a candidate field against
 every interior tent test function (piecewise linear in the transformed
 variable u).  That form is the operator's, W (A u) with W the tent
-masses, at every alpha: below alpha = 1, A = W^-1 K with K the
-cell-midpoint rule of the tent derivatives' products (see `operators`);
-at alpha = 1 the tent derivatives are steps and A is -D1.D1.  The energy
+masses, at every alpha: A = W^-1 K with K the cell-midpoint rule of the
+tent derivatives' products (see `operators`), at alpha = 1, where the
+tent derivatives are steps, the P1 stiffness.  The energy
 is the same cell-midpoint rule of D_left u, so the solve, the energy and
 the verifier share one discretization, and the form of e is the tent
 mass: the supersolution chain holds discretely.

@@ -170,40 +170,6 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _d1_at(c: np.ndarray, start: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries (rows, cols) of the stencil (c, start) as a matrix: exact zeros off it."""
-    k = cols - start[rows]
-    return np.where((k >= 0) & (k <= 2), c[rows, np.clip(k, 0, 2)], 0.0)
-
-
-def stencil_diagonals(grid: Grid) -> tuple:
-    """-D1.D1 with unit boundary rows, as its diagonals: alpha = 1 with no n x n array.
-
-    A tuple of (offset, entries) over the offsets 0, -1, 1, -2, 2
-    (bandwidth (2, 2)), entries in row order as `np.diagonal` lists them.
-    Entry (i, j) is the three-term sum `_stencil_times` forms on the dense
-    D1, in the same order, so it comes out bit for bit the diagonals of
-    the dense product.
-    """
-    n = grid.n
-    c, start = _d1_stencil(grid.u)
-    a = []
-    for d in (0, -1, 1, -2, 2):
-        i = np.arange(max(0, -d), n - max(0, d))
-        j = i + d
-        s = start[i]
-        row = -c[i]
-        prod = (
-            row[:, 0] * _d1_at(c, start, s, j)
-            + row[:, 1] * _d1_at(c, start, s + 1, j)
-            + row[:, 2] * _d1_at(c, start, s + 2, j)
-        )
-        # unit rows at both boundary nodes
-        prod[(i == 0) | (i == n - 1)] = 1.0 if d == 0 else 0.0
-        a.append((d, prod))
-    return tuple(a)
-
-
 def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
     """The (1/psi') d/dx matrix, realized as d/du on transformed nodes."""
     bad = grid.violations()

@@ -2,24 +2,26 @@
 
 The operator A realizes u -> D_right(D_left u) with homogeneous Dirichlet
 data: its two boundary rows are unit rows.  All solves work on the
-interior block, whose factors are computed once at assembly and reused;
-the stored objects are immutable afterwards.
+interior block, with what the assembly stored; the stored objects are
+immutable afterwards.
 
-At alpha = 1, A = -D1.D1 with D1 the d/du stencil: its five diagonals
-come from the stencil, with no n x n array, and the interior block is
-factored in LAPACK band storage (dgbtrf).
-
-Below alpha = 1, A = W^-1 K is the weak form the verifier integrates
+At every alpha, A = W^-1 K is the weak form the verifier integrates
 (Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
 w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
-tent masses.  K is symmetric positive definite, so A has a real spectrum,
-and the table of tent derivatives at the cell midpoints is its triangular
-factor: neither K nor A is formed, products are two passes over the table
-and solves two triangular solves with it (dtrtrs).
+tent masses.  K = V V^T is symmetric positive definite, so A has a real
+spectrum; V, the table of tent derivatives at the cell midpoints, is
+square and upper-triangular.  Neither K nor A is formed.
+
+At alpha = 1 the tent derivatives are steps, V is upper-bidiagonal and K
+is the P1 stiffness matrix: only the cell widths and the tent masses are
+kept, products are two difference passes and solves two cumulative sums,
+in numpy alone.  Below alpha = 1 the table is kept: products are two
+passes over it and solves two triangular solves with it (LAPACK dtrtrs,
+so scipy.linalg loads only there).
 
 At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
-D_left u: the table's values below alpha = 1, and at alpha = 1, where the
-tent derivatives are steps, the difference quotients of u.
+D_left u: the table's values below alpha = 1, and at alpha = 1 the
+difference quotients of u.
 
 Products, left derivatives, solves and energies also take a block of
 fields, one per row (the Picard sweep's lambda values), and return for
@@ -30,14 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dtrtrs
 
-from .calculus import _BLOCK, OperatorMatrix, stencil_diagonals
+from .calculus import _BLOCK, OperatorMatrix
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -51,21 +50,6 @@ __all__ = [
     "tent_masses",
 ]
 
-# A banded square matrix is stored as a tuple of its diagonals (offset,
-# entries) from the main one outward, entries in row order.
-
-
-def _times(a: tuple, x: np.ndarray) -> np.ndarray:
-    """a @ x (of each row of x) for a stored by its diagonals, summed from the main one outward."""
-    (_, main), *rest = a
-    y = main * x
-    for d, v in rest:
-        if d > 0:
-            y[..., :-d] += v * x[..., d:]
-        else:
-            y[..., -d:] += v * x[..., :d]
-    return y
-
 
 def _by_row(fn, x: np.ndarray) -> np.ndarray:
     """fn of a field, or of each row of a block.
@@ -75,60 +59,61 @@ def _by_row(fn, x: np.ndarray) -> np.ndarray:
     return fn(x) if x.ndim == 1 else np.stack([fn(row) for row in x])
 
 
-def _dense(a: tuple) -> np.ndarray:
-    """The dense matrix of one stored by its diagonals."""
-    n = len(a[0][1])
-    out = np.zeros((n, n))
-    for d, v in a:
-        i = np.arange(len(v)) + max(0, -d)
-        out[i, i + d] = v
-    return out
-
-
 @dataclass(frozen=True)
-class _Band:
-    """A at alpha = 1 by its diagonals, and the band LU factors of its interior block."""
+class _Stiffness:
+    """A = W^-1 K at alpha = 1, K = V V^T the P1 stiffness, kept as the cell widths and tent masses.
 
-    diagonals: tuple
-    lu: np.ndarray
-    piv: np.ndarray
-    kind = "banded"
+    V is upper-bidiagonal, V[k, k] = 1/sqrt(du_k) and V[k, k+1] =
+    -1/sqrt(du_{k+1}), so (K f)_i = s_{i-1} - s_i with s the slopes of f on
+    the cells: a product is two difference passes and a solve two
+    cumulative sums, elementwise along each row of a block.
+    """
 
-    @classmethod
-    def of(cls, a: tuple) -> _Band:
-        """Factor the interior block in LAPACK storage: ab[4 + i - j, j] = A[i + 1, j + 1]."""
-        m = len(a[0][1]) - 2
-        ab = np.zeros((7, m), order="F")  # the band, 2 rows of fill on top
-        for d, v in a:
-            ab[4 - d, max(d, 0) : m + min(d, 0)] = v[1 : 1 + m - abs(d)]
-        # outside the band every entry is an exact zero, so checking the band
-        # checks the block's finiteness
-        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), 2, 2, overwrite_ab=True)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal gbtrf")
-        if info > 0:
-            # a zero pivot is reported as lu_factor reports it, not raised
-            msg = f"Diagonal number {info} is exactly zero. Singular matrix."
-            warnings.warn(msg, LinAlgWarning)
-        return cls(a, lu, piv)
+    du: np.ndarray
+    w: np.ndarray
+    span: float
+    kind = "stiffness"
+
+    def bandwidth(self) -> tuple[int, int]:
+        return (1, 1)
+
+    def left(self, f: np.ndarray) -> np.ndarray:
+        return np.diff(f) / self.du
 
     def times(self, f: np.ndarray) -> np.ndarray:
-        return _times(self.diagonals, f)
+        out = f.copy()  # unit boundary rows
+        s = self.left(f)
+        np.subtract(s[..., :-1], s[..., 1:], out=out[..., 1:-1])
+        out[..., 1:-1] /= self.w
+        return out
 
     def dense(self) -> np.ndarray:
-        return _dense(self.diagonals)
+        return self.times(np.eye(len(self.du) + 1)).T
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # a block's rows are the right-hand sides: one dgbtrs for all of them,
-        # each column solved as a single one is
-        x, info = dgbtrs(self.lu, 2, 2, np.asarray_chkfinite(rhs).T, self.piv)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal gbtrs")
-        return x.T
+        """K_int x = W rhs in slope form: the slopes s_k = s_0 - (b_1 + ... + b_k).
+
+        x(T) = 0 fixes s_0 = sum_k du_k (b_1 + ... + b_k) / (u_{n-1} - u_0),
+        and x is the cumulative sum of du * s without its last entry.
+        """
+        rhs = np.asarray_chkfinite(rhs)
+        c = np.zeros(rhs.shape[:-1] + self.du.shape)
+        np.multiply(self.w, rhs, out=c[..., 1:])
+        np.cumsum(c[..., 1:], axis=-1, out=c[..., 1:])
+        s = np.multiply(c, self.du)
+        s0 = np.sum(s, axis=-1, keepdims=True) / self.span
+        np.subtract(s0, c, out=s)
+        s *= self.du
+        return np.cumsum(s, axis=-1, out=s)[..., :-1]
 
 
 def _k_solve(table: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K^-1 b, K = V V^T: two solves with V^T = table[1:].T, F-ordered and read in place."""
+    """K^-1 b, K = V V^T: two solves with V^T = table[1:].T, F-ordered and read in place.
+
+    scipy.linalg loads here, at the first solve below alpha = 1, and not at alpha = 1.
+    """
+    from scipy.linalg.lapack import dtrtrs
+
     for trans in (1, 0):
         b, info = dtrtrs(table[1:].T, b, lower=1, trans=trans)
         if info != 0:
@@ -148,14 +133,21 @@ class _Tents:
 
     table: np.ndarray
     w: np.ndarray
+    root_du: np.ndarray
     g: np.ndarray
     kind = "tent table"
 
+    def bandwidth(self) -> tuple[int, int]:
+        return (len(self.w) - 1, len(self.w) - 1)
+
+    def left(self, f: np.ndarray) -> np.ndarray:
+        return _by_row(lambda r: r @ self.table, f) / self.root_du
+
     @classmethod
-    def of(cls, table: np.ndarray, w: np.ndarray) -> _Tents:
+    def of(cls, table: np.ndarray, w: np.ndarray, du: np.ndarray) -> _Tents:
         # the table is checked once, as a dense LU checks its matrix
         last = np.append(np.zeros(len(table) - 2), 1.0)
-        return cls(table, w, _k_solve(np.asarray_chkfinite(table), last))
+        return cls(table, w, np.sqrt(du), _k_solve(np.asarray_chkfinite(table), last))
 
     def times(self, f: np.ndarray) -> np.ndarray:
         out = f.copy()  # unit boundary rows
@@ -180,14 +172,14 @@ class ComposedOperator:
     """Dirichlet realization of D_right(D_left u) on the grid, in weak form below alpha = 1.
 
     Field indices stay aligned with grid nodes (unit boundary rows of A).
-    `_a` holds A as the assembly built it, with the factors its solves
-    use: the diagonals and their band LU at alpha = 1, the tent table
-    below.  `a_full` and `interior_block()` build the dense matrices on
-    request, for tests only.
+    `_a` holds A as the assembly built it, with what its solves use: the
+    cell widths and tent masses at alpha = 1, the tent table below.
+    `a_full` and `interior_block()` build the dense matrices on request,
+    for tests only.
     """
 
     spec: ProblemSpec
-    _a: _Band | _Tents = field(repr=False, compare=False)
+    _a: _Stiffness | _Tents = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -208,13 +200,13 @@ class ComposedOperator:
 
     @property
     def factorization(self) -> str:
-        """How interior solves are made: "banded" (band LU) or "tent table" (K's factor)."""
+        """How interior solves are made: "stiffness" (cumulative sums) or "tent table" (K's factor)."""
         return self._a.kind
 
     @property
     def interior_bandwidth(self) -> tuple[int, int]:
-        """(kl, ku) of the interior block: (2, 2) at alpha = 1, full below."""
-        return (2, 2) if isinstance(self._a, _Band) else (self.n - 3, self.n - 3)
+        """(kl, ku) of the interior block: (1, 1) at alpha = 1, full below."""
+        return self._a.bandwidth()
 
     def interior_block(self) -> np.ndarray:
         return self._a.dense()[1:-1, 1:-1]
@@ -252,11 +244,7 @@ class ComposedOperator:
 
         Of a field, or of each row of a block (bitwise the row's own).
         """
-        f = np.asarray(f, dtype=float)
-        du = self.cell_widths[0]
-        if isinstance(self._a, _Band):
-            return np.diff(f) / du
-        return _by_row(lambda r: r @ self._a.table, f) / np.sqrt(du)
+        return self._a.left(np.asarray(f, dtype=float))
 
 
 def tent_masses(u: np.ndarray) -> np.ndarray:
@@ -304,22 +292,23 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
-    At alpha = 1 the diagonals of A = -D1.D1 come from the stencil.  Below,
-    A is the tent form W^-1 K, kept as the table of `_tent_table`, which
-    also gives D_left at the cell midpoints.  Rows 0 and n-1 are unit rows
-    enforcing u = 0 at the boundary.
+    A is the tent form W^-1 K at every alpha.  At alpha = 1 it is kept as
+    the cell widths and tent masses (K the P1 stiffness); below, as the
+    table of `_tent_table`, which also gives D_left at the cell midpoints.
+    Rows 0 and n-1 are unit rows enforcing u = 0 at the boundary.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
+    u = spec.grid.u
+    du, w = np.diff(u), tent_masses(u)[1:-1]
+    for a in (du, w):
+        a.setflags(write=False)
     if spec.order.alpha == 1.0:
-        a = stencil_diagonals(spec.grid)
-        for _, v in a:
-            v.setflags(write=False)
-        return ComposedOperator(spec, _Band.of(a))
-    table = _tent_table(spec.grid.u, spec.order.alpha)
+        return ComposedOperator(spec, _Stiffness(du, w, float(u[-1] - u[0])))
+    table = _tent_table(u, spec.order.alpha)
     table.setflags(write=False)
-    return ComposedOperator(spec, _Tents.of(table, tent_masses(spec.grid.u)[1:-1]))
+    return ComposedOperator(spec, _Tents.of(table, w, du))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ never assumed.
 
 The iteration runs on a block: one row per pair (a sweep's lambda
 values), all advanced by the same step.  Each step makes one solve for
-every row still iterating (at alpha = 1 one band solve with a right-hand
-side per row) and does the elementwise work on the whole block; every
+every row still iterating (at alpha = 1 two cumulative sums along every
+row) and does the elementwise work on the whole block; every
 operator call returns for each row bitwise what it returns for that row
 alone, so each row's report is the one its own loop would give.  A row
 leaves the block once it converges, reaches max_iter or repeats bitwise;
@@ -161,15 +161,26 @@ class _Record:
                 self.damping_on = True
         return False
 
-    def repeat(self, it: int, max_iter: int, u_max: float) -> None:
+    def repeat(self, it: int, max_iter: int) -> None:
         """Record iterations it + 1 .. max_iter of an iterate that repeated bitwise at it.
 
         The solve, clip, count and residual are functions of u alone, and
-        damping leaves u as it is (0.5 * (u + u) == u), so each is the last one.
+        damping leaves u as it is (0.5 * (u + u) == u), so each is the last
+        one.  The stop test saw these inputs at it and did not stop, so it
+        never does; only the damping switch, at the multiples of 50, is left.
         """
         self.stop = "pinned"
-        for later in range(it + 1, max_iter + 1):
-            if self.add(later, self.activity[-1], self.residuals[-1], 0.0, u_max):
+        tail = max_iter - it
+        self.activity += self.activity[-1:] * tail
+        self.residuals += self.residuals[-1:] * tail
+        self.iterations = max_iter
+        if self.damping_on:
+            self.damped += tail
+            return
+        for later in range(50 * (it // 50 + 1), max_iter + 1, 50):
+            if self.residuals[later - 1] >= self.residuals[later - 50]:
+                self.damping_on = True
+                self.damped += max_iter - later
                 return
 
 
@@ -260,7 +271,7 @@ def picard_block(
                 keep.append(i)
                 continue
             if step == 0.0 and not rec.converged:
-                rec.repeat(it, max_iter, top)
+                rec.repeat(it, max_iter)
             j = rows[i]
             yield j, _report(
                 rec, v[i].copy(), float(block.energy[i]), float(block.m[i]), pairs[j],

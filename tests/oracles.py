@@ -11,17 +11,22 @@ the alpha = 1 projected Picard loop that recomputes every iteration, with
 the energy's cell rule written out (reports bit for bit);
 `tent_reference`, the per-tent kernel loop of the verifier's test
 functions (tent masses bit for bit; at alpha = 1 and identity psi its
-step form is the verifier's form to rounding); `mu2_reference`, the
+step form against the slopes of a field is the verifier's form to
+rounding); `mu2_reference`, the
 lambda-scan that builds and verifies the full pair at every grid point
 (the same threshold); `right_integral_reference`, the right-side
 product-integration rule written out on its own (entries bit for bit);
 `left_integral_reference`, the left rule with four powers per cell
 (entries bit for bit; both rules divide by `math.gamma`, as the package
 does); and
-`composed_reference`, the alpha = 1 operator composed as a dense matrix
-from the package's stencil (diagonals, factors and pivots bit for bit);
-`tent_form_reference`, the alpha < 1 operator summed tent by tent and cell
-by cell in one plain product (entries to rounding), and
+`stiffness_reference`, the alpha = 1 operator W^-1 K written out from its
+three diagonals (entries bit for bit);
+`repeat_reference`, the replay of a pinned Picard row's remaining
+iterations through its record's own stopping rule (records field for
+field);
+`tent_form_reference`, the operator summed tent by tent and cell by cell
+in one plain product, at every alpha (entries to rounding; at alpha = 1
+on the fields that vanish at 0), and
 `tent_energy_reference`, the energy at every alpha from the same tent
 derivatives (steps at alpha = 1), added up tent by tent (to rounding);
 `write_csv_reference`, the CSV writer that formats row by row, value by
@@ -42,7 +47,6 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from psifrac.analysis import TentBasis, build_pair, verify_weak_inequality
-from psifrac.calculus import _d1_stencil
 from psifrac.cli import SUBCOMMANDS
 from psifrac.config import CONFIG_DEFAULTS
 from psifrac.solver import SolveReport
@@ -93,42 +97,23 @@ def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
     return W / math.gamma(a)
 
 
-def composed_reference(spec):
-    """The alpha = 1 operator A as a dense matrix: -D1 times the dense D1, unit boundary rows.
+def stiffness_reference(spec):
+    """The alpha = 1 operator A = W^-1 K as a dense matrix, K the P1 stiffness, unit boundary rows.
 
-    The stencil acts on the dense D1 row block by row block, three rows at a
-    time, exactly as the package composed it before it built A by its band.
+    Interior row i holds -1/du_{i-1}, 1/du_{i-1} + 1/du_i and -1/du_i, each
+    divided by the tent mass w_i = (u_{i+1} - u_{i-1}) / 2.
     """
     u = spec.grid.u
     n = len(u)
-    c, start = _d1_stencil(u)
-    d1 = np.zeros((n, n))
-    rows = np.arange(n)
-    for k in range(3):
-        d1[rows, start + k] = c[:, k]
-    c = -c
-    a = np.empty_like(d1)
-    for lo in range(0, n, 64):
-        rows = slice(lo, lo + 64)
-        s = start[rows]
-        a[rows] = c[rows, 0:1] * d1[s] + c[rows, 1:2] * d1[s + 1] + c[rows, 2:3] * d1[s + 2]
-    a[0, :] = 0.0
-    a[0, 0] = 1.0
-    a[-1, :] = 0.0
-    a[-1, -1] = 1.0
+    inv = 1.0 / np.diff(u)
+    w = 0.5 * (u[2:] - u[:-2])
+    a = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = -inv[:-1] / w
+    a[i, i] = (inv[:-1] + inv[1:]) / w
+    a[i, i + 1] = -inv[1:] / w
+    a[0, 0] = a[-1, -1] = 1.0
     return a
-
-
-def lapack_band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """The band of square a in LAPACK storage for dgbtrf, kl rows of fill on top.
-
-    ab[kl + ku + i - j, j] = a[i, j] for -kl <= j - i <= ku.
-    """
-    n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(a, d)
-    return ab
 
 
 def classical_e(x: np.ndarray, T: float) -> np.ndarray:
@@ -303,13 +288,26 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
     )
 
 
+def repeat_reference(rec, it: int, max_iter: int, u_max: float) -> None:
+    """Record iterations it + 1 .. max_iter of a row that repeated bitwise at it, one at a time.
+
+    `rec` is a `psifrac.solver._Record`; each later iteration goes through
+    its `add` with the last projection count and residual and a zero step,
+    as the loop that solved every iteration would have recorded it.
+    """
+    rec.stop = "pinned"
+    for later in range(it + 1, max_iter + 1):
+        if rec.add(later, rec.activity[-1], rec.residuals[-1], 0.0, u_max):
+            return
+
+
 def tent_reference(spec):
     """Cell-end weights of the interior tents' left derivatives, one tent at a time.
 
     Returns (wl, wr, node_weights): each tent's three shifted kernels are
     evaluated at every left and right cell end separately.  At alpha = 1
-    wl and wr are steps, banded, and at identity psi wl @ d[:-1] + wr @ d[1:]
-    with d the nodal D1 f is the form of `psifrac.analysis.TentBasis`;
+    wl and wr are steps, banded, and at identity psi wl @ d + wr @ d with d
+    the slopes of f is the form of `psifrac.analysis.TentBasis`;
     `node_weights` are its masses at every alpha.
     """
     u = spec.grid.u
@@ -376,7 +374,7 @@ def _tent_derivatives(spec):
 
 
 def tent_form_reference(spec):
-    """A = W^-1 K below alpha = 1, from every tent derivative at every cell midpoint.
+    """A = W^-1 K, from every tent derivative at every cell midpoint (steps at alpha = 1).
 
     Row i of T holds the closed-form left derivative of the tent at node i
     (the half tent at T for i = n-1) at the cell midpoints, one shifted

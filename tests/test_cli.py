@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from oracles import build_parser_reference, write_csv_reference
 import psifrac
@@ -196,15 +197,15 @@ class TestSweepBlock:
         self, tmp_path, capsys, monkeypatch
     ):
         solves = self._solves(tmp_path)
-        # the first band solve after a lambda has left the block fails
-        real = psifrac.operators._Band.solve
+        # the first block solve after a lambda has left the block fails
+        real = psifrac.operators._Stiffness.solve
 
         def failing(self, rhs):
             if rhs.ndim == 2 and len(rhs) < len(solves):
                 raise np.linalg.LinAlgError("forced failure")
             return real(self, rhs)
 
-        monkeypatch.setattr(psifrac.operators._Band, "solve", failing)
+        monkeypatch.setattr(psifrac.operators._Stiffness, "solve", failing)
         code, _, report = run_cli(tmp_path, *self.ARGV)
         assert code == 2 and report is None
         first = min(solves.values())
@@ -497,12 +498,13 @@ class TestRunConfigValidation:
     def test_failed_triangular_solve_is_a_numerical_failure(
         self, tmp_path, capsys, monkeypatch, info
     ):
-        real = psifrac.operators.dtrtrs
+        # the tent table's solves import dtrtrs from scipy at their first call
+        real = scipy.linalg.lapack.dtrtrs
 
         def failing(*args, **kwargs):
             return real(*args, **kwargs)[0], info
 
-        monkeypatch.setattr(psifrac.operators, "dtrtrs", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", failing)
         code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
         assert code == 2 and report is None
         err = capsys.readouterr().err
@@ -606,10 +608,10 @@ class TestDiagnostics:
         code, out, report = run_cli(tmp_path, sub, *FAST, *extra)
         assert code == 0
         interior = report["diagnostics"]["interior"]
-        assert interior == {"factorization": "banded", "bandwidth": [2, 2]}
+        assert interior == {"factorization": "stiffness", "bandwidth": [1, 1]}
         # the CSVs carry no diagnostics, so their bytes do not depend on them
         for path in out.glob("*.csv"):
-            assert "banded" not in path.read_text()
+            assert "stiffness" not in path.read_text()
 
     @pytest.mark.parametrize("lam, stop", [("50", "residual"), ("5", "pinned")])
     def test_picard_diagnostics_in_report_only(self, tmp_path, lam, stop):
@@ -636,8 +638,10 @@ class TestDiagnostics:
         # the pipeline's tol is min(--tol, 1e-8)
         assert eig["threshold"] == 10.0 * 1e-9 * abs(report["lambda1"])
         assert eig["residual"] <= eig["threshold"]
-        # at alpha = 1 the bottom pair of -D1.D1 is near-degenerate
-        assert report["lambda1"] < eig["lambda2"] < 1.1 * report["lambda1"]
+        # at alpha = 1, identity psi, the ones vector reaches only the modes
+        # symmetric about the midpoint: lambda2 is the third one, about
+        # 9 lambda1 (8.986 lambda1 here)
+        assert abs(eig["lambda2"] - 9.0 * report["lambda1"]) <= 0.02 * 9.0 * report["lambda1"]
         gap = eig["lambda2"] - report["lambda1"]
         assert eig["psi1_error_estimate"] == eig["residual"] / gap
         for path in out.glob("*.csv"):
@@ -653,15 +657,40 @@ class TestDiagnostics:
             assert "tent" not in path.read_text()
 
 
-def test_the_cli_does_not_load_scipy_special():
-    # the gamma function comes from math, and scipy.linalg does not load
-    # scipy.special, so importing the CLI leaves it out
+def _probe(code: str) -> str:
+    """stdout of a fresh interpreter running code with this psifrac on its path."""
     src = str(Path(psifrac.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, psifrac.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_the_cli_does_not_load_scipy_special():
+    # the gamma function comes from math, and importing the CLI loads no
+    # scipy at all, so scipy.special stays out
+    assert _probe("import sys, psifrac.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["eigen"], False),
+        (["solve"], False),
+        (["verify"], False),
+        (["sweep", *TestDiagnostics.SWEEP], False),
+        (["eigen", "--alpha", "0.75"], True),
+    ],
+)
+def test_scipy_loads_only_below_alpha_one(tmp_path, argv, loaded):
+    # at alpha = 1 the pipeline runs in numpy alone; below, the tent
+    # table's triangular solves load scipy.linalg
+    code = (
+        "import sys, psifrac.cli; "
+        f"code = psifrac.cli.main({[*argv, '--grid-n', '33', '--output-dir', str(tmp_path)]!r}); "
+        "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    assert _probe(code) == f"0 {loaded} {loaded}"
 
 
 class TestDeterminism:

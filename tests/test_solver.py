@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psifrac.operators
-from oracles import newton_fd_bvp, picard_reference
+from oracles import newton_fd_bvp, picard_reference, repeat_reference
 from psifrac import (
     SolveReport,
     build_pair,
@@ -25,6 +26,7 @@ from psifrac import (
 from psifrac.analysis import SubSuperPair, TentBasis
 from psifrac.core import Nonlinearity, NonlinearityKind
 from psifrac.operators import assemble_composed
+from psifrac.solver import _Record
 
 KIRCHHOFF = {
     "constant": {},
@@ -39,6 +41,17 @@ def _problem(n, m):
     spec = make_spec(alpha=1.0, nu=0.5, grid_n=n, m=m, **KIRCHHOFF[m])
     op = assemble_composed(spec)
     return spec, op, principal_eigenpair(op, tol=1e-9), solve_e(op)
+
+
+@functools.cache
+def _fixed_point_solve():
+    """The n = 769 solve at lambda = 100 with tol = 1e-14, below its rounding floor."""
+    spec, op, eig, e = _problem(769, "constant")
+    spec = dataclasses.replace(spec, lam=100.0)
+    pair = build_pair(spec, eig, e, 0.8)
+    return solve_between(
+        pair, spec, dataclasses.replace(op, spec=spec), tol=1e-14, max_iter=200
+    )
 
 
 def _at(n, m, lam, nu=0.5):
@@ -151,8 +164,8 @@ class TestSolveBetween:
         # it bitwise; the report still counts all 120 iterations and the
         # damping switch, but only the iterations up to the repeat solve.
         # Solves are counted through the operator's own solve, which at
-        # alpha = 1 runs on the banded factors
-        assert catalog_op.factorization == "banded"
+        # alpha = 1 is the tridiagonal stiffness's two cumulative sums
+        assert catalog_op.factorization == "stiffness"
         spec = dataclasses.replace(catalog_spec, lam=5.0)
         op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
@@ -170,18 +183,14 @@ class TestSolveBetween:
         assert res.damped_steps > 0
 
     def test_fixed_point_at_rounding_floor_converges(self):
-        # at n = 769 this solve reaches an iterate that repeats bitwise with
-        # no bound active, yet its residual cannot fall below about 1e-8;
-        # which lambda gets stuck depends on the operator's rounding, and
-        # lambda = 100 is stuck under both association orders of A = R L
-        spec, op, eig, e = _problem(769, "constant")
-        spec = dataclasses.replace(spec, lam=100.0)
-        op = dataclasses.replace(op, spec=spec)
-        pair = build_pair(spec, eig, e, 0.8)
-        res = solve_between(pair, spec, op, tol=1e-10, max_iter=200, verified=False)
-        assert res.converged and res.iterations < 200
-        assert res.final_residual > 100.0 * 1e-10
-        assert res.projection_activity[-1] == 0
+        # at tol = 1e-14 the residual clause, residual <= 1e-12, cannot fire:
+        # the rounding floor of the residual at n = 769 is about 1e-8.  So
+        # the solve can only stop at an iterate that repeats bitwise with no
+        # bound active, by construction and not by rounding luck
+        res = _fixed_point_solve()
+        assert res.stop == "fixed point" and res.converged and res.iterations < 200
+        assert res.pinned_nodes == 0
+        assert res.final_residual > 100.0 * 1e-14
         assert res.sandwich_ok and res.positive
 
     def test_degenerate_pair_returns_zero(self, catalog_spec, catalog_op):
@@ -285,14 +294,14 @@ class TestPicardBlock:
     """Every row of the block against `solve_between` on its pair alone, field by field."""
 
     # psi = exp_minus_one, nu = 0.3 (mu1 = 3.34, mu2 = 20): 2 lies below
-    # mu1 and pins at the bound, 5 and 10.5 pin in the gap, 30 to 100
-    # converge, and 8 at n = 65 never settles; damping switches on while
-    # some rows still solve
-    LAMS = (2.0, 5.0, 8.0, 10.5, 30.0, 60.0, 100.0)
+    # mu1 and pins at the bound, 5, 10.5 and 10.52 pin in the gap, and 30
+    # to 100 converge; damping switches on at iteration 50 while 10.52
+    # (from phi at n = 65) and 10.5 (from xi) still solve
+    LAMS = (2.0, 5.0, 10.52, 10.5, 30.0, 60.0, 100.0)
 
     @pytest.mark.parametrize(
         "n, from_super, damped",
-        [(65, False, 8.0), (65, True, 10.5), (257, False, None), (257, True, 10.5)],
+        [(65, False, 10.52), (65, True, 10.5), (257, False, None), (257, True, 10.5)],
     )
     def test_rows_match_single_solves(self, n, from_super, damped):
         spec = make_spec(alpha=1.0, grid_n=n, nu=0.3, psi="exp_minus_one")
@@ -340,18 +349,49 @@ class TestPicardBlock:
 
     def test_fixed_point_stop_is_reported(self):
         # test_fixed_point_at_rounding_floor_converges' solve, as the report names it
-        spec, op, eig, e = _problem(769, "constant")
-        spec = dataclasses.replace(spec, lam=100.0)
-        pair = build_pair(spec, eig, e, 0.8)
-        res = solve_between(
-            pair, spec, dataclasses.replace(op, spec=spec), tol=1e-10, max_iter=200
-        )
+        res = _fixed_point_solve()
         assert res.stop == "fixed point" and res.solves == res.iterations
         assert res.pinned_nodes == 0
 
     def test_mismatched_lambdas_rejected(self, catalog_pair, catalog_spec, catalog_op):
         with pytest.raises(ValueError, match="2 pairs for 1 lambda"):
             list(picard_block([catalog_pair] * 2, catalog_spec, [50.0], catalog_op))
+
+
+class TestRepeatInClosedForm:
+    """A pinned row's remaining iterations, written in closed form, against
+    their replay through `_Record.add`, field for field."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        it=st.integers(1, 260),
+        extra=st.integers(0, 300),
+        outside=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+        nans=st.integers(0, 3),
+        round_up=st.booleans(),
+    )
+    def test_matches_replay(self, it, extra, outside, seed, nans, round_up):
+        # iterations 1 .. it with a step too large to stop on, then a
+        # bitwise repeat at it with a bound active: a pinned row.  The
+        # residuals wander, so the damping switch fires before it, in the
+        # tail (at max_iter too, a multiple of 50 half the time) or not at
+        # all; a NaN residual never switches it
+        max_iter = it + extra
+        if round_up:
+            max_iter = -(-max_iter // 50) * 50
+        rng = np.random.default_rng(seed)
+        residuals = np.exp(rng.normal(0.0, 2.0, it))
+        residuals[rng.integers(0, it, nans)] = np.nan
+        rec = _Record(1e-10)
+        for i, r in enumerate(residuals.tolist(), 1):
+            assert not rec.add(i, outside, r, 0.0 if i == it else 1.0, 1.0)
+        want = copy.deepcopy(rec)
+        rec.repeat(it, max_iter)
+        repeat_reference(want, it, max_iter, 1.0)
+        got, want = vars(rec), vars(want)
+        assert np.array_equal(got.pop("residuals"), want.pop("residuals"), equal_nan=True)
+        assert got == want
 
 
 class TestComparisonCheck:
