@@ -31,9 +31,7 @@ from .analysis import (
 from .calculus import (
     OperatorMatrix,
     Side,
-    apply,
     frac_integral_matrix,
-    first_derivative_matrix,
     hilfer_derivative_matrix,
     hilfer_power_oracle,
 )
@@ -56,7 +54,7 @@ from .operators import (
     principal_eigenpair,
     solve_e,
 )
-from .solver import SolveReport, comparison_check, picard_block, picard_step, solve_between
+from .solver import SolveReport, comparison_check, picard_block, solve_between
 
 __all__ = [
     "__version__",
@@ -72,10 +70,8 @@ __all__ = [
     "Side",
     "OperatorMatrix",
     "frac_integral_matrix",
-    "first_derivative_matrix",
     "hilfer_derivative_matrix",
     "hilfer_power_oracle",
-    "apply",
     "ComposedOperator",
     "EigenPair",
     "assemble_composed",
@@ -94,7 +90,6 @@ __all__ = [
     "nonexistence_threshold",
     "empirical_mu2",
     "SolveReport",
-    "picard_step",
     "picard_block",
     "solve_between",
     "comparison_check",

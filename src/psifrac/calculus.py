@@ -18,7 +18,6 @@ weak form of `operators`, which needs only the left one.
 Every builder reads the transformed nodes from `grid.u`; its psi argument
 names the map the grid was built with.  Matrix assembly is
 row-independent; assembled matrices are immutable and safe to share.
-`apply` is pure.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ __all__ = [
     "Side",
     "OperatorMatrix",
     "frac_integral_matrix",
-    "first_derivative_matrix",
     "hilfer_derivative_matrix",
     "hilfer_power_oracle",
-    "apply",
 ]
 
 
@@ -170,14 +167,6 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def first_derivative_matrix(grid: Grid, psi: PsiFunction) -> OperatorMatrix:
-    """The (1/psi') d/dx matrix, realized as d/du on transformed nodes."""
-    bad = grid.violations()
-    if bad:
-        raise ValueError("invalid grid: " + "; ".join(bad))
-    return OperatorMatrix(_d1_entries(grid.u))
-
-
 def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarray:
     """D1 . I^{1-alpha}, the stencil acting on the integral as three-row combinations.
 
@@ -240,10 +229,3 @@ def hilfer_power_oracle(
         out[0] = np.inf
     return out
 
-
-def apply(matrix: OperatorMatrix, f: Field) -> Field:
-    """Matrix-vector product with a dimension check."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (matrix.n,):
-        raise ValueError(f"field length {f.shape} does not match operator size {matrix.n}")
-    return matrix.entries @ f

@@ -290,7 +290,7 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
     report["solve"] = _solve_json(res)
     report["diagnostics"]["picard"] = {
         "stop": res.stop,
-        "solves": res.solves,
+        "solves": res.iterations,
         "pinned_nodes": res.pinned_nodes,
     }
     x = rc.spec.grid.x
@@ -332,7 +332,7 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     }
     report["diagnostics"]["picard"] = {
         "stops": {stop: sum(res.stop == stop for res in runs) for stop in STOPS},
-        "solves": sum(res.solves for res in runs),
+        "solves": sum(res.iterations for res in runs),
     }
     write_csv(
         rc.output_dir / "sweep.csv",

@@ -176,11 +176,10 @@ class Grid:
         if not np.all(np.isfinite(self.u)):
             out.append("transformed nodes must be finite (psi(T) overflows)")
             return out
-        if self.n >= 2:
-            if not np.all(np.diff(self.x) > 0):
-                out.append("nodes must be strictly increasing")
-            if not np.all(np.diff(self.u) > 0):
-                out.append("transformed nodes must be strictly increasing (psi not increasing?)")
+        if not np.all(np.diff(self.x) > 0):
+            out.append("nodes must be strictly increasing")
+        if not np.all(np.diff(self.u) > 0):
+            out.append("transformed nodes must be strictly increasing (psi not increasing?)")
         return out
 
 

@@ -186,12 +186,11 @@ class ComposedOperator:
         return self.spec.grid.n
 
     @functools.cached_property
-    def cell_widths(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cell widths (du, dx) of the grid in u = psi(x) and in x."""
-        widths = np.diff(self.spec.grid.u), np.diff(self.spec.grid.x)
-        for w in widths:
-            w.setflags(write=False)
-        return widths
+    def cell_widths(self) -> np.ndarray:
+        """The cell widths of the grid in x, which weigh the energy's cells."""
+        dx = np.diff(self.spec.grid.x)
+        dx.setflags(write=False)
+        return dx
 
     @property
     def a_full(self) -> OperatorMatrix:
@@ -443,5 +442,5 @@ def energies(block: np.ndarray, op: ComposedOperator) -> np.ndarray:
     whole block would sum in another order.
     """
     d_u = op.apply_left(block)
-    dx = op.cell_widths[1]
+    dx = op.cell_widths
     return np.array([dx @ row for row in d_u * d_u])

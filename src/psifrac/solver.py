@@ -13,8 +13,9 @@ every row still iterating (at alpha = 1 two cumulative sums along every
 row) and does the elementwise work on the whole block; every
 operator call returns for each row bitwise what it returns for that row
 alone, so each row's report is the one its own loop would give.  A row
-leaves the block once it converges, reaches max_iter or repeats bitwise;
-`solve_between` is the block of one.
+leaves the block once it converges, reaches max_iter or repeats bitwise
+with a bound active (pinned), and its report holds the iterations it
+computed; `solve_between` is the block of one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .analysis import SubSuperPair, TentBasis
 from .core import Field, ProblemSpec
 from .operators import ComposedOperator, energies, energy
 
-__all__ = ["SolveReport", "picard_step", "picard_block", "solve_between", "comparison_check"]
+__all__ = ["SolveReport", "picard_block", "solve_between", "comparison_check"]
 
 STOPS = ("residual", "fixed point", "pinned", "max_iter")
 
@@ -42,8 +43,7 @@ class SolveReport:
     repeats bitwise with no bound active, its residual at the rounding
     floor), "pinned" (an iterate that repeats bitwise with a bound active:
     not converged) or "max_iter"; "degenerate" for the zero interval.
-    `solves` counts the solves computed; the iterations after a bitwise
-    repeat are recorded without one.
+    Each of the `iterations` made one solve.
     """
 
     converged: bool
@@ -59,7 +59,6 @@ class SolveReport:
     override: bool
     from_super: bool
     stop: str
-    solves: int
 
     @property
     def final_residual(self) -> float:
@@ -138,12 +137,9 @@ class _Record:
         self.damping_on = False
         self.converged = False
         self.stop = "max_iter"
-        self.iterations = 0
-        self.solves = 0
 
     def add(self, it: int, outside: int, residual: float, step: float, u_max: float) -> bool:
-        """Record iteration it; True once it converged."""
-        self.iterations = it
+        """Record iteration it; True once it converged or pinned."""
         self.activity.append(outside)
         self.residuals.append(residual)
         if self.damping_on:
@@ -156,38 +152,20 @@ class _Record:
             self.converged = True
             self.stop = "residual" if residual <= 100.0 * tol else "fixed point"
             return True
+        if step == 0.0:
+            # a bound is active, and every later iteration would repeat this one
+            self.stop = "pinned"
+            return True
         if not self.damping_on and it % 50 == 0 and it >= 50:
             if self.residuals[-1] >= self.residuals[-50]:
                 self.damping_on = True
         return False
 
-    def repeat(self, it: int, max_iter: int) -> None:
-        """Record iterations it + 1 .. max_iter of an iterate that repeated bitwise at it.
-
-        The solve, clip, count and residual are functions of u alone, and
-        damping leaves u as it is (0.5 * (u + u) == u), so each is the last
-        one.  The stop test saw these inputs at it and did not stop, so it
-        never does; only the damping switch, at the multiples of 50, is left.
-        """
-        self.stop = "pinned"
-        tail = max_iter - it
-        self.activity += self.activity[-1:] * tail
-        self.residuals += self.residuals[-1:] * tail
-        self.iterations = max_iter
-        if self.damping_on:
-            self.damped += tail
-            return
-        for later in range(50 * (it // 50 + 1), max_iter + 1, 50):
-            if self.residuals[later - 1] >= self.residuals[later - 50]:
-                self.damping_on = True
-                self.damped += max_iter - later
-                return
-
 
 def _report(rec, u, energy_u, m_u, pair, eps, from_super, verified) -> SolveReport:
     return SolveReport(
         converged=rec.converged,
-        iterations=rec.iterations,
+        iterations=len(rec.residuals),
         residual_history=tuple(rec.residuals),
         u=u,
         sandwich_ok=bool(np.all(u >= pair.phi - eps) and np.all(u <= pair.xi + eps)),
@@ -199,22 +177,7 @@ def _report(rec, u, energy_u, m_u, pair, eps, from_super, verified) -> SolveRepo
         override=not verified,
         from_super=from_super,
         stop=rec.stop,
-        solves=rec.solves,
     )
-
-
-def picard_step(
-    u_k: Field, pair: SubSuperPair, spec: ProblemSpec, op: ComposedOperator
-) -> Field:
-    """One frozen-coefficient solve followed by projection onto [phi, xi]."""
-    u_k = np.asarray(u_k, dtype=float)
-    if np.any(u_k[1:-1] <= 0.0):
-        raise ValueError("iterate must be strictly positive on the interior")
-    eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
-    if np.any(u_k < pair.phi - eps) or np.any(u_k > pair.xi + eps):
-        raise ValueError("iterate must lie in the order interval [phi, xi]")
-    v, _ = _Block(op, spec, [spec.lam], [pair], u_k[None]).step()
-    return v[0]
 
 
 def picard_block(
@@ -266,12 +229,9 @@ def picard_block(
         for i, (rec, out, res, step, top) in enumerate(
             zip(records, outside.tolist(), residuals.tolist(), steps.tolist(), u_max.tolist())
         ):
-            rec.solves += 1
-            if not (rec.add(it, out, res, step, top) or step == 0.0 or it == max_iter):
+            if not (rec.add(it, out, res, step, top) or it == max_iter):
                 keep.append(i)
                 continue
-            if step == 0.0 and not rec.converged:
-                rec.repeat(it, max_iter)
             j = rows[i]
             yield j, _report(
                 rec, v[i].copy(), float(block.energy[i]), float(block.m[i]), pairs[j],
@@ -294,7 +254,7 @@ def solve_between(
     from_super: bool = False,
     verified: bool = False,
 ) -> SolveReport:
-    """Iterate picard_step until the step and the nonlinear residual are small.
+    """Iterate the projected Picard step until the step and the nonlinear residual are small.
 
     Convergence requires both the sup step below tol*(1+|u|) and the
     nonlinear residual below 100*tol, or an iterate that repeats bitwise
@@ -304,13 +264,10 @@ def solve_between(
     damped averaging, which is counted in the report.  `verified=False`
     records that the caller skipped (or failed) pair verification.
 
-    An iterate that repeats bitwise (step exactly 0) is a fixed point of
-    the projected map, as it is below mu1 once u is pinned at phi.  Every
-    later iteration would recompute the same solve, projection count and
-    residual, so they are recorded without being recomputed; the report,
-    its iteration count, residual history and damped steps included, is
-    the same as if each iteration had been solved.  This is
-    `picard_block` with one pair.
+    An iterate that repeats bitwise (step exactly 0) with a bound active is
+    a fixed point of the projected map only, as below mu1 once u is pinned
+    at phi: the solve stops there with stop "pinned", not converged.  This
+    is `picard_block` with one pair.
     """
     ((_, report),) = picard_block(
         [pair], spec, [spec.lam], op, tol, max_iter, from_super, verified

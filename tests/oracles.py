@@ -21,9 +21,6 @@ product-integration rule written out on its own (entries bit for bit);
 does); and
 `stiffness_reference`, the alpha = 1 operator W^-1 K written out from its
 three diagonals (entries bit for bit);
-`repeat_reference`, the replay of a pinned Picard row's remaining
-iterations through its record's own stopping rule (records field for
-field);
 `tent_form_reference`, the operator summed tent by tent and cell by cell
 in one plain product, at every alpha (entries to rounding; at alpha = 1
 on the fields that vanish at 0), and
@@ -212,10 +209,10 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
     midpoint rule in x of the difference quotients of u, solves on the
     interior, counts and clips to [phi, xi], averages with the old iterate
     once damping is on, and stops when both the step and the residual are
-    small.  Nothing is skipped, so `psifrac.solver.solve_between` must
-    return the same report, bit for bit, whatever work it saves.  Its
-    `solves` are the iterations up to the first that repeats its iterate
-    bitwise (all of them if none does): only those can change the iterate.
+    small, or at the first iterate that repeats bitwise: with no bound
+    active that is a fixed point, converged whatever its residual, and
+    with one it is pinned, since every later iteration would repeat it.
+    `psifrac.solver.solve_between` must return the same report, bit for bit.
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
@@ -236,17 +233,16 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             override=not verified,
             from_super=from_super,
             stop="degenerate",
-            solves=0,
         )
     u = (pair.xi if from_super else pair.phi).copy()
     energy_u = _picard_energy(u, spec)
-    repeat = None
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
     residuals = []
     activity = []
     damped = 0
     damping_on = False
     converged = False
+    stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         rhs = _picard_reaction(u[1:-1], pair.phi[1:-1], spec) / spec.m(energy_u)
@@ -258,13 +254,15 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
             v = 0.5 * (v + u)
             damped += 1
         step = float(np.abs(v - u).max())
-        if step == 0.0 and repeat is None:
-            repeat = it
         u = v
         energy_u = _picard_energy(u, spec)
         residuals.append(_picard_residual(u, energy_u, pair, spec, op))
         if step <= tol * (1.0 + float(np.abs(u).max())) and residuals[-1] <= 100.0 * tol:
-            converged = True
+            converged, stop = True, "residual"
+            break
+        if step == 0.0:
+            converged = outside == 0
+            stop = "fixed point" if converged else "pinned"
             break
         if not damping_on and it % 50 == 0 and it >= 50:
             if residuals[-1] >= residuals[-50]:
@@ -283,22 +281,8 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
         damped_steps=damped,
         override=not verified,
         from_super=from_super,
-        stop=("residual" if converged else "max_iter" if repeat is None else "pinned"),
-        solves=it if repeat is None else repeat,
+        stop=stop,
     )
-
-
-def repeat_reference(rec, it: int, max_iter: int, u_max: float) -> None:
-    """Record iterations it + 1 .. max_iter of a row that repeated bitwise at it, one at a time.
-
-    `rec` is a `psifrac.solver._Record`; each later iteration goes through
-    its `add` with the last projection count and residual and a zero step,
-    as the loop that solved every iteration would have recorded it.
-    """
-    rec.stop = "pinned"
-    for later in range(it + 1, max_iter + 1):
-        if rec.add(later, rec.activity[-1], rec.residuals[-1], 0.0, u_max):
-            return
 
 
 def tent_reference(spec):

@@ -190,7 +190,7 @@ class TestSweepBlock:
             spec = dataclasses.replace(rc.spec, lam=lam)
             pair = cli.build_pair(spec, eig, e, rc.r)
             op_l = dataclasses.replace(op, spec=spec)
-            out[lam] = solve_between(pair, spec, op_l, tol=rc.tol, max_iter=rc.max_iter).solves
+            out[lam] = solve_between(pair, spec, op_l, tol=rc.tol, max_iter=rc.max_iter).iterations
         return out
 
     def test_failure_in_the_block_names_the_lambdas_still_iterating(
@@ -619,12 +619,13 @@ class TestDiagnostics:
         solve, picard = report["solve"], report["diagnostics"]["picard"]
         assert code == (0 if solve["converged"] else 2)
         assert picard["stop"] == stop
+        assert picard["solves"] == solve["iterations"]
         if stop == "residual":
-            assert picard["solves"] == solve["iterations"] and picard["pinned_nodes"] == 0
+            assert picard["pinned_nodes"] == 0
         else:
-            # pinned below mu1: the repeats are recorded, not solved
-            assert picard["solves"] < solve["iterations"] == 400
-            assert 10 * picard["pinned_nodes"] == solve["projection_last10"] > 0
+            # pinned below mu1: the solve stops at the first bitwise repeat
+            assert solve["iterations"] <= 5 and solve["damped_steps"] == 0
+            assert 0 < picard["pinned_nodes"] <= solve["projection_last10"]
         assert stop not in (out / "solve.csv").read_text()
 
     @pytest.mark.parametrize("sub", ["eigen", "solve", "verify", "sweep"])

@@ -1,6 +1,8 @@
-import copy
 import dataclasses
 import functools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psifrac.operators
-from oracles import newton_fd_bvp, picard_reference, repeat_reference
+from oracles import newton_fd_bvp, picard_reference
 from psifrac import (
     SolveReport,
     build_pair,
@@ -18,15 +20,14 @@ from psifrac import (
     make_spec,
     nonexistence_threshold,
     picard_block,
-    picard_step,
     principal_eigenpair,
     solve_e,
     solve_between,
 )
 from psifrac.analysis import SubSuperPair, TentBasis
+from psifrac.cli import main
 from psifrac.core import Nonlinearity, NonlinearityKind
 from psifrac.operators import assemble_composed
-from psifrac.solver import _Record
 
 KIRCHHOFF = {
     "constant": {},
@@ -79,39 +80,37 @@ def catalog_solution(catalog_pair, catalog_spec, catalog_op):
 
 
 class TestPicardStep:
+    """The projected Picard step, as the first iteration of `solve_between`."""
+
     def test_fixed_point_is_preserved(self, catalog_solution, catalog_pair, catalog_spec, catalog_op):
+        # one step from the solution, clipped at it from above and from below
+        # in turn: together the two clips leave the whole step
         u = catalog_solution.u
-        v = picard_step(u, catalog_pair, catalog_spec, catalog_op)
-        assert np.abs(v - u).max() <= 1e-8 * (1.0 + np.abs(u).max())
+        for phi, xi, from_super in ((catalog_pair.phi, u, True), (u, catalog_pair.xi, False)):
+            pair = SubSuperPair(phi=phi, xi=xi, r=catalog_pair.r, zeta=catalog_pair.zeta)
+            v = solve_between(pair, catalog_spec, catalog_op, max_iter=1, from_super=from_super).u
+            assert np.abs(v - u).max() <= 1e-8 * (1.0 + np.abs(u).max())
 
     def test_first_step_climbs_at_midpoint(self, catalog_pair, catalog_spec, catalog_op):
-        v = picard_step(catalog_pair.phi, catalog_pair, catalog_spec, catalog_op)
+        v = solve_between(catalog_pair, catalog_spec, catalog_op, max_iter=1).u
         mid = catalog_op.n // 2
         assert v[mid] > catalog_pair.phi[mid]
 
     def test_zero_reaction_clamps_to_phi(self, catalog_spec, catalog_eig, catalog_e, catalog_op):
         # with h == 0 the right side is negative, the raw solve lands below
-        # phi everywhere, and projection lifts it back exactly onto phi
+        # phi everywhere, and projection lifts it back exactly onto phi: the
+        # first step repeats phi bitwise with every interior node pinned
         spec = dataclasses.replace(catalog_spec, h=Nonlinearity(NonlinearityKind.ZERO))
         op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-        v = picard_step(pair.phi, pair, spec, op)
-        assert v == pytest.approx(pair.phi, abs=0)
+        res = solve_between(pair, spec, op)
+        assert res.u == pytest.approx(pair.phi, abs=0)
+        assert res.stop == "pinned" and res.iterations == 1 and not res.converged
+        assert res.pinned_nodes == spec.grid.n - 2
 
     def test_zero_rhs_solves_to_zero(self, catalog_op):
         v = catalog_op.solve_interior(np.zeros(catalog_op.n - 2))
         assert np.all(v == 0.0)
-
-    def test_nonpositive_iterate_rejected(self, catalog_pair, catalog_spec, catalog_op):
-        u = catalog_pair.phi.copy()
-        u[5] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            picard_step(u, catalog_pair, catalog_spec, catalog_op)
-
-    def test_out_of_interval_iterate_rejected(self, catalog_pair, catalog_spec, catalog_op):
-        u = catalog_pair.xi * 1.5
-        with pytest.raises(ValueError, match="order interval"):
-            picard_step(u, catalog_pair, catalog_spec, catalog_op)
 
 
 class TestSolveBetween:
@@ -150,21 +149,18 @@ class TestSolveBetween:
         op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
         res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
-        assert not res.converged
+        assert not res.converged and res.stop == "pinned"
         assert res.projection_activity[-1] > 0
         assert sum(res.projection_activity) > 100
-        # the stalled residual trips the oscillation detector, so the
-        # damped-averaging fallback is exercised and recorded
-        assert res.damped_steps > 0
 
     def test_pinned_iterate_is_not_solved_again_on_the_band(
         self, catalog_spec, catalog_eig, catalog_e, catalog_op, monkeypatch
     ):
-        # below mu1 the first step lands on phi and every later one repeats
-        # it bitwise; the report still counts all 120 iterations and the
-        # damping switch, but only the iterations up to the repeat solve.
-        # Solves are counted through the operator's own solve, which at
-        # alpha = 1 is the tridiagonal stiffness's two cumulative sums
+        # below mu1 the first step lands on phi and the next repeats it
+        # bitwise: the solve stops there, and its report counts the
+        # iterations it solved.  Solves are counted through the operator's
+        # own solve, which at alpha = 1 is the tridiagonal stiffness's two
+        # cumulative sums
         assert catalog_op.factorization == "stiffness"
         spec = dataclasses.replace(catalog_spec, lam=5.0)
         op = dataclasses.replace(catalog_op, spec=spec)
@@ -178,9 +174,8 @@ class TestSolveBetween:
 
         monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_block", counting)
         res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
-        assert 1 <= len(solves) <= 5
-        assert res.iterations == 120
-        assert res.damped_steps > 0
+        assert res.stop == "pinned" and res.iterations == len(solves) <= 5
+        assert res.damped_steps == 0
 
     def test_fixed_point_at_rounding_floor_converges(self):
         # at tol = 1e-14 the residual clause, residual <= 1e-12, cannot fire:
@@ -289,6 +284,17 @@ class TestMatchesReference:
             solve_between(pair, spec, op, **kw), picard_reference(pair, spec, op, **kw)
         )
 
+    def test_damped_row(self):
+        # exp_minus_one psi, nu = 0.3, lambda = 10.52 from phi at n = 65: the
+        # damping switch turns on at iteration 50 while the row still solves
+        spec = make_spec(alpha=1.0, grid_n=65, nu=0.3, psi="exp_minus_one", lam=10.52)
+        op = assemble_composed(spec)
+        pair = build_pair(spec, principal_eigenpair(op, tol=1e-9), solve_e(op), 0.8)
+        kw = dict(tol=1e-10, max_iter=400, verified=False)
+        res = solve_between(pair, spec, op, **kw)
+        assert_same_report(res, picard_reference(pair, spec, op, **kw))
+        assert 0 < res.damped_steps <= res.iterations - 50
+
 
 class TestPicardBlock:
     """Every row of the block against `solve_between` on its pair alone, field by field."""
@@ -317,11 +323,9 @@ class TestPicardBlock:
             assert_same_report(got[j], want)
         stops = [got[j].stop for j in range(len(self.LAMS))]
         assert stops[:2] == ["pinned", "pinned"] and stops[-3:] == ["residual"] * 3
-        # damped while still solving: more damped steps than recorded repeats
         by_lam = dict(zip(self.LAMS, (got[j] for j in range(len(self.LAMS)))))
         if damped is not None:
-            res = by_lam[damped]
-            assert res.damped_steps > res.iterations - res.solves
+            assert by_lam[damped].damped_steps > 0
 
     def test_fractional_rows_match_single_solves(self):
         # below alpha = 1 the block solves and multiplies row by row
@@ -350,7 +354,7 @@ class TestPicardBlock:
     def test_fixed_point_stop_is_reported(self):
         # test_fixed_point_at_rounding_floor_converges' solve, as the report names it
         res = _fixed_point_solve()
-        assert res.stop == "fixed point" and res.solves == res.iterations
+        assert res.stop == "fixed point"
         assert res.pinned_nodes == 0
 
     def test_mismatched_lambdas_rejected(self, catalog_pair, catalog_spec, catalog_op):
@@ -358,40 +362,41 @@ class TestPicardBlock:
             list(picard_block([catalog_pair] * 2, catalog_spec, [50.0], catalog_op))
 
 
-class TestRepeatInClosedForm:
-    """A pinned row's remaining iterations, written in closed form, against
-    their replay through `_Record.add`, field for field."""
+class TestReportCountsWorkDone:
+    """Every iteration a report counts was solved, pinned ones included."""
 
-    @settings(deadline=None, max_examples=300)
+    @staticmethod
+    def _check(res, max_iter):
+        assert len(res.residual_history) == len(res.projection_activity) == res.iterations
+        assert res.iterations <= max_iter
+        assert res.damped_steps <= max(0, res.iterations - 50)
+        if res.stop == "pinned":
+            assert not res.converged and res.pinned_nodes > 0
+
+    @settings(deadline=None, max_examples=40)
     @given(
-        it=st.integers(1, 260),
-        extra=st.integers(0, 300),
-        outside=st.integers(1, 50),
-        seed=st.integers(0, 2**32 - 1),
-        nans=st.integers(0, 3),
-        round_up=st.booleans(),
+        lam=st.floats(0.5, 100.0),
+        nu=st.floats(0.05, 0.95),
+        from_super=st.booleans(),
     )
-    def test_matches_replay(self, it, extra, outside, seed, nans, round_up):
-        # iterations 1 .. it with a step too large to stop on, then a
-        # bitwise repeat at it with a bound active: a pinned row.  The
-        # residuals wander, so the damping switch fires before it, in the
-        # tail (at max_iter too, a multiple of 50 half the time) or not at
-        # all; a NaN residual never switches it
-        max_iter = it + extra
-        if round_up:
-            max_iter = -(-max_iter // 50) * 50
-        rng = np.random.default_rng(seed)
-        residuals = np.exp(rng.normal(0.0, 2.0, it))
-        residuals[rng.integers(0, it, nans)] = np.nan
-        rec = _Record(1e-10)
-        for i, r in enumerate(residuals.tolist(), 1):
-            assert not rec.add(i, outside, r, 0.0 if i == it else 1.0, 1.0)
-        want = copy.deepcopy(rec)
-        rec.repeat(it, max_iter)
-        repeat_reference(want, it, max_iter, 1.0)
-        got, want = vars(rec), vars(want)
-        assert np.array_equal(got.pop("residuals"), want.pop("residuals"), equal_nan=True)
-        assert got == want
+    def test_property(self, lam, nu, from_super):
+        spec, op, pair = _at(33, "constant", lam, nu)
+        kw = dict(tol=1e-10, max_iter=120, from_super=from_super)
+        self._check(solve_between(pair, spec, op, **kw), 120)
+        lams = (2.0, lam, 60.0)
+        pairs = [_at(33, "constant", x, nu)[2] for x in lams]
+        rows = dict(picard_block(pairs, spec, lams, op, **kw))
+        assert sorted(rows) == [0, 1, 2]
+        for res in rows.values():
+            self._check(res, 120)
+        r = 0.5 * (1.0 / (1.0 + nu) + 1.0)
+        argv = ["solve", "--grid-n=33", f"--lambda={lam}", f"--nu={nu}", f"--r={r}", "--max-iter=120"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            main([*argv, *(["--from-super"] if from_super else []), "--output-dir", str(out)])
+            report = json.loads((out / "report.json").read_text())
+        solve, picard = report["solve"], report["diagnostics"]["picard"]
+        assert picard["solves"] == solve["iterations"] == len(solve["residual_history"])
 
 
 class TestComparisonCheck:
