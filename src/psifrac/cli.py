@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -121,10 +122,9 @@ def _stage(name):
     """Run one numerical stage: overflow, a non-finite array, a LinAlgError or no memory exits 2.
 
     Overflow and invalid operations raise where they happen; they, a failed
-    allocation, the finiteness checks of numpy and scipy (ValueErrors) and
-    the stage's own RuntimeErrors are re-raised as a RuntimeError that
-    names the stage.  `name` is the name, or a function that gives it at
-    the failure.
+    allocation, numpy's finiteness checks (ValueErrors) and the stage's own
+    RuntimeErrors are re-raised as a RuntimeError that names the stage.
+    `name` is the name, or a function that gives it at the failure.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -453,10 +453,12 @@ def run(rc: RunConfig) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # the options every subcommand shares live on one parent, whose actions
     # each subparser adopts as they are (add_argument per subparser would
-    # build a help formatter for each option)
+    # build a help formatter for each option); built once per process, since
+    # parsing leaves the parser as it was
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key = value config file")
     common.add_argument("--output-dir", type=Path, required=True)

@@ -10,6 +10,7 @@ by tests instead of being assumed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,6 +261,19 @@ class Nonlinearity:
     shift: float = 0.0
 
     def __call__(self, s):
+        if isinstance(s, float):
+            # bitwise the array path below, without a 0-d array per call
+            s = float(s)  # not a numpy scalar
+            pos = s if not s <= 0.0 else 0.0  # np.maximum(s, 0.0): nan stays, -0.0 becomes 0.0
+            if self.kind is NonlinearityKind.SQRT:
+                return math.sqrt(pos) - self.shift
+            if self.kind is NonlinearityKind.LOG1P:
+                # math.log1p rounds differently from numpy's
+                return float(np.log1p(pos)) - self.shift
+            if self.kind is NonlinearityKind.ZERO:
+                return 0.0 - self.shift
+            if s != -1.0:  # numpy divides by zero there
+                return self.c * s / (1.0 + s) - self.shift
         s = np.asarray(s, dtype=float)
         if self.kind is NonlinearityKind.SQRT:
             out = np.sqrt(np.maximum(s, 0.0))

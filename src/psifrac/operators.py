@@ -14,10 +14,10 @@ square and upper-triangular.  Neither K nor A is formed.
 
 At alpha = 1 the tent derivatives are steps, V is upper-bidiagonal and K
 is the P1 stiffness matrix: only the cell widths and the tent masses are
-kept, products are two difference passes and solves two cumulative sums,
-in numpy alone.  Below alpha = 1 the table is kept: products are two
-passes over it and solves two triangular solves with it (LAPACK dtrtrs,
-so scipy.linalg loads only there).
+kept, products are two difference passes and solves two cumulative sums.
+Below alpha = 1 the table is kept: products are two passes over it and
+solves two block triangular solves with it, by the inverses of its
+diagonal blocks.  Every alpha runs in numpy alone.
 
 At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
 D_left u: the table's values below alpha = 1, and at alpha = 1 the
@@ -49,6 +49,9 @@ __all__ = [
     "energies",
     "tent_masses",
 ]
+
+# rows per diagonal block of the tent table's triangular solves
+_TRI_BLOCK = 128
 
 
 def _by_row(fn, x: np.ndarray) -> np.ndarray:
@@ -107,18 +110,60 @@ class _Stiffness:
         return np.cumsum(s, axis=-1, out=s)[..., :-1]
 
 
-def _k_solve(table: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K^-1 b, K = V V^T: two solves with V^T = table[1:].T, F-ordered and read in place.
+def _diagonal_blocks(a: np.ndarray, s: int) -> np.ndarray:
+    """The s x s diagonal blocks of each matrix of the stack a, as a writeable view."""
+    k, m, _ = a.shape
+    st = a.strides
+    shape, strides = (k, m // s, s, s), (st[0], s * (st[1] + st[2]), st[1], st[2])
+    return np.lib.stride_tricks.as_strided(a, shape, strides)
 
-    scipy.linalg loads here, at the first solve below alpha = 1, and not at alpha = 1.
+
+def _block_inverses(v: np.ndarray) -> np.ndarray:
+    """The inverses of the upper-triangular v's diagonal blocks of _TRI_BLOCK rows, stacked.
+
+    The last block is padded with the identity.  The blocks are inverted in
+    place, all at once, by doubling: inv [[A, B], [0, C]] =
+    [[A^-1, -A^-1 B C^-1], [0, C^-1]].  A zero on v's diagonal raises
+    LinAlgError.
     """
-    from scipy.linalg.lapack import dtrtrs
+    m = len(v)
+    inv = np.zeros((-(-m // _TRI_BLOCK), _TRI_BLOCK, _TRI_BLOCK))
+    for k, lo in enumerate(range(0, m, _TRI_BLOCK)):
+        hi = min(lo + _TRI_BLOCK, m)
+        inv[k, : hi - lo, : hi - lo] = v[lo:hi, lo:hi]
+    pivots = _diagonal_blocks(inv, 1)[..., 0, 0]
+    pivots[-1, m - _TRI_BLOCK * (len(inv) - 1) :] = 1.0
+    if not np.all(pivots != 0.0):
+        row = 1 + int(np.flatnonzero(pivots == 0.0)[0])
+        raise np.linalg.LinAlgError(f"the tent table has a zero on its diagonal (row {row})")
+    np.divide(1.0, pivots, out=pivots)
+    s = 1
+    while s < _TRI_BLOCK:
+        pairs = _diagonal_blocks(inv, 2 * s)
+        # B is read before its place takes -A^-1 B C^-1
+        pairs[..., :s, s:] = -(pairs[..., :s, :s] @ pairs[..., :s, s:]) @ pairs[..., s:, s:]
+        s *= 2
+    return inv
 
-    for trans in (1, 0):
-        b, info = dtrtrs(table[1:].T, b, lower=1, trans=trans)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs on the tent table failed (info {info})")
-    return b
+
+def _k_solve(v: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b, K = V V^T with V = v upper-triangular, by block back-substitution.
+
+    V y = b goes backwards and V^T x = y forwards, right-looking, block by
+    block of _TRI_BLOCK rows with the inverses `inv` of V's diagonal
+    blocks: both passes read V's rows right of the diagonal block.
+    """
+    m = len(v)
+    x = b.copy()
+    starts = range(0, m, _TRI_BLOCK)
+    for k in reversed(starts):
+        hi = min(k + _TRI_BLOCK, m)
+        x[k:hi] = inv[k // _TRI_BLOCK, : hi - k, : hi - k] @ (x[k:hi] - v[k:hi, hi:] @ x[hi:])
+    for k in starts:
+        hi = min(k + _TRI_BLOCK, m)
+        x[k:hi] = inv[k // _TRI_BLOCK, : hi - k, : hi - k].T @ x[k:hi]
+        x[hi:] -= x[k:hi] @ v[k:hi, hi:]
+    return x
 
 
 @dataclass(frozen=True)
@@ -126,7 +171,8 @@ class _Tents:
     """A = W^-1 K below alpha = 1, kept as the table of tent derivatives.
 
     V = table[1:] is square and upper-triangular: its rows are the interior
-    tents and the half tent at T, its columns the cells, and K = V V^T.  The
+    tents and the half tent at T, its columns the cells, and K = V V^T.  `inv`
+    holds the inverses of V's diagonal blocks, which K's solves use.  The
     interior block K_int is K's leading block, so K_int x = b is K z = (b, 0)
     less the multiple of g = K^-1 e_last that zeroes z's last entry.
     """
@@ -134,6 +180,7 @@ class _Tents:
     table: np.ndarray
     w: np.ndarray
     root_du: np.ndarray
+    inv: np.ndarray
     g: np.ndarray
     kind = "tent table"
 
@@ -146,8 +193,11 @@ class _Tents:
     @classmethod
     def of(cls, table: np.ndarray, w: np.ndarray, du: np.ndarray) -> _Tents:
         # the table is checked once, as a dense LU checks its matrix
-        last = np.append(np.zeros(len(table) - 2), 1.0)
-        return cls(table, w, np.sqrt(du), _k_solve(np.asarray_chkfinite(table), last))
+        v = np.asarray_chkfinite(table)[1:]
+        inv = _block_inverses(v)
+        inv.setflags(write=False)
+        last = np.append(np.zeros(len(v) - 1), 1.0)
+        return cls(table, w, np.sqrt(du), inv, _k_solve(v, inv, last))
 
     def times(self, f: np.ndarray) -> np.ndarray:
         out = f.copy()  # unit boundary rows
@@ -163,7 +213,7 @@ class _Tents:
         return _by_row(self._solve, np.asarray_chkfinite(rhs))
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = _k_solve(self.table, np.append(self.w * rhs, 0.0))
+        z = _k_solve(self.table[1:], self.inv, np.append(self.w * rhs, 0.0))
         return z[:-1] - (z[-1] / self.g[-1]) * self.g[:-1]
 
 

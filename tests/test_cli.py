@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
 from oracles import build_parser_reference, write_csv_reference
 import psifrac
@@ -494,21 +493,25 @@ class TestRunConfigValidation:
         assert code == 2 and report is None
         assert "numerical failure: principal eigenpair: overflow" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("info", [-2, 1])
+    @pytest.mark.parametrize("i", [-2, 1])
     def test_failed_triangular_solve_is_a_numerical_failure(
-        self, tmp_path, capsys, monkeypatch, info
+        self, tmp_path, capsys, monkeypatch, i
     ):
-        # the tent table's solves import dtrtrs from scipy at their first call
-        real = scipy.linalg.lapack.dtrtrs
+        # a zero on the diagonal of V = table[1:] leaves the tent table's
+        # triangular solves without a pivot
+        real = psifrac.operators._tent_table
 
-        def failing(*args, **kwargs):
-            return real(*args, **kwargs)[0], info
+        def singular(u, alpha):
+            table = real(u, alpha)
+            table[1:][i, i] = 0.0
+            return table
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", failing)
+        monkeypatch.setattr(psifrac.operators, "_tent_table", singular)
         code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
         assert code == 2 and report is None
+        row = 1 + i % 32
         err = capsys.readouterr().err
-        assert f"numerical failure: assembly: dtrtrs on the tent table failed (info {info})" in err
+        assert f"numerical failure: assembly: the tent table has a zero on its diagonal (row {row})" in err
 
     @pytest.mark.parametrize(
         "exc, shown",
@@ -673,25 +676,20 @@ def test_the_cli_does_not_load_scipy_special():
     assert _probe("import sys, psifrac.cli; print('scipy.special' in sys.modules)") == "False"
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["eigen"], False),
-        (["solve"], False),
-        (["verify"], False),
-        (["sweep", *TestDiagnostics.SWEEP], False),
-        (["eigen", "--alpha", "0.75"], True),
-    ],
-)
-def test_scipy_loads_only_below_alpha_one(tmp_path, argv, loaded):
-    # at alpha = 1 the pipeline runs in numpy alone; below, the tent
-    # table's triangular solves load scipy.linalg
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_no_run_loads_scipy(tmp_path, sub):
+    # every pipeline runs in numpy alone, at alpha = 1 and below
+    extra = TestDiagnostics.SWEEP if sub == "sweep" else []
+    runs = [
+        [sub, *extra, "--alpha", alpha, "--grid-n", "33", "--output-dir", str(tmp_path / alpha)]
+        for alpha in ("1", "0.75")
+    ]
     code = (
         "import sys, psifrac.cli; "
-        f"code = psifrac.cli.main({[*argv, '--grid-n', '33', '--output-dir', str(tmp_path)]!r}); "
-        "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)"
+        f"codes = [psifrac.cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, 'scipy' in sys.modules)"
     )
-    assert _probe(code) == f"0 {loaded} {loaded}"
+    assert _probe(code) == "[0, 0] False"
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psifrac import Side, frac_integral_matrix, make_spec, validate_spec
 from psifrac.config import parse_config_text
@@ -102,6 +105,30 @@ def test_h_nondecreasing_and_sublinear(h):
     if h.kind is not NonlinearityKind.ZERO:
         # h(s)/s at 1e6 below 1e-2 of its value at 1
         assert abs((h(1e6) / 1e6) / (h(1.0) / 1.0)) < 1e-2
+
+
+SPECIAL_S = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, -1.0, 1.0, 1.7976931348623157e308,
+]  # fmt: skip
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(NonlinearityKind),
+    s=st.one_of(st.sampled_from(SPECIAL_S), st.floats()),
+    c=st.floats(1e-3, 1e3),
+    shift=st.sampled_from([0.0, 0.25]),
+)
+def test_h_of_a_float_is_bitwise_its_array_path(kind, s, c, shift):
+    # a Python float (or a numpy scalar) takes h's float path, a 0-d array
+    # the array path; signed zeros and nan payloads count
+    h = Nonlinearity(kind, c, shift)
+    with np.errstate(all="ignore"):
+        want = h(np.asarray(s))
+        for got in (h(s), h(np.float64(s))):
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 @pytest.mark.parametrize("m", ALL_M, ids=lambda m: m.kind.value)
