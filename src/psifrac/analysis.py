@@ -9,13 +9,14 @@ the pair against every interior tent test function.
 
 The verifier evaluates the bilinear form of a candidate field against
 every interior tent test function (piecewise linear in the transformed
-variable u).  That form is the operator's, W (A u) with W the tent
-masses, at every alpha: A = W^-1 K with K the cell-midpoint rule of the
-tent derivatives' products (see `operators`), at alpha = 1, where the
-tent derivatives are steps, the P1 stiffness.  The energy
-is the same cell-midpoint rule of D_left u, so the solve, the energy and
-the verifier share one discretization, and the form of e is the tent
-mass: the supersolution chain holds discretely.
+variable u), and the reaction side against the same tents by their
+masses.  Both are the operator's pair (K, W): K u is `ComposedOperator.form`,
+the cell-midpoint rule of the tent derivatives' products (see
+`operators`; at alpha = 1, where the tent derivatives are steps, the P1
+stiffness), and W its `w`.  The energy is the same cell-midpoint rule of
+D_left u, so the solve, the energy and the verifier share one
+discretization, and the form of e is the tent mass: the supersolution
+chain holds discretely.
 """
 
 from __future__ import annotations
@@ -219,20 +220,15 @@ def build_pair(
 
 
 class TentBasis:
-    """The interior tent test functions: their masses and the bilinear form against them.
+    """The masses of the tents at every node, which integrate in du = psi' dx.
 
-    The tent at node i is piecewise linear in u with value 1 at u_i and 0
-    at its neighbors.  The form of u against the tents is the operator's,
-    W (A u) (see `operators`), and the tent masses W (`node_weights`)
-    integrate in du = psi' dx, so the form of e is the tent mass (A e = 1).
+    The verifier reads the interior masses and the tent form from the
+    operator (`ComposedOperator.w` and `form`); the package builds no
+    TentBasis.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.node_weights = tent_masses(spec.grid.u)
-
-    def form(self, u: np.ndarray, op: ComposedOperator) -> np.ndarray:
-        """The form of u against every interior tent: W (A u)."""
-        return self.node_weights[1:-1] * op.apply_full(u)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -269,11 +265,11 @@ def _checked_interior(u: np.ndarray, n: int, side: str) -> np.ndarray:
 
 
 def _verdict(
-    side: str, left: np.ndarray, ui: np.ndarray, spec: ProblemSpec, basis: TentBasis
+    side: str, left: np.ndarray, ui: np.ndarray, spec: ProblemSpec, w: np.ndarray
 ) -> VerifyReport:
-    """Margins, tolerance and verdict of a field from its left side and interior values."""
+    """Margins, tolerance and verdict of a field from its left side, interior and tent masses w."""
     react = spec.lam * (spec.h(ui) - ui ** (-spec.nu))
-    right = react * basis.node_weights[1:-1]
+    right = react * w
     margins = (right - left) if side == "sub" else (left - right)
     tol_margin = 1e-8 * (1.0 + float(np.abs(right).max()))
     worst = int(np.argmin(margins))
@@ -287,28 +283,22 @@ def _verdict(
     )
 
 
-def verify_weak_inequality(
-    u: Field,
-    op: ComposedOperator,
-    side: str,
-    basis: TentBasis | None = None,
-) -> VerifyReport:
+def verify_weak_inequality(u: Field, op: ComposedOperator, side: str) -> VerifyReport:
     """Check the weak inequality of the given side against all interior tents.
 
     For each interior test function w_i computes
-    L_i = M(energy(u)) * int (D_left u)(D_left w_i), the form of
-    `TentBasis.form`, and R_i = lambda * int (h(u) - u^-nu) w_i by the tent
-    masses, both in the transformed variable psi(x) (energy(u) integrates
-    in x); the margin is R_i - L_i for side="sub" (must be >= -tol_margin) and
-    L_i - R_i for side="super".  tol_margin = 1e-8 * (1 + sup|R|).
+    L_i = M(energy(u)) * int (D_left u)(D_left w_i), the row i of K u
+    (`op.form`), and R_i = lambda * int (h(u) - u^-nu) w_i by the tent
+    masses `op.w`, both in the transformed variable psi(x) (energy(u)
+    integrates in x); the margin is R_i - L_i for side="sub" (must be
+    >= -tol_margin) and L_i - R_i for side="super".
+    tol_margin = 1e-8 * (1 + sup|R|).
     """
     spec = op.spec
     u = np.asarray(u, dtype=float)
     ui = _checked_interior(u, spec.grid.n, side)
-    if basis is None:
-        basis = TentBasis(spec)
-    left = spec.m(energy(u, op)) * basis.form(u, op)
-    return _verdict(side, left, ui, spec, basis)
+    left = spec.m(energy(u, op)) * op.form(u)
+    return _verdict(side, left, ui, spec, op.w)
 
 
 def nonexistence_threshold(lambda1: float, zeta_inf: float, a: float) -> float:
@@ -322,7 +312,7 @@ def nonexistence_threshold(lambda1: float, zeta_inf: float, a: float) -> float:
 _LAMBDA_BLOCK = 32
 
 
-def _sub_passes(spec, p, energy_p, form_p, basis, lams) -> list[bool]:
+def _sub_passes(spec, p, energy_p, form_p, w, lams) -> list[bool]:
     """Whether phi = s p passes the sub side at each (lambda, s = lambda^r) of `lams`.
 
     The rows of the block are the fields s p; the checks and the arithmetic
@@ -339,7 +329,7 @@ def _sub_passes(spec, p, energy_p, form_p, basis, lams) -> list[bool]:
         for row in u:
             _checked_interior(row, spec.grid.n, "sub")
     react = lam * (spec.h(ui) - ui ** (-spec.nu))
-    right = react * basis.node_weights[1:-1]
+    right = react * w
     tol_margin = 1e-8 * (1.0 + np.abs(right).max(axis=1))
     return ((right - left).min(axis=1) >= -tol_margin).tolist()
 
@@ -377,16 +367,15 @@ def empirical_mu2(
     # build_pair's refusals, in its order; p is phi at lambda = 1
     e = _positive_e(e)
     p = build_subsolution(1.0, r, spec.nu, eig)
-    basis = TentBasis(spec)
-    energy_p, form_p = energy(p, op), basis.form(p, op)
-    energy_e, form_e = energy(e, op), basis.form(e, op)
+    energy_p, form_p = energy(p, op), op.form(p)
+    energy_e, form_e = energy(e, op), op.form(e)
     # the grid by repeated addition, each lambda with its scalar lambda^r
     grid = []
     lam = 1.0
     while lam <= lam_max + 1e-12:
         grid.append((lam, lam**r))
         lam += step
-    sub_passes = functools.partial(_sub_passes, spec, p, energy_p, form_p, basis)
+    sub_passes = functools.partial(_sub_passes, spec, p, energy_p, form_p, op.w)
     for lo in range(0, len(grid), _LAMBDA_BLOCK):
         block = grid[lo : lo + _LAMBDA_BLOCK]
         try:
@@ -402,6 +391,6 @@ def empirical_mu2(
                 z = pair.zeta
                 left = spec.m(z * z * energy_e) * (z * form_e)
                 xi_int = _checked_interior(pair.xi, n, "super")
-                if _verdict("super", left, xi_int, trial, basis).passed:
+                if _verdict("super", left, xi_int, trial, op.w).passed:
                     return lam
     return None

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    TentBasis,
     build_pair,
     empirical_mu2,
     linear_majorant,
@@ -217,9 +216,8 @@ def _cmd_eigen(rc: RunConfig) -> tuple[int, dict]:
 def _verify_both(rc: RunConfig, op, eig, e):
     with _stage("verification"):
         pair = build_pair(rc.spec, eig, e, rc.r)
-        basis = TentBasis(rc.spec)
-        sub = verify_weak_inequality(pair.phi, op, "sub", basis)
-        sup = verify_weak_inequality(pair.xi, op, "super", basis)
+        sub = verify_weak_inequality(pair.phi, op, "sub")
+        sup = verify_weak_inequality(pair.xi, op, "super")
     return pair, sub, sup
 
 

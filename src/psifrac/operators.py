@@ -1,16 +1,20 @@
 """The composed Kirchhoff differential operator, its eigenpair, and helpers.
 
-The operator A realizes u -> D_right(D_left u) with homogeneous Dirichlet
-data: its two boundary rows are unit rows.  All solves work on the
-interior block, with what the assembly stored; the stored objects are
-immutable afterwards.
+The operator realizes u -> D_right(D_left u) with homogeneous Dirichlet
+data as the pair (K, W) of the weak form (Ervin & Roop 2006):
+K_ij = int (D_left w_i)(D_left w_j) du over the tents w_i, piecewise
+linear in u = psi(x), by the cell-midpoint rule, and W the tent masses.
+`ComposedOperator.form` is K on the interior rows, `solve_form` solves the
+interior block K_int, and `w` holds W's interior diagonal.  The verifier,
+the comparison check and `empirical_mu2` read K u and W directly; the
+eigen solve and Picard want A = W^-1 K and divide by w (or multiply a
+right side by it) in place.  Neither K nor A is formed, and all solves
+work with what the assembly stored, immutable afterwards.
 
-At every alpha, A = W^-1 K is the weak form the verifier integrates
-(Ervin & Roop 2006): K_ij = int (D_left w_i)(D_left w_j) du over the tents
-w_i, piecewise linear in u = psi(x), by the cell-midpoint rule, and W the
-tent masses.  K = V V^T is symmetric positive definite, so A has a real
-spectrum; V, the table of tent derivatives at the cell midpoints, is
-square and upper-triangular.  Neither K nor A is formed.
+K = V V^T is symmetric positive definite, so the pencil (K, W) has a
+real spectrum; V, the table of tent derivatives at the cell midpoints, is
+square and upper-triangular.  Its row 0 is zero: the value at node 0
+enters no form, left derivative or energy, at any alpha.
 
 At alpha = 1 the tent derivatives are steps, V is upper-bidiagonal and K
 is the P1 stiffness matrix: only the cell widths and the tent masses are
@@ -23,7 +27,7 @@ At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
 D_left u: the table's values below alpha = 1, and at alpha = 1 the
 difference quotients of u.
 
-Products, left derivatives, solves and energies also take a block of
+Forms, left derivatives, solves and energies also take a block of
 fields, one per row (the Picard sweep's lambda values), and return for
 each row bitwise what they return for that row alone.
 """
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _BLOCK, OperatorMatrix
+from .calculus import _BLOCK
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -64,12 +68,12 @@ def _by_row(fn, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stiffness:
-    """A = W^-1 K at alpha = 1, K = V V^T the P1 stiffness, kept as the cell widths and tent masses.
+    """K at alpha = 1, V V^T the P1 stiffness, kept as the cell widths and tent masses.
 
     V is upper-bidiagonal, V[k, k] = 1/sqrt(du_k) and V[k, k+1] =
     -1/sqrt(du_{k+1}), so (K f)_i = s_{i-1} - s_i with s the slopes of f on
-    the cells: a product is two difference passes and a solve two
-    cumulative sums, elementwise along each row of a block.
+    the cells, the first f_1/du_0: a product is two difference passes and a
+    solve two cumulative sums, elementwise along each row of a block.
     """
 
     du: np.ndarray
@@ -81,28 +85,23 @@ class _Stiffness:
         return (1, 1)
 
     def left(self, f: np.ndarray) -> np.ndarray:
-        return np.diff(f) / self.du
+        d = np.diff(f)
+        d[..., 0] = f[..., 1]  # f_0 enters nothing, as below alpha = 1
+        return d / self.du
 
-    def times(self, f: np.ndarray) -> np.ndarray:
-        out = f.copy()  # unit boundary rows
+    def form(self, f: np.ndarray) -> np.ndarray:
         s = self.left(f)
-        np.subtract(s[..., :-1], s[..., 1:], out=out[..., 1:-1])
-        out[..., 1:-1] /= self.w
-        return out
+        return s[..., :-1] - s[..., 1:]
 
-    def dense(self) -> np.ndarray:
-        return self.times(np.eye(len(self.du) + 1)).T
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K_int x = W rhs in slope form: the slopes s_k = s_0 - (b_1 + ... + b_k).
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K_int x = b in slope form: the slopes s_k = s_0 - (b_1 + ... + b_k).
 
         x(T) = 0 fixes s_0 = sum_k du_k (b_1 + ... + b_k) / (u_{n-1} - u_0),
         and x is the cumulative sum of du * s without its last entry.
         """
-        rhs = np.asarray_chkfinite(rhs)
-        c = np.zeros(rhs.shape[:-1] + self.du.shape)
-        np.multiply(self.w, rhs, out=c[..., 1:])
-        np.cumsum(c[..., 1:], axis=-1, out=c[..., 1:])
+        b = np.asarray_chkfinite(b)
+        c = np.zeros(b.shape[:-1] + self.du.shape)
+        np.cumsum(b, axis=-1, out=c[..., 1:])
         s = np.multiply(c, self.du)
         s0 = np.sum(s, axis=-1, keepdims=True) / self.span
         np.subtract(s0, c, out=s)
@@ -168,7 +167,7 @@ def _k_solve(v: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Tents:
-    """A = W^-1 K below alpha = 1, kept as the table of tent derivatives.
+    """K below alpha = 1, kept as the table of tent derivatives.
 
     V = table[1:] is square and upper-triangular: its rows are the interior
     tents and the half tent at T, its columns the cells, and K = V V^T.  `inv`
@@ -199,33 +198,27 @@ class _Tents:
         last = np.append(np.zeros(len(v) - 1), 1.0)
         return cls(table, w, np.sqrt(du), inv, _k_solve(v, inv, last))
 
-    def times(self, f: np.ndarray) -> np.ndarray:
-        out = f.copy()  # unit boundary rows
-        out[..., 1:-1] = _by_row(lambda r: self.table[1:-1] @ (r @ self.table) / self.w, f)
-        return out
+    def form(self, f: np.ndarray) -> np.ndarray:
+        return _by_row(lambda r: self.table[1:-1] @ (r @ self.table), f)
 
-    def dense(self) -> np.ndarray:
-        a = np.eye(len(self.table))
-        a[1:-1] = self.table[1:-1] @ self.table.T / self.w[:, None]
-        return a
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _by_row(self._solve, np.asarray_chkfinite(b))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _by_row(self._solve, np.asarray_chkfinite(rhs))
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = _k_solve(self.table[1:], self.inv, np.append(self.w * rhs, 0.0))
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        z = _k_solve(self.table[1:], self.inv, np.append(b, 0.0))
         return z[:-1] - (z[-1] / self.g[-1]) * self.g[:-1]
 
 
 @dataclass(frozen=True)
 class ComposedOperator:
-    """Dirichlet realization of D_right(D_left u) on the grid, in weak form below alpha = 1.
+    """Dirichlet realization of D_right(D_left u) on the grid, as the pair (K, W).
 
-    Field indices stay aligned with grid nodes (unit boundary rows of A).
-    `_a` holds A as the assembly built it, with what its solves use: the
-    cell widths and tent masses at alpha = 1, the tent table below.
-    `a_full` and `interior_block()` build the dense matrices on request,
-    for tests only.
+    `form` is K on the interior rows, the form of a field against every
+    interior tent, and `w` the interior tent masses; A = W^-1 K is never
+    formed, and a caller that wants it divides by `w` (or multiplies a
+    right side by it) where it says so.  `_a` holds K as the assembly
+    built it, with what its solves use: the cell widths and tent masses at
+    alpha = 1, the tent table below.
     """
 
     spec: ProblemSpec
@@ -235,17 +228,17 @@ class ComposedOperator:
     def n(self) -> int:
         return self.spec.grid.n
 
+    @property
+    def w(self) -> np.ndarray:
+        """The interior tent masses, W's diagonal."""
+        return self._a.w
+
     @functools.cached_property
     def cell_widths(self) -> np.ndarray:
         """The cell widths of the grid in x, which weigh the energy's cells."""
         dx = np.diff(self.spec.grid.x)
         dx.setflags(write=False)
         return dx
-
-    @property
-    def a_full(self) -> OperatorMatrix:
-        """A as a dense matrix, boundary rows included."""
-        return OperatorMatrix(self._a.dense())
 
     @property
     def factorization(self) -> str:
@@ -257,41 +250,38 @@ class ComposedOperator:
         """(kl, ku) of the interior block: (1, 1) at alpha = 1, full below."""
         return self._a.bandwidth()
 
-    def interior_block(self) -> np.ndarray:
-        return self._a.dense()[1:-1, 1:-1]
+    def form(self, f: Field) -> np.ndarray:
+        """K f on the interior rows: the form of f against every interior tent.
 
-    def solve_block(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """The interior block's solve: A_int^{-1} rhs, without boundary entries.
+        f holds all n nodal values, or is a block of such fields, one per
+        row (each row's form bitwise its own); f_0 enters nothing.
+        """
+        return self._a.form(np.asarray(f, dtype=float))
 
-        rhs may be a block with one right-hand side per row; row j of the
+    def solve_form(self, b: np.ndarray) -> np.ndarray:
+        """K_int^-1 b, without boundary entries: the interior field whose form is b.
+
+        b may be a block with one right-hand side per row; row j of the
         result is bitwise the solve of row j alone.
         """
-        return self._a.solve(rhs_interior)
-
-    def apply_block(self, v: np.ndarray) -> np.ndarray:
-        """The interior block's product: A_int v, without boundary entries."""
-        # zero boundary values add exact zeros to the interior rows
-        return self.apply_full(np.concatenate(([0.0], v, [0.0])))[1:-1]
+        return self._a.solve(b)
 
     def solve_interior(self, rhs_interior: np.ndarray) -> Field:
-        """Solve A u = rhs on the interior with zero Dirichlet data."""
+        """Solve A u = rhs on the interior with zero Dirichlet data: K_int u = W rhs."""
         rhs_interior = np.asarray(rhs_interior, dtype=float)
         if rhs_interior.shape != (self.n - 2,):
             raise ValueError(
                 f"rhs length {rhs_interior.shape} does not match interior size {self.n - 2}"
             )
         out = np.zeros(self.n)
-        out[1:-1] = self.solve_block(rhs_interior)
+        out[1:-1] = self.solve_form(self.w * rhs_interior)
         return out
-
-    def apply_full(self, f: Field) -> Field:
-        """A f, of a field or of each row of a block (bitwise the row's own product)."""
-        return self._a.times(np.asarray(f, dtype=float))
 
     def apply_left(self, f: Field) -> np.ndarray:
         """D_left f at the cell midpoints: difference quotients at alpha = 1, the table below.
 
-        Of a field, or of each row of a block (bitwise the row's own).
+        Of a field, or of each row of a block (bitwise the row's own); f_0
+        enters nothing.
         """
         return self._a.left(np.asarray(f, dtype=float))
 
@@ -310,7 +300,7 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
     same combination of the kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).
     K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The table
     holds sqrt(du_m) T_i(um) in row i, column m, built in blocks of _BLOCK
-    tents; row 0 is zero and row n-1 is the half tent at T, so that A also
+    tents; row 0 is zero and row n-1 is the half tent at T, so that K also
     acts on fields with u(T) != 0.  Tent i vanishes on the cells before
     cell i-1, so rows 1 .. n-1 are upper-triangular.
     """
@@ -341,10 +331,10 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
-    A is the tent form W^-1 K at every alpha.  At alpha = 1 it is kept as
-    the cell widths and tent masses (K the P1 stiffness); below, as the
-    table of `_tent_table`, which also gives D_left at the cell midpoints.
-    Rows 0 and n-1 are unit rows enforcing u = 0 at the boundary.
+    K is the tent form at every alpha.  At alpha = 1 it is kept as the
+    cell widths and tent masses (K the P1 stiffness); below, as the table
+    of `_tent_table`, which also gives D_left at the cell midpoints.  Only
+    the interior rows are kept: u = 0 at both ends.
     """
     bad = validate_spec(spec)
     if bad:
@@ -405,7 +395,7 @@ def _inverse_arnoldi(op: ComposedOperator, k: int, tol: float) -> tuple[np.ndarr
     hess = np.zeros((k + 1, k))
     basis[:, 0] = 1.0 / np.sqrt(op.n - 2)
     for j in range(k):
-        w = op.solve_block(basis[:, j])
+        w = op.solve_form(op.w * basis[:, j])
         for _ in range(2):
             c = basis[:, : j + 1].T @ w
             w -= basis[:, : j + 1] @ c
@@ -426,10 +416,10 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
     """Smallest-magnitude eigenpair by one pass of shift-invert Arnoldi on the cached factors.
 
     Builds at most k = min(20, n - 2) Arnoldi vectors of A^{-1} from the
-    ones vector, through the interior block's solve, and stops once the
-    dominant Ritz pair's residual bound is a tenth of the acceptance
-    threshold.  That pair approximates (1/lambda1, psi1): the spectrum is
-    real (below alpha = 1 A = W^-1 K is similar to the symmetric
+    ones vector, A^{-1} x = K_int^{-1} (W x) by `solve_form`, and stops
+    once the dominant Ritz pair's residual bound is a tenth of the
+    acceptance threshold.  That pair approximates (1/lambda1, psi1): the
+    spectrum is real (A = W^-1 K is similar to the symmetric
     W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz vector and
     its Rayleigh quotient give the pair, accepted if its eigen-residual is
     at most 10 * tol * |lambda1|.  `iterations` counts the interior solves,
@@ -437,13 +427,14 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
     RuntimeError otherwise, with the residual and its threshold.
     """
     x, mus = _inverse_arnoldi(op, min(20, op.n - 2), tol)
-    w = op.solve_block(x)
+    w = op.solve_form(op.w * x)
     solves = len(mus) + 1
     # sup-normalize, then orient by the dominant component
     v = w / np.abs(w).max()
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
-    av = op.apply_block(v)
+    psi1 = np.concatenate(([0.0], v, [0.0]))
+    av = op.form(psi1) / op.w  # A v = W^-1 K v
     lam = float(v @ av) / float(v @ v)
     resid = float(np.abs(av - lam * v).max())
     threshold = 10.0 * tol * abs(lam)
@@ -454,7 +445,7 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
         )
     return EigenPair(
         lambda1=lam,
-        psi1=np.concatenate(([0.0], v, [0.0])),
+        psi1=psi1,
         iterations=solves,
         residual=resid,
         positive_interior=bool(np.all(v > 0.0)),
@@ -466,8 +457,8 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
 def solve_e(op: ComposedOperator) -> Field:
     """Solution of A e = 1 on the interior with e = 0 at the boundary.
 
-    Below alpha = 1 this is K e = W: the form of e against every tent is
-    the tent's mass.  Positivity of e on the interior is a computed outcome,
+    That is K e = W: the form of e against every tent is the tent's
+    mass.  Positivity of e on the interior is a computed outcome,
     checked by the callers that scale e into a supersolution.
     """
     return op.solve_interior(np.ones(op.n - 2))
@@ -477,7 +468,7 @@ def energy(u: Field, op: ComposedOperator) -> float:
     """The Kirchhoff argument int |D_left u|^2 dx: the cell-midpoint rule in x of `apply_left`.
 
     The sum over cells of dx_m (D_left u)(um)^2, the tent derivatives' rule
-    at every alpha; at identity psi below alpha = 1 it is u^T W (A u).
+    at every alpha; at identity psi below alpha = 1 it is u^T K u.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):

@@ -7,6 +7,10 @@ toward the minimal solution; `from_super=True` starts at xi and descends
 toward the maximal one.  Whether the two limits agree is recorded per run,
 never assumed.
 
+Each step solves A v = reaction / M as K_int v = W (reaction / M), and
+the residual M A u - reaction reads A u as (K u) / w: both keep A's
+scaling, which the stopping rule's absolute 100 * tol assumes.
+
 The iteration runs on a block: one row per pair (a sweep's lambda
 values), all advanced by the same step.  Each step makes one solve for
 every row still iterating (at alpha = 1 two cumulative sums along every
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SubSuperPair, TentBasis
+from .analysis import SubSuperPair
 from .core import Field, ProblemSpec
 from .operators import ComposedOperator, energies, energy
 
@@ -116,13 +120,13 @@ class _Block:
         Returns the clipped fields and, per row, the nodes the clip moved.
         """
         v = np.zeros(self.u.shape)
-        v[:, 1:-1] = self.op.solve_block(self.reaction / self.m[:, None])
+        v[:, 1:-1] = self.op.solve_form(self.op.w * (self.reaction / self.m[:, None]))
         outside = ((v < self.below) | (v > self.above)).sum(axis=1)
         return np.clip(v, self.phi, self.xi, out=v), outside
 
     def residuals(self) -> np.ndarray:
-        """Sup over the interior of M(E(u)) A u - reaction, per row."""
-        lhs = self.m[:, None] * self.op.apply_full(self.u)[:, 1:-1]
+        """Sup over the interior of M(E(u)) A u - reaction, per row, A u = (K u) / w."""
+        lhs = self.m[:, None] * (self.op.form(self.u) / self.op.w)
         return np.abs(lhs - self.reaction).max(axis=1)
 
 
@@ -280,18 +284,17 @@ def comparison_check(
     theta2: Field,
     spec: ProblemSpec,
     op: ComposedOperator,
-    basis: TentBasis | None = None,
 ) -> str:
     """Discrete comparison-principle check at p = 2.
 
     Evaluates the ordered-form hypothesis
     M(energy(theta1)) * B(theta1, w) <= M(energy(theta2)) * B(theta2, w)
     for every interior tent w, then checks theta1 <= theta2 pointwise.
-    B is the form of `TentBasis.form`, W (A theta); below alpha = 1 its
-    interior block W A_int = K_int has an entrywise nonnegative inverse at
-    the catalog corners.  Returns "hypothesis-fails", "consistent", or
-    "counterexample" (the hypothesis holds but the ordering does not: the
-    discrete comparison principle fails for this pair).
+    B(theta, w) is the row of K theta (`op.form`) at w's node; K's interior
+    block K_int has an entrywise nonnegative inverse at the catalog corners.
+    Returns "hypothesis-fails", "consistent", or "counterexample" (the
+    hypothesis holds but the ordering does not: the discrete comparison
+    principle fails for this pair).
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
@@ -302,10 +305,8 @@ def comparison_check(
     for th in (theta1, theta2):
         if abs(th[0]) > 1e-12 * scale or abs(th[-1]) > 1e-12 * scale:
             raise ValueError("both fields must vanish at the boundary nodes")
-    if basis is None:
-        basis = TentBasis(spec)
-    b1 = spec.m(energy(theta1, op)) * basis.form(theta1, op)
-    b2 = spec.m(energy(theta2, op)) * basis.form(theta2, op)
+    b1 = spec.m(energy(theta1, op)) * op.form(theta1)
+    b2 = spec.m(energy(theta2, op)) * op.form(theta2)
     slack = 1e-9 * (1.0 + float(np.abs(b2).max()))
     if not np.all(b1 <= b2 + slack):
         return "hypothesis-fails"

@@ -19,16 +19,17 @@ product-integration rule written out on its own (entries bit for bit);
 `left_integral_reference`, the left rule with four powers per cell
 (entries bit for bit; both rules divide by `math.gamma`, as the package
 does); and
-`stiffness_reference`, the alpha = 1 operator W^-1 K written out from its
-three diagonals (entries bit for bit);
-`tent_form_reference`, the operator summed tent by tent and cell by cell
-in one plain product, at every alpha (entries to rounding; at alpha = 1
-on the fields that vanish at 0), and
+`stiffness_reference`, the alpha = 1 interior block K_int, the P1
+stiffness, written out from its three diagonals (entries bit for bit);
+`tent_form_reference`, the form K summed tent by tent and cell by cell
+in one plain product, at every alpha (entries to rounding), and
 `tent_energy_reference`, the energy at every alpha from the same tent
 derivatives (steps at alpha = 1), added up tent by tent (to rounding);
 `write_csv_reference`, the CSV writer that formats row by row, value by
 value (file bytes); and `build_parser_reference`, the option parser that
 adds every shared option to each subparser (help text, parses and errors).
+`form_matrix` is no oracle: it is the package's own form as a dense matrix,
+against which the package's solves are checked.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
-from psifrac.analysis import TentBasis, build_pair, verify_weak_inequality
+from psifrac.analysis import build_pair, verify_weak_inequality
 from psifrac.cli import SUBCOMMANDS
 from psifrac.config import CONFIG_DEFAULTS
 from psifrac.solver import SolveReport
@@ -95,22 +96,28 @@ def right_integral_reference(u: np.ndarray, order: float) -> np.ndarray:
 
 
 def stiffness_reference(spec):
-    """The alpha = 1 operator A = W^-1 K as a dense matrix, K the P1 stiffness, unit boundary rows.
+    """The interior block K_int of the alpha = 1 form, the P1 stiffness, as a dense matrix.
 
-    Interior row i holds -1/du_{i-1}, 1/du_{i-1} + 1/du_i and -1/du_i, each
-    divided by the tent mass w_i = (u_{i+1} - u_{i-1}) / 2.
+    Row i - 1 (node i) holds -1/du_{i-1}, 1/du_{i-1} + 1/du_i and -1/du_i
+    in the columns of the interior nodes i - 1, i and i + 1.
     """
-    u = spec.grid.u
-    n = len(u)
-    inv = 1.0 / np.diff(u)
-    w = 0.5 * (u[2:] - u[:-2])
-    a = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    a[i, i - 1] = -inv[:-1] / w
-    a[i, i] = (inv[:-1] + inv[1:]) / w
-    a[i, i + 1] = -inv[1:] / w
-    a[0, 0] = a[-1, -1] = 1.0
-    return a
+    inv = 1.0 / np.diff(spec.grid.u)
+    m = len(inv) - 1
+    k = np.zeros((m, m))
+    i = np.arange(m)
+    k[i, i] = inv[:-1] + inv[1:]
+    k[i[1:], i[:-1]] = -inv[1:-1]
+    k[i[:-1], i[1:]] = -inv[1:-1]
+    return k
+
+
+def form_matrix(op):
+    """K's interior rows against every node, as the operator computes them: n - 2 rows, n columns.
+
+    Column j is `op.form` of the unit field at node j; K_int is
+    form_matrix(op)[:, 1:-1].
+    """
+    return op.form(np.eye(op.n)).T
 
 
 def classical_e(x: np.ndarray, T: float) -> np.ndarray:
@@ -197,7 +204,8 @@ def _picard_energy(u, spec):
 
 
 def _picard_residual(u, energy_u, pair, spec, op):
-    lhs = spec.m(energy_u) * (op.apply_full(u)[1:-1])
+    # A u = (K u) / w
+    lhs = spec.m(energy_u) * (op.form(u) / op.w)
     rhs = _picard_reaction(u[1:-1], pair.phi[1:-1], spec)
     return float(np.abs(lhs - rhs).max())
 
@@ -291,7 +299,7 @@ def tent_reference(spec):
     Returns (wl, wr, node_weights): each tent's three shifted kernels are
     evaluated at every left and right cell end separately.  At alpha = 1
     wl and wr are steps, banded, and at identity psi wl @ d + wr @ d with d
-    the slopes of f is the form of `psifrac.analysis.TentBasis`;
+    the slopes of f is the operator's form K f;
     `node_weights` are its masses at every alpha.
     """
     u = spec.grid.u
@@ -358,21 +366,17 @@ def _tent_derivatives(spec):
 
 
 def tent_form_reference(spec):
-    """A = W^-1 K, from every tent derivative at every cell midpoint (steps at alpha = 1).
+    """K's interior rows against every node, from every tent derivative at every cell midpoint.
 
     Row i of T holds the closed-form left derivative of the tent at node i
-    (the half tent at T for i = n-1) at the cell midpoints, one shifted
-    kernel at a time; K = T diag(du) T^T as one plain product, W the tent
-    masses.  Rows 0 and n-1 are unit rows.
+    (the half tent at T for i = n-1; row 0 is zero) at the cell midpoints,
+    one shifted kernel at a time (steps at alpha = 1), and K = T diag(du) T^T
+    as one plain product.  Returns K[1:-1], n - 2 rows of n columns: row
+    i - 1 is the form of every unit field against the tent at node i, and
+    column 0 is zero.
     """
-    u = spec.grid.u
-    n = spec.grid.n
     t = _tent_derivatives(spec)
-    k = (t * np.diff(u)) @ t.T
-    a = np.zeros((n, n))
-    a[1:-1] = k[1:-1] / (0.5 * (u[2:] - u[:-2]))[:, None]
-    a[0, 0] = a[-1, -1] = 1.0
-    return a
+    return (t[1:-1] * np.diff(spec.grid.u)) @ t.T
 
 
 def tent_energy_reference(spec, f):
@@ -396,14 +400,13 @@ def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):
     point; `psifrac.analysis.empirical_mu2` must return the same value and
     raise the same errors, whatever work it saves.
     """
-    basis = TentBasis(spec)
     lam = 1.0
     while lam <= lam_max + 1e-12:
         trial = dataclasses.replace(spec, lam=lam)
         trial_op = dataclasses.replace(op, spec=trial)
         pair = build_pair(trial, eig, e, r)
-        sub = verify_weak_inequality(pair.phi, trial_op, "sub", basis)
-        sup = verify_weak_inequality(pair.xi, trial_op, "super", basis)
+        sub = verify_weak_inequality(pair.phi, trial_op, "sub")
+        sup = verify_weak_inequality(pair.xi, trial_op, "super")
         if sub.passed and sup.passed:
             return lam
         lam += step

@@ -382,16 +382,15 @@ class TestTentBasis:
         in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
         wl, wr, node_weights = tent_reference(in_u)
         assert np.array_equal(basis.node_weights, node_weights)
-        # the form is the operator's, W (A f), at every alpha: the tent form
-        # summed tent by tent, of a field that vanishes at 0 (the table's
-        # row 0 is zero; at alpha = 1 the difference passes would read f(0))
+        # the verifier's masses and form are the operator's, W and K f, at
+        # every alpha: the tent form summed tent by tent
         op = assemble_composed(spec)
+        assert np.array_equal(op.w, node_weights[1:-1])
         f = np.random.default_rng(n).standard_normal(n)
-        f[0] = 0.0
         ref = tent_form_reference(spec)
-        want = node_weights[1:-1] * (ref @ f)[1:-1]
-        scale = node_weights[1:-1] * (np.abs(ref) @ np.abs(f))[1:-1]
-        got = basis.form(f, op)
+        want = ref @ f
+        scale = np.abs(ref) @ np.abs(f)
+        got = op.form(f)
         # the tents' three-kernel cancellation on the tiny first cells
         # of square psi rounds at 3.5e-13 of the largest row
         assert np.abs(got - want).max() <= 1e-12 * scale.max()
@@ -399,6 +398,7 @@ class TestTentBasis:
             # on a uniform grid in u it is also the tent-by-tent step form:
             # each tent's cell-end weights against the slopes of f
             d = np.diff(f) / np.diff(spec.grid.u)
+            d[0] = f[1] / (spec.grid.u[1] - spec.grid.u[0])  # f_0 enters nothing
             steps = wl @ d + wr @ d
             scale = np.abs(wl) @ np.abs(d) + np.abs(wr) @ np.abs(d)
             assert np.all(np.abs(got - steps) <= 1e-12 * scale)
@@ -409,8 +409,7 @@ def test_tent_basis_reproduces_e_chain(psi):
     # the cell-based quadrature against closed-form tent derivatives must
     # see A e = 1 for every kernel: the bilinear form of e against every
     # tent is the tent's mass, both integrated in u
-    spec, op, _, e = _mu2_problem(257, psi)
-    basis = TentBasis(spec)
-    vals = basis.form(e, op)
-    mass = basis.node_weights[1:-1]
+    _, op, _, e = _mu2_problem(257, psi)
+    vals = op.form(e)
+    mass = op.w
     assert np.abs(vals - mass).max() < 1e-10 * mass.max()

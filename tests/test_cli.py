@@ -55,13 +55,13 @@ class TestEigen:
         # corner's rounding floor: the single Arnoldi pass and its
         # inverse-iteration step are all the solves made before the failure
         solves = []
-        real = psifrac.operators.ComposedOperator.solve_block
+        real = psifrac.operators.ComposedOperator.solve_form
 
         def counting(self, rhs):
             solves.append(1)
             return real(self, rhs)
 
-        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_block", counting)
+        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_form", counting)
         flags = ["--alpha", "0.9", "--psi", "exp_minus_one", "--T", "10"]
         code, _, report = run_cli(tmp_path, "eigen", "--grid-n", "1025", *flags)
         assert code == 2 and report is None

@@ -14,6 +14,7 @@ import psifrac.calculus
 import psifrac.operators
 from oracles import (
     classical_e,
+    form_matrix,
     stiffness_reference,
     tent_energy_reference,
     tent_form_reference,
@@ -27,7 +28,6 @@ from psifrac import (
     solve_e,
     verify_weak_inequality,
 )
-from psifrac.analysis import TentBasis
 from psifrac.core import PsiFunction
 from psifrac.operators import energies
 
@@ -35,7 +35,7 @@ PI2 = math.pi**2
 
 
 class TestFactoredAssembly:
-    """At every alpha A = W^-1 K is the tent form, checked against a
+    """At every alpha the form K is the tent form, checked against a
     reference summed tent by tent (steps at alpha = 1)."""
 
     @pytest.mark.parametrize("n", [33, 129])
@@ -45,15 +45,12 @@ class TestFactoredAssembly:
             for beta in (0.0, 0.5, 1.0):
                 spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
                 op = assemble_composed(spec)
-                got = op.a_full.entries
-                # the midpoint rule of one plain product: 1.1e-13 of max|A|
-                # at square psi, where the first cells are tiny
+                got = form_matrix(op)
+                # the midpoint rule of one plain product: 1.1e-13 of max|K|
+                # at square psi, where the first cells are tiny; the value
+                # at node 0 enters neither
                 want = tent_form_reference(spec)
-                assert np.array_equal(got[[0, -1]], want[[0, -1]])
-                if alpha == 1.0:
-                    # the difference passes also read f(0), which the table's
-                    # zero row leaves out below alpha = 1; the fields vanish there
-                    got, want = got[:, 1:], want[:, 1:]
+                assert np.all(got[:, 0] == 0.0) and np.all(want[:, 0] == 0.0)
                 assert np.abs(got - want).max() <= 5e-13 * np.abs(want).max(), (alpha, beta)
 
     @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
@@ -81,7 +78,7 @@ PSIS = ["identity", "exp_minus_one", "square", "log1p"]
 
 
 class TestBandedInterior:
-    """At alpha = 1 the interior block is tridiagonal, K_int = W A_int the P1
+    """At alpha = 1 the interior block K_int is tridiagonal, the P1
     stiffness: products are two difference passes and solves two
     cumulative sums, with no LAPACK call.  Below, the tent table is K's
     triangular factor: solves and products go through it."""
@@ -91,27 +88,27 @@ class TestBandedInterior:
     def test_band_solve_and_products_match_dense(self, psi, n):
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
         assert op.factorization == "stiffness" and op.interior_bandwidth == (1, 1)
-        block = op.interior_block()
+        k = form_matrix(op)
+        block = k[:, 1:-1]
         assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
         rng = np.random.default_rng(n)
         b = rng.standard_normal(n - 2)
-        got = op.solve_interior(b)
-        assert got[0] == 0.0 and got[-1] == 0.0
-        # normwise backward stable for the dense block: 0.71 eps at most here
-        x = got[1:-1]
+        # normwise backward stable for the dense block: 1.5 eps at most here
+        x = op.solve_form(b)
         scale = np.abs(block).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
         assert np.abs(block @ x - b).max() <= 4 * np.finfo(float).eps * scale
+        # A's solve is K's of the right side times the tent masses
+        got = op.solve_interior(b)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert _bitwise(got[1:-1], op.solve_form(op.w * b))
         u = rng.standard_normal(n)
-        a = op.a_full.entries
-        assert np.all(np.abs(op.apply_full(u) - a @ u) <= 1e-14 * (np.abs(a) @ np.abs(u)))
-        v = u[1:-1]
-        assert np.all(np.abs(op.apply_block(v) - block @ v) <= 1e-14 * (np.abs(block) @ np.abs(v)))
+        assert np.all(np.abs(op.form(u) - k @ u) <= 1e-14 * (np.abs(k) @ np.abs(u)))
 
     @pytest.mark.parametrize("n", [8, 9, 33, 129, 1025])
     @pytest.mark.parametrize("psi", PSIS)
     def test_stiffness_solve_by_backward_error(self, psi, n):
-        # the solve's accuracy, not its bits, against K_int = W A_int from
-        # its three diagonals.  Measured on this data: componentwise at most
+        # the solve's accuracy, not its bits, against K_int, the P1 stiffness
+        # from its three diagonals.  Measured on this data: componentwise at most
         # 517 eps (log1p, n = 1025) and 41 eps at n = 129, at the rows next
         # to the walls, where x is a long cumulative sum that nearly
         # vanishes; normwise at most 0.94 eps.  Not worst-case bounds: over
@@ -119,24 +116,25 @@ class TestBandedInterior:
         # 8474 eps at n = 1025 and 529 eps at n = 33, the normwise 3.4 eps
         eps = np.finfo(float).eps
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
+        k = stiffness_reference(op.spec)
         w = psifrac.operators.tent_masses(op.spec.grid.u)[1:-1]
-        k = w[:, None] * stiffness_reference(op.spec)[1:-1, 1:-1]
-        rhs = np.stack([np.random.default_rng(n).standard_normal(n - 2), np.ones(n - 2)])
-        solved = op.solve_block(rhs)
-        for r, x in zip(rhs, solved):
-            assert _bitwise(x, op.solve_block(r.copy()))
-            b = w * r
+        rhs = w * np.stack([np.random.default_rng(n).standard_normal(n - 2), np.ones(n - 2)])
+        solved = op.solve_form(rhs)
+        for b, x in zip(rhs, solved):
+            assert _bitwise(x, op.solve_form(b.copy()))
             res = np.abs(k @ x - b)
             assert np.all(res <= n * eps * (np.abs(k) @ np.abs(x) + np.abs(b)))
             assert res.max() <= 2 * eps * (np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
-        # the dense A is the two difference passes' own: (s_{i-1} - s_i) / w_i
-        # with s the slopes of the field
+        # the form is the two difference passes' own: s_{i-1} - s_i with s
+        # the slopes of the field, the first f_1 / du_0
         f = np.random.default_rng(n + 1).standard_normal(n)
-        s = np.diff(f) / np.diff(op.spec.grid.u)
-        want = np.concatenate(([f[0]], (s[:-1] - s[1:]) / w, [f[-1]]))
-        assert _bitwise(op.apply_full(f), want)
-        a = op.a_full.entries
-        assert np.all(np.abs(a @ f - want) <= 4 * eps * (np.abs(a) @ np.abs(f)))
+        f[-1] = 0.0
+        du = np.diff(op.spec.grid.u)
+        s = np.diff(f) / du
+        s[0] = f[1] / du[0]
+        want = s[:-1] - s[1:]
+        assert _bitwise(op.form(f), want)
+        assert np.all(np.abs(k @ f[1:-1] - want) <= 4 * eps * (np.abs(k) @ np.abs(f[1:-1])))
 
     @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
     def test_fractional_block_stays_dense_and_bitwise(self, alpha):
@@ -149,8 +147,8 @@ class TestBandedInterior:
         op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=129))
         assert op.factorization == "tent table"
         assert op.interior_bandwidth == (op.n - 3, op.n - 3)
-        assert np.all(op.interior_block() != 0.0)
-        table, w = op._a.table, op._a.w
+        assert np.all(form_matrix(op)[:, 1:-1] != 0.0)
+        table = op._a.table
 
         def k_solve(r):
             y = scipy.linalg.solve_triangular(table[1:].T, r, lower=True, trans=1)
@@ -158,16 +156,14 @@ class TestBandedInterior:
 
         g = k_solve(np.append(np.zeros(op.n - 2), 1.0))
         k_int = table[1:-1] @ table[1:-1].T
-        bs = np.random.default_rng(7).standard_normal((3, op.n - 2))
-        got = op.solve_block(bs)
+        bs = op.w * np.random.default_rng(7).standard_normal((3, op.n - 2))
+        got = op.solve_form(bs)
         errors = []
         for b, x in zip(bs, got):
-            z = k_solve(np.append(w * b, 0.0))
+            z = k_solve(np.append(b, 0.0))
             want = z[:-1] - (z[-1] / g[-1]) * g[:-1]
-            errors.append([_normwise_backward_error(k_int, y, w * b) for y in (x, want)])
-            single = op.solve_interior(b)
-            assert single[0] == 0.0 and single[-1] == 0.0
-            assert _bitwise(single[1:-1], x)
+            errors.append([_normwise_backward_error(k_int, y, b) for y in (x, want)])
+            assert _bitwise(op.solve_form(b.copy()), x)
         ours, lapack = np.max(errors, axis=0)
         assert ours <= 2 * lapack
 
@@ -175,10 +171,9 @@ class TestBandedInterior:
     def test_fractional_solve_matches_reference_by_backward_error(self, alpha):
         # below alpha = 1 the interior block is solved through the tent
         # table, with no LU.  Against the reference's block the normwise
-        # backward error is at most 76 eps (square psi, n = 33), which is
-        # the rounding by which the two blocks differ: a dense solve of the
-        # table's own block scores the same there.  Against that own block
-        # it is at most 3.6 eps componentwise
+        # backward error is at most 57 eps, the rounding by which the two
+        # blocks differ.  Against the table's own block it is at most
+        # 11.5 eps, measured as below
         eps = np.finfo(float).eps
         for psi in PSIS:
             for beta in (0.0, 0.5, 1.0):
@@ -186,20 +181,18 @@ class TestBandedInterior:
                     spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
                     op = assemble_composed(spec)
                     assert op.factorization == "tent table"
-                    b = np.random.default_rng(n).standard_normal(n - 2)
-                    got = op.solve_interior(b)
-                    assert got[0] == 0.0 and got[-1] == 0.0
-                    x = got[1:-1]
-                    ref = tent_form_reference(spec)[1:-1, 1:-1]
+                    b = op.w * np.random.default_rng(n).standard_normal(n - 2)
+                    x = op.solve_form(b)
+                    ref = tent_form_reference(spec)[:, 1:-1]
                     scale = np.abs(ref).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
                     assert np.abs(ref @ x - b).max() <= 256 * eps * scale, (psi, beta, n)
-                    own = op.interior_block()
+                    own = form_matrix(op)[:, 1:-1]
                     scale = (np.abs(own) @ np.abs(x) + np.abs(b)).max()
                     assert np.abs(own @ x - b).max() <= 16 * eps * scale, (psi, beta, n)
-                    # the product is two passes over the table: 7.3 eps at most
-                    v = b[::-1]
-                    bound = 1e-14 * (np.abs(own) @ np.abs(v))
-                    assert np.all(np.abs(op.apply_block(v) - own @ v) <= bound), (psi, beta, n)
+                    # the product is two passes over the table: 4.7 eps at most
+                    v = np.concatenate(([0.0], b[::-1], [0.0]))
+                    bound = 1e-14 * (np.abs(own) @ np.abs(v[1:-1]))
+                    assert np.all(np.abs(op.form(v) - own @ v[1:-1]) <= bound), (psi, beta, n)
 
     def test_factorization_follows_the_band(self, monkeypatch):
         # no LAPACK solve or inverse at any alpha: cumulative sums at
@@ -334,9 +327,9 @@ def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestBandConstruction:
-    """At alpha = 1, A is kept as the cell widths and the tent masses, and
-    its dense form is bit for bit the three diagonals of W^-1 K; no n x n
-    array is formed.  Below, the tent table is the only one."""
+    """At alpha = 1, K is kept as the cell widths and the tent masses, and
+    its dense form is bit for bit the three diagonals of the P1 stiffness;
+    no n x n array is formed.  Below, the tent table is the only one."""
 
     @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
@@ -347,13 +340,12 @@ class TestBandConstruction:
         assert _bitwise(op._a.du, np.diff(u))
         assert _bitwise(op._a.w, psifrac.operators.tent_masses(u)[1:-1])
         assert op._a.span == u[-1] - u[0]
-        a = op.a_full.entries
-        assert _bitwise(np.ascontiguousarray(a), stiffness_reference(op.spec))
-        # and, to rounding, the tent form W^-1 V V^T composed densely from
-        # the step derivatives, on the fields that vanish at 0 (the table's
-        # row 0 is zero): 0.9 eps of max|A| at most
+        k = form_matrix(op)
+        assert _bitwise(np.ascontiguousarray(k[:, 1:-1]), stiffness_reference(op.spec))
+        # and, to rounding, the tent form V V^T composed densely from the
+        # step derivatives, the half tent at T included
         want = tent_form_reference(op.spec)
-        assert np.abs(a - want)[:, 1:].max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(k - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_no_square_array_at_alpha_one(self):
         # one 2049 x 2049 float64 array is 33.6 MB
@@ -363,11 +355,10 @@ class TestBandConstruction:
             op = assemble_composed(spec)
             eig = principal_eigenpair(op, tol=1e-9)
             e = solve_e(op)
-            basis = TentBasis(spec)
             pair = build_pair(spec, eig, e, 0.8)
             reports = [
-                verify_weak_inequality(pair.phi, op, "sub", basis),
-                verify_weak_inequality(pair.xi, op, "super", basis),
+                verify_weak_inequality(pair.phi, op, "sub"),
+                verify_weak_inequality(pair.xi, op, "super"),
             ]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -385,11 +376,10 @@ class TestBandConstruction:
             op = assemble_composed(spec)
             eig = principal_eigenpair(op, tol=1e-9)
             e = solve_e(op)
-            basis = TentBasis(spec)
             pair = build_pair(spec, eig, e, 0.8)
             reports = [
-                verify_weak_inequality(pair.phi, op, "sub", basis),
-                verify_weak_inequality(pair.xi, op, "super", basis),
+                verify_weak_inequality(pair.phi, op, "sub"),
+                verify_weak_inequality(pair.xi, op, "super"),
             ]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -399,11 +389,16 @@ class TestBandConstruction:
 
 
 class TestAssembly:
-    def test_boundary_rows_are_unit(self, small_op):
-        a = small_op.a_full.entries
-        n = small_op.n
-        assert a[0, 0] == 1.0 and np.all(a[0, 1:] == 0.0)
-        assert a[-1, -1] == 1.0 and np.all(a[-1, :-1] == 0.0)
+    def test_form_has_interior_rows_only(self):
+        # one row per interior tent, where A had unit boundary rows; the
+        # value at node 0 enters no row, and the one at node n-1 enters
+        # through the half tent at T
+        for alpha in (1.0, 0.75):
+            op = assemble_composed(make_spec(alpha=alpha, grid_n=17))
+            k = form_matrix(op)
+            assert k.shape == (op.n - 2, op.n) and op.w.shape == (op.n - 2,)
+            assert np.all(k[:, 0] == 0.0) and k[-1, -1] != 0.0
+            assert np.all(op.w > 0.0)
 
     def test_classical_interior_stencil(self):
         # on a uniform grid the P1 stiffness over the tent mass is the
@@ -411,23 +406,39 @@ class TestAssembly:
         spec = make_spec(alpha=1.0, grid_n=9)
         op = assemble_composed(spec)
         h = spec.grid.x[1] - spec.grid.x[0]
-        a = op.a_full.entries
+        a = form_matrix(op) / op.w[:, None]
         for i in range(1, 8):
             row = np.zeros(9)
             row[i - 1] = row[i + 1] = -1.0 / (h * h)
             row[i] = 2.0 / (h * h)
-            assert a[i] == pytest.approx(row, rel=1e-14, abs=0.0)
+            row[0] = 0.0  # node 0 enters nothing
+            assert a[i - 1] == pytest.approx(row, rel=1e-14, abs=0.0)
 
     def test_sturm_liouville_identity(self, catalog_spec, catalog_op):
         x = catalog_spec.grid.x
         f = np.sin(np.pi * x)
-        got = catalog_op.apply_full(f)[1:-1]
+        got = catalog_op.form(f) / catalog_op.w
         want = PI2 * f[1:-1]
         assert np.abs(got - want).max() / PI2 <= 1e-2
 
     def test_zero_maps_to_zero(self, small_op):
-        out = small_op.apply_full(np.zeros(small_op.n))
-        assert np.all(out == 0.0)
+        out = small_op.form(np.zeros(small_op.n))
+        assert out.shape == (small_op.n - 2,) and np.all(out == 0.0)
+
+    @pytest.mark.parametrize("psi", PSIS)
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 - 1e-6])
+    def test_value_at_zero_enters_nothing(self, alpha, psi):
+        # on both sides of alpha = 1 the form and D_left read the interior
+        # values and the one at T, never the one at 0: the first slope at
+        # alpha = 1 is f_1 / du_0, as the tent table's zero row 0 below
+        op = assemble_composed(make_spec(alpha=alpha, beta=0.5, psi=psi, grid_n=33))
+        f = np.random.default_rng(11).standard_normal(op.n)
+        for f0 in (0.0, 1.0, -3e5):
+            g = f.copy()
+            g[0] = f0
+            assert _bitwise(op.form(g), op.form(f)), f0
+            assert _bitwise(op.apply_left(g), op.apply_left(f)), f0
+            assert energy(g, op) == energy(f, op), f0
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -498,7 +509,7 @@ class TestEigenpair:
         # stopping rule would hide
         op = assemble_composed(make_spec(**kw))
         eig = principal_eigenpair(op, tol=1e-10)
-        vals, vecs = scipy.linalg.eig(op.interior_block())
+        vals, vecs = scipy.linalg.eig(form_matrix(op)[:, 1:-1] / op.w[:, None])
         k = int(np.argmin(np.abs(vals)))
         lam, vec = vals[k].real, vecs[:, k].real
         vec = vec / vec[np.argmax(np.abs(vec))]
@@ -545,7 +556,7 @@ class TestEigenpair:
         op = assemble_composed(make_spec(alpha=1.0, grid_n=8))
         eig = principal_eigenpair(op, tol=1e-10)
         assert eig.iterations < 7
-        lam = np.linalg.eigvals(op.interior_block())
+        lam = np.linalg.eigvals(form_matrix(op)[:, 1:-1] / op.w[:, None])
         assert eig.lambda1 == pytest.approx(np.abs(lam).min(), rel=1e-13)
 
     @pytest.mark.parametrize("psi", PSIS)
@@ -640,14 +651,13 @@ class TestEnergy:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("alpha", [0.9, 0.75, 0.6])
     def test_fractional_energy_is_the_operators_form(self, alpha, beta):
-        # the discrete Rayleigh identity E(u) = u_int^T (W A u)_int at identity psi
+        # the discrete Rayleigh identity E(u) = u_int^T (K u)_int at identity psi
         op = assemble_composed(make_spec(alpha=alpha, beta=beta, grid_n=129))
-        w = psifrac.operators.tent_masses(op.spec.grid.u)[1:-1]
         rng = np.random.default_rng(int(100 * alpha))
         for _ in range(5):
             u = rng.standard_normal(op.n)
             u[0] = u[-1] = 0.0
-            form = u[1:-1] @ (w * op.apply_full(u)[1:-1])
+            form = u[1:-1] @ op.form(u)
             assert abs(energy(u, op) - form) <= 1e-12 * form
 
     @pytest.mark.parametrize("psi", PSIS)
@@ -676,8 +686,13 @@ class TestIntegrationByParts:
         x = spec.grid.x
         f = np.sin(np.pi * x)
         g = (x * (1.0 - x)) ** 2
-        lhs = np.trapezoid(op.apply_full(f) * g, x)
-        rhs = np.trapezoid(f * op.apply_full(g), x)
+
+        def apply(v):
+            # A v = W^-1 K v on the interior, 0 at both ends
+            return np.concatenate(([0.0], op.form(v) / op.w, [0.0]))
+
+        lhs = np.trapezoid(apply(f) * g, x)
+        rhs = np.trapezoid(f * apply(g), x)
         assert abs(lhs - rhs) < budget
 
 
@@ -695,7 +710,7 @@ def test_composed_inverts_double_integral_in_bulk(alpha, beta):
     il = frac_integral_matrix(g, spec.psi, alpha, Side.LEFT).entries
     ir = frac_integral_matrix(g, spec.psi, alpha, Side.RIGHT).entries
     f = np.sin(np.pi * g.u)
-    got = op.apply_full(il @ (ir @ f))[1:-1]
+    got = op.form(il @ (ir @ f)) / op.w
     collar = max(2, int(np.ceil(0.05 * g.n)))
     assert np.abs(got - f[1:-1])[collar:-collar].max() < 5e-3
 
@@ -730,15 +745,15 @@ class TestBlockContract:
         fields = scale * np.sin(np.pi * x) ** rng.uniform(0.5, 2.0, (k, 1))
         fields[:, 1:-1] *= 1.0 + 0.01 * rng.standard_normal((k, n - 2))
         rhs = fields[:, 1:-1] / rng.uniform(1.0, 2.0, (k, 1))
-        solved = op.solve_block(rhs)
-        applied = op.apply_full(fields)
+        solved = op.solve_form(rhs)
+        formed = op.form(fields)
         left = op.apply_left(fields)
         energy_rows = energies(fields, op)
-        assert solved.shape == (k, n - 2) and applied.shape == (k, n)
+        assert solved.shape == (k, n - 2) and formed.shape == (k, n - 2)
         for j in range(k):
             # fresh copies, as a solve of one field holds them
             field = fields[j].copy()
-            assert _bitwise(solved[j], op.solve_block(rhs[j].copy()))
-            assert _bitwise(applied[j], op.apply_full(field))
+            assert _bitwise(solved[j], op.solve_form(rhs[j].copy()))
+            assert _bitwise(formed[j], op.form(field))
             assert _bitwise(left[j], op.apply_left(field))
             assert energy_rows[j] == energy(field, op)

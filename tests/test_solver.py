@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psifrac.operators
-from oracles import newton_fd_bvp, picard_reference
+from oracles import form_matrix, newton_fd_bvp, picard_reference, tent_form_reference
 from psifrac import (
     SolveReport,
     build_pair,
@@ -24,7 +24,7 @@ from psifrac import (
     solve_e,
     solve_between,
 )
-from psifrac.analysis import SubSuperPair, TentBasis
+from psifrac.analysis import SubSuperPair
 from psifrac.cli import main
 from psifrac.core import Nonlinearity, NonlinearityKind
 from psifrac.operators import assemble_composed
@@ -166,13 +166,13 @@ class TestSolveBetween:
         op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
         solves = []
-        solve_block = psifrac.operators.ComposedOperator.solve_block
+        solve_form = psifrac.operators.ComposedOperator.solve_form
 
         def counting(self, rhs):
             solves.append(1)
-            return solve_block(self, rhs)
+            return solve_form(self, rhs)
 
-        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_block", counting)
+        monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_form", counting)
         res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
         assert res.stop == "pinned" and res.iterations == len(solves) <= 5
         assert res.damped_steps == 0
@@ -426,21 +426,15 @@ class TestComparisonCheck:
     def test_fractional_counterexample_is_flagged(self):
         # a field s with B(s, w_i) = delta_ij that is negative somewhere
         # would make theta2 = theta1 + s satisfy the hypothesis and break the
-        # order.  At alpha = 0.9 the form matrix W A_int = K_int is
-        # inverse-positive, so there is none: every such s is nonnegative
-        # and the check finds the pair consistent
+        # order.  At alpha = 0.9 the form matrix K_int is inverse-positive,
+        # so there is none: every such s is nonnegative and the check finds
+        # the pair consistent
         spec = make_spec(alpha=0.9, grid_n=65)
         op = assemble_composed(spec)
-        basis = TentBasis(spec)
         n = spec.grid.n
-        cols = []
-        for j in range(1, n - 1):
-            v = np.zeros(n)
-            v[j] = 1.0
-            cols.append(basis.form(v, op))
-        K = np.column_stack(cols)
-        w = basis.node_weights[1:-1]
-        assert np.allclose(K, w[:, None] * op.interior_block(), rtol=1e-14, atol=0.0)
+        K = form_matrix(op)[:, 1:-1]
+        ref = tent_form_reference(spec)[:, 1:-1]
+        assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
         Kinv = np.linalg.inv(K)
         assert Kinv.min() >= 0.0
         _, jcol = np.unravel_index(np.argmin(Kinv), Kinv.shape)
