@@ -157,13 +157,20 @@ def _stencil_times(c: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarra
     """The stencil (c, start) of `_d1_stencil` times the matrix x.
 
     Each row of the product combines three rows of x: O(n^2) in place of a
-    dense O(n^3) product, in blocks of _BLOCK rows.
+    dense O(n^3) product, in blocks of _BLOCK rows.  Where a block's starts
+    are consecutive, every block but the first and the last, its three row
+    sets are slices of x, not gathers.
     """
     out = np.empty_like(x)
     for lo in range(0, len(start), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         s = start[rows]
-        out[rows] = c[rows, 0:1] * x[s] + c[rows, 1:2] * x[s + 1] + c[rows, 2:3] * x[s + 2]
+        a, k = s[0], len(s)
+        if s[-1] - a == k - 1:
+            x0, x1, x2 = x[a : a + k], x[a + 1 : a + k + 1], x[a + 2 : a + k + 2]
+        else:
+            x0, x1, x2 = x[s], x[s + 1], x[s + 2]
+        out[rows] = c[rows, 0:1] * x0 + c[rows, 1:2] * x1 + c[rows, 2:3] * x2
     return out
 
 

@@ -21,7 +21,10 @@ is the P1 stiffness matrix: only the cell widths and the tent masses are
 kept, products are two difference passes and solves two cumulative sums.
 Below alpha = 1 the table is kept: products are two passes over it and
 solves two block triangular solves with it, by the inverses of its
-diagonal blocks.  Every alpha runs in numpy alone.
+diagonal blocks.  It is built in blocks of tents, from three kernel rows
+per tent; on a uniform grid (identity psi) its interior rows are
+Toeplitz, so row 1 alone is built so and the others are its right
+shifts.  Every alpha runs in numpy alone.
 
 At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
 D_left u: the table's values below alpha = 1, and at alpha = 1 the
@@ -299,26 +302,49 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
     c2 (u - u_{i+1})_+, so its left derivative T_i, for every beta, is the
     same combination of the kernels (u - u_k)_+^(1-alpha) / Gamma(2-alpha).
     K_ij sums du_m T_i(um) T_j(um) over the cell midpoints um.  The table
-    holds sqrt(du_m) T_i(um) in row i, column m, built in blocks of _BLOCK
-    tents; row 0 is zero and row n-1 is the half tent at T, so that K also
-    acts on fields with u(T) != 0.  Tent i vanishes on the cells before
-    cell i-1, so rows 1 .. n-1 are upper-triangular.
+    holds sqrt(du_m) T_i(um) in row i, column m; row 0 is zero and row n-1
+    is the half tent at T, so that K also acts on fields with u(T) != 0.
+    Tent i vanishes on the cells before cell i-1, so rows 1 .. n-1 are
+    upper-triangular.
+
+    On a uniform grid, u = linspace(u_0, u_{n-1}, n) as identity psi gives,
+    the kernel at um depends only on m - k, so the interior rows are
+    Toeplitz: row 1 is built as `_fill_tents` builds it, from 3 (n - 1)
+    powers, and the others are its right shifts, by one sliding-window
+    copy.  Where the nodes are an exact arithmetic progression that is the
+    block loop's table bit for bit; at other uniform grids it differs in
+    the last bits.  Every other grid is built by `_fill_tents`' block loop.
     """
     n = len(u)
-    m = n - 2
+    # allocated first: a table too large fails here, before any O(n) work
+    table = np.zeros((n, n - 1))
+    if not np.array_equal(u, np.linspace(u[0], u[-1], n)):
+        return _fill_tents(table, u, alpha, n - 2)
+    _fill_tents(table, u, alpha, 1)
+    # row i is i - 1 zeros, then row 1 without its last i - 1 entries
+    shifts = np.concatenate((np.zeros(n - 2), table[1]))
+    table[1:-1] = np.lib.stride_tricks.sliding_window_view(shifts, n - 1)[:0:-1]
+    return table
+
+
+def _fill_tents(table: np.ndarray, u: np.ndarray, alpha: float, m: int) -> np.ndarray:
+    """Write the tents at nodes 1 .. m and the half tent at T into the zeroed table.
+
+    The tents go in blocks of _BLOCK, each tent from three kernel rows
+    over the cells where it does not vanish.  Returns the table.
+    """
     du = u[1:] - u[:-1]
     mid = 0.5 * (u[:-1] + u[1:])
     c0 = 1.0 / du[:-1]
     c2 = 1.0 / du[1:]
     c1 = -(c0 + c2)
     scale = np.sqrt(du) / math.gamma(2.0 - alpha)
-    table = np.zeros((n, n - 1))
     inner = table[1:-1]
     for lo in range(0, m, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
+        rows = slice(lo, min(lo + _BLOCK, m))
         # kernels based at u_lo .. u_{lo+_BLOCK+1} at the midpoints of cells lo on;
         # the tents of this block vanish on the cells before
-        t = mid[lo:] - u[lo : lo + _BLOCK + 2, None]
+        t = mid[lo:] - u[lo : rows.stop + 2, None]
         np.maximum(t, 0.0, out=t)
         np.power(t, 1.0 - alpha, out=t, where=t > 0.0)
         tents = c0[rows, None] * t[:-2] + c1[rows, None] * t[1:-1] + c2[rows, None] * t[2:]

@@ -218,6 +218,17 @@ class TestLeftFactors:
         hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(alpha, beta))
         assert _MatmulSpy.products == 0
 
+    @pytest.mark.parametrize("n", [4, 9, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 513])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_stencil_slices_match_gathers(self, psi, n):
+        # the middle blocks read slices, the end blocks gather: bit for bit
+        # the stencil applied by gathers to every row at once
+        c, start = psifrac.calculus._d1_stencil(grid_for(psi, n=n).u)
+        x = np.random.default_rng(n).standard_normal((n, n + 3))
+        want = c[:, 0:1] * x[start] + c[:, 1:2] * x[start + 1] + c[:, 2:3] * x[start + 2]
+        got = psifrac.calculus._stencil_times(c, start, x)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestTypeParameter:
     """beta enters only as the Caputo shift at beta = 1."""
