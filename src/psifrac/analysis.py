@@ -248,15 +248,15 @@ class VerifyReport:
 
 
 def _checked_interior(u: np.ndarray, n: int, side: str) -> np.ndarray:
-    """The interior of a field to verify, after the checks every such field passes."""
-    if u.shape != (n,):
+    """The interior of a field to verify, or of each row of a block, after the checks each passes."""
+    if u.ndim > 2 or u.shape[-1:] != (n,):
         raise ValueError(f"field length {u.shape} does not match grid size {n}")
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    scale = 1.0 + float(np.abs(u).max())
-    if abs(u[0]) > 1e-12 * scale or abs(u[-1]) > 1e-12 * scale:
+    scale = 1.0 + np.abs(u).max(axis=-1)
+    if np.any(np.maximum(abs(u[..., 0]), abs(u[..., -1])) > 1e-12 * scale):
         raise ValueError("field must vanish at both boundary nodes")
-    ui = u[1:-1]
+    ui = u[..., 1:-1]
     if np.any(ui <= 0.0):
         raise ValueError(
             "singular-term failure: field must be strictly positive on the interior"
@@ -264,14 +264,18 @@ def _checked_interior(u: np.ndarray, n: int, side: str) -> np.ndarray:
     return ui
 
 
+def _margins(side, left, ui, lam, spec, w) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and tolerance of a field, or of each row of a block with a column `lam`."""
+    right = lam * (spec.h(ui) - ui ** (-spec.nu)) * w
+    margins = (right - left) if side == "sub" else (left - right)
+    return margins, 1e-8 * (1.0 + np.abs(right).max(axis=-1))
+
+
 def _verdict(
     side: str, left: np.ndarray, ui: np.ndarray, spec: ProblemSpec, w: np.ndarray
 ) -> VerifyReport:
     """Margins, tolerance and verdict of a field from its left side, interior and tent masses w."""
-    react = spec.lam * (spec.h(ui) - ui ** (-spec.nu))
-    right = react * w
-    margins = (right - left) if side == "sub" else (left - right)
-    tol_margin = 1e-8 * (1.0 + float(np.abs(right).max()))
+    margins, tol_margin = _margins(side, left, ui, spec.lam, spec, w)
     worst = int(np.argmin(margins))
     return VerifyReport(
         side=side,
@@ -279,7 +283,7 @@ def _verdict(
         margins=margins,
         worst_margin=float(margins[worst]),
         worst_node=worst + 1,
-        tol_margin=tol_margin,
+        tol_margin=float(tol_margin),
     )
 
 
@@ -315,23 +319,16 @@ _LAMBDA_BLOCK = 32
 def _sub_passes(spec, p, energy_p, form_p, w, lams) -> list[bool]:
     """Whether phi = s p passes the sub side at each (lambda, s = lambda^r) of `lams`.
 
-    The rows of the block are the fields s p; the checks and the arithmetic
-    are `_checked_interior`'s and `_verdict`'s, row by row.
+    The rows of the block are the fields s p, checked and measured by
+    `_checked_interior` and `_margins`.
     """
     lam = np.array([lam for lam, _ in lams])[:, None]
     s = np.array([s for _, s in lams])[:, None]
     # D_left(s * p) = s * D_left p, so its energy is s^2 E(p), its form s B(p)
     left = spec.m(np.array([s_ * s_ * energy_p for _, s_ in lams]))[:, None] * (s * form_p)
-    u = s * p
-    scale = 1.0 + np.abs(u).max(axis=1)
-    ui = u[:, 1:-1]
-    if np.any(np.abs(u[:, [0, -1]]).max(axis=1) > 1e-12 * scale) or np.any(ui <= 0.0):
-        for row in u:
-            _checked_interior(row, spec.grid.n, "sub")
-    react = lam * (spec.h(ui) - ui ** (-spec.nu))
-    right = react * w
-    tol_margin = 1e-8 * (1.0 + np.abs(right).max(axis=1))
-    return ((right - left).min(axis=1) >= -tol_margin).tolist()
+    ui = _checked_interior(s * p, spec.grid.n, "sub")
+    margins, tol_margin = _margins("sub", left, ui, lam, spec, w)
+    return (margins.min(axis=1) >= -tol_margin).tolist()
 
 
 def empirical_mu2(

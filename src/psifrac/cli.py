@@ -451,6 +451,10 @@ def run(rc: RunConfig) -> int:
     return status
 
 
+# the options of one subcommand, with the values the others run with
+_OWN_DEFAULTS = {"from_super": False, "sweep_min": 0.5, "sweep_max": 60.0, "sweep_step": 0.5}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # the options every subcommand shares live on one parent, whose actions
@@ -471,11 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name, help=f"run the {name} pipeline", parents=[common])
         if name == "solve":
-            sp.add_argument("--from-super", action="store_true")
+            sp.add_argument("--from-super", action="store_true", default=_OWN_DEFAULTS["from_super"])
         if name == "sweep":
-            sp.add_argument("--sweep-min", type=float, default=0.5)
-            sp.add_argument("--sweep-max", type=float, default=60.0)
-            sp.add_argument("--sweep-step", type=float, default=0.5)
+            for key in ("sweep_min", "sweep_max", "sweep_step"):
+                sp.add_argument("--" + key.replace("_", "-"), type=float, default=_OWN_DEFAULTS[key])
     return p
 
 
@@ -495,11 +498,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_iter=values["max_iter"],
         output_dir=args.output_dir,
         r=values["r"],
-        from_super=getattr(args, "from_super", False),
-        sweep_min=getattr(args, "sweep_min", 0.5),
-        sweep_max=getattr(args, "sweep_max", 60.0),
-        sweep_step=getattr(args, "sweep_step", 0.5),
         echo=echo,
+        **{key: getattr(args, key, default) for key, default in _OWN_DEFAULTS.items()},
     )
 
 

