@@ -19,16 +19,18 @@ enters no form, left derivative or energy, at any alpha.
 At alpha = 1 the tent derivatives are steps, V is upper-bidiagonal and K
 is the P1 stiffness matrix: only the cell widths and the tent masses are
 kept, products are two difference passes and solves two cumulative sums.
-Below alpha = 1 the table is kept: products are two passes over it and
-solves two block triangular solves with it, by the inverses of its
-diagonal blocks.  It is built in blocks of tents, from three kernel rows
-per tent; on a uniform grid (identity psi) its interior rows are
-Toeplitz, so row 1 alone is built so and the others are its right
-shifts.  Every alpha runs in numpy alone.
+Below alpha = 1 on a uniform grid (identity psi) the table's interior
+rows are Toeplitz, so only row 1 and the corner are kept, O(n) numbers:
+products are FFT convolutions with row 1, and solves FFT convolutions
+with its power-series inverse.  On every other grid the n x (n - 1)
+table is kept, built in blocks of tents from three kernel rows per
+tent: products are two passes over it and solves two block triangular
+solves with it, by the inverses of its diagonal blocks.  Every alpha
+runs in numpy alone.
 
 At every alpha the Kirchhoff energy is the cell-midpoint rule in x of
-D_left u: the table's values below alpha = 1, and at alpha = 1 the
-difference quotients of u.
+D_left u: the table's values below alpha = 1 (by FFT on a uniform
+grid), and at alpha = 1 the difference quotients of u.
 
 Forms, left derivatives, solves and energies also take a block of
 fields, one per row (the Picard sweep's lambda values), and return for
@@ -212,6 +214,102 @@ class _Tents:
         return z[:-1] - (z[-1] / self.g[-1]) * self.g[:-1]
 
 
+def _series_inverse(r: np.ndarray) -> np.ndarray:
+    """s with r s = 1 + O(z^m) as power series, m = len(r), by Newton doubling.
+
+    If r s_k = 1 + z^k E(z), then s_2k = s_k (1 - z^k E) mod z^2k: the
+    terms k .. 2k - 1 of r s_k are E's first k, and the new terms are s_k
+    E's first k, negated.  Both products are real FFTs of length 2k, so
+    the whole costs O(m log m).
+    """
+    s = np.array([1.0 / r[0]])
+    k = 1
+    while k < len(r):
+        s_hat = np.fft.rfft(s, 2 * k)
+        # the terms of r s_k past 2k wrap onto those below k, which are not read
+        e = np.fft.irfft(np.fft.rfft(r[: 2 * k], 2 * k) * s_hat, 2 * k)[k:]
+        s = np.concatenate((s, -np.fft.irfft(s_hat * np.fft.rfft(e, 2 * k), 2 * k)[:k]))
+        k *= 2
+    return s[: len(r)]
+
+
+def _lower(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T(a)^T x, the convolution a * x, from a's transform `a_hat` of length 2 m.
+
+    T(a) is the upper-triangular Toeplitz matrix of the m entries of a; x
+    has at most m entries, zero-padded, or is a block of such rows.  No
+    term of the first m wraps.
+    """
+    m = len(a_hat) - 1
+    return np.fft.irfft(a_hat * np.fft.rfft(x, 2 * m), 2 * m)[..., :m]
+
+
+def _upper(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T(a) x, the correlation of a with x, as `_lower` takes its arguments."""
+    m = len(a_hat) - 1
+    return np.fft.irfft(a_hat.conj() * np.fft.rfft(x, 2 * m), 2 * m)[..., :m]
+
+
+def _toeplitz_k_solve(s_hat: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(T(r) T(r)^T)^-1 c = T(s)^T T(s) c, s = r's series inverse, by `_upper` then `_lower`."""
+    return _lower(s_hat, _upper(s_hat, c))
+
+
+@dataclass(frozen=True)
+class _Toeplitz:
+    """K below alpha = 1 on a uniform grid, kept as the tent table's row 1 and corner.
+
+    There the kernel at a cell midpoint depends only on how many cells lie
+    between it and the kernel's node: V = table[1:] is T(r), the
+    upper-triangular Toeplitz matrix of r = table[1], but for its corner,
+    the half tent h at T.  K_int, made of the interior rows alone, is the
+    leading block of T(r) T(r)^T, whose inverse is T(s)^T T(s) with s the
+    series inverse of r, so K_int x = b eliminates the unknown at T with
+    g = T(s)^T T(s) e_last as `_Tents` does; h enters only f @ table.
+    Products and solves are pairs of real FFT convolutions, with the
+    transforms `r_hat` and `s_hat` of r and s.
+    """
+
+    r_hat: np.ndarray
+    s_hat: np.ndarray
+    h: float
+    w: np.ndarray
+    root_du: np.ndarray
+    g: np.ndarray
+    kind = "toeplitz"
+
+    @classmethod
+    def of(cls, r: np.ndarray, h: float, w: np.ndarray, du: np.ndarray) -> _Toeplitz:
+        # the symbol is checked once, as `_Tents.of` checks its table
+        np.asarray_chkfinite(np.append(r, h))
+        if r[0] == 0.0:
+            raise np.linalg.LinAlgError("the tent table has a zero on its diagonal (row 1)")
+        r_hat, s_hat = (np.fft.rfft(a, 2 * len(r)) for a in (r, _series_inverse(r)))
+        g = _toeplitz_k_solve(s_hat, np.append(np.zeros(len(r) - 1), 1.0))
+        for a in (r_hat, s_hat, g):
+            a.setflags(write=False)
+        return cls(r_hat, s_hat, float(h), w, np.sqrt(du), g)
+
+    def bandwidth(self) -> tuple[int, int]:
+        return (len(self.w) - 1, len(self.w) - 1)
+
+    def _times_table(self, f: np.ndarray) -> np.ndarray:
+        """f @ table: T(r)^T of the interior values, and h f(T) at the last cell."""
+        y = _lower(self.r_hat, f[..., 1:-1])
+        y[..., -1] += f[..., -1] * self.h
+        return y
+
+    def left(self, f: np.ndarray) -> np.ndarray:
+        return self._times_table(f) / self.root_du
+
+    def form(self, f: np.ndarray) -> np.ndarray:
+        return _upper(self.r_hat, self._times_table(f))[..., :-1]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        z = _toeplitz_k_solve(self.s_hat, np.asarray_chkfinite(b))
+        return z[..., :-1] - (z[..., -1:] / self.g[-1]) * self.g[:-1]
+
+
 @dataclass(frozen=True)
 class ComposedOperator:
     """Dirichlet realization of D_right(D_left u) on the grid, as the pair (K, W).
@@ -221,11 +319,12 @@ class ComposedOperator:
     formed, and a caller that wants it divides by `w` (or multiplies a
     right side by it) where it says so.  `_a` holds K as the assembly
     built it, with what its solves use: the cell widths and tent masses at
-    alpha = 1, the tent table below.
+    alpha = 1; below, the tent table's row 1 and corner on a uniform grid,
+    and the whole table on any other.
     """
 
     spec: ProblemSpec
-    _a: _Stiffness | _Tents = field(repr=False, compare=False)
+    _a: _Stiffness | _Toeplitz | _Tents = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -245,7 +344,8 @@ class ComposedOperator:
 
     @property
     def factorization(self) -> str:
-        """How interior solves are made: "stiffness" (cumulative sums) or "tent table" (K's factor)."""
+        """How interior solves are made: "stiffness" (cumulative sums), "toeplitz"
+        (FFTs with row 1's series inverse) or "tent table" (K's factor)."""
         return self._a.kind
 
     @property
@@ -306,25 +406,20 @@ def _tent_table(u: np.ndarray, alpha: float) -> np.ndarray:
     is the half tent at T, so that K also acts on fields with u(T) != 0.
     Tent i vanishes on the cells before cell i-1, so rows 1 .. n-1 are
     upper-triangular.
-
-    On a uniform grid, u = linspace(u_0, u_{n-1}, n) as identity psi gives,
-    the kernel at um depends only on m - k, so the interior rows are
-    Toeplitz: row 1 is built as `_fill_tents` builds it, from 3 (n - 1)
-    powers, and the others are its right shifts, by one sliding-window
-    copy.  Where the nodes are an exact arithmetic progression that is the
-    block loop's table bit for bit; at other uniform grids it differs in
-    the last bits.  Every other grid is built by `_fill_tents`' block loop.
     """
     n = len(u)
     # allocated first: a table too large fails here, before any O(n) work
-    table = np.zeros((n, n - 1))
-    if not np.array_equal(u, np.linspace(u[0], u[-1], n)):
-        return _fill_tents(table, u, alpha, n - 2)
-    _fill_tents(table, u, alpha, 1)
-    # row i is i - 1 zeros, then row 1 without its last i - 1 entries
-    shifts = np.concatenate((np.zeros(n - 2), table[1]))
-    table[1:-1] = np.lib.stride_tricks.sliding_window_view(shifts, n - 1)[:0:-1]
-    return table
+    return _fill_tents(np.zeros((n, n - 1)), u, alpha, n - 2)
+
+
+def _symbol(u: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The tent table's row 1 and its corner, the half tent at T, by `_fill_tents`' block loop.
+
+    On a uniform grid they are all of the table: row i is row 1 shifted
+    i - 1 cells right.
+    """
+    rows = _fill_tents(np.zeros((3, len(u) - 1)), u, alpha, 1)
+    return rows[1], rows[2, -1]
 
 
 def _fill_tents(table: np.ndarray, u: np.ndarray, alpha: float, m: int) -> np.ndarray:
@@ -358,9 +453,11 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
     """Build the composed operator for the problem data.
 
     K is the tent form at every alpha.  At alpha = 1 it is kept as the
-    cell widths and tent masses (K the P1 stiffness); below, as the table
-    of `_tent_table`, which also gives D_left at the cell midpoints.  Only
-    the interior rows are kept: u = 0 at both ends.
+    cell widths and tent masses (K the P1 stiffness).  Below, on a uniform
+    grid, as the table's row 1 and corner from `_symbol`, and on any
+    other grid as the table of `_tent_table`; either also gives D_left at
+    the cell midpoints.  Only the interior rows are kept: u = 0 at both
+    ends.
     """
     bad = validate_spec(spec)
     if bad:
@@ -371,6 +468,8 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
         a.setflags(write=False)
     if spec.order.alpha == 1.0:
         return ComposedOperator(spec, _Stiffness(du, w, float(u[-1] - u[0])))
+    if np.array_equal(u, np.linspace(u[0], u[-1], len(u))):
+        return ComposedOperator(spec, _Toeplitz.of(*_symbol(u, spec.order.alpha), w, du))
     table = _tent_table(u, spec.order.alpha)
     table.setflags(write=False)
     return ComposedOperator(spec, _Tents.of(table, w, du))

@@ -498,7 +498,7 @@ class TestRunConfigValidation:
         self, tmp_path, capsys, monkeypatch, i
     ):
         # a zero on the diagonal of V = table[1:] leaves the tent table's
-        # triangular solves without a pivot
+        # triangular solves without a pivot (a non-uniform grid keeps the table)
         real = psifrac.operators._tent_table
 
         def singular(u, alpha):
@@ -507,11 +507,28 @@ class TestRunConfigValidation:
             return table
 
         monkeypatch.setattr(psifrac.operators, "_tent_table", singular)
-        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        code, _, report = run_cli(
+            tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33", "--psi", "square"
+        )
         assert code == 2 and report is None
         row = 1 + i % 32
         err = capsys.readouterr().err
         assert f"numerical failure: assembly: the tent table has a zero on its diagonal (row {row})" in err
+
+    def test_zero_symbol_diagonal_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a uniform grid keeps the table's row 1, whose first entry is every
+        # interior row's pivot
+        real = psifrac.operators._symbol
+
+        def singular(u, alpha):
+            r, h = real(u, alpha)
+            return np.concatenate(([0.0], r[1:])), h
+
+        monkeypatch.setattr(psifrac.operators, "_symbol", singular)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err == "numerical failure: assembly: the tent table has a zero on its diagonal (row 1)\n"
 
     @pytest.mark.parametrize(
         "exc, shown",
@@ -523,12 +540,15 @@ class TestRunConfigValidation:
     def test_failed_allocation_is_a_numerical_failure(
         self, tmp_path, capsys, monkeypatch, exc, shown
     ):
-        # as the n x (n - 1) tent table at n = 1e7 fails; nothing is allocated here
+        # as the n x (n - 1) tent table of a non-uniform grid at n = 1e7
+        # fails; nothing is allocated here
         def no_memory(u, alpha):
             raise exc
 
         monkeypatch.setattr(psifrac.operators, "_tent_table", no_memory)
-        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        code, _, report = run_cli(
+            tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33", "--psi", "square"
+        )
         assert code == 2 and report is None
         assert capsys.readouterr().err == f"numerical failure: assembly: {shown}\n"
 
@@ -541,8 +561,26 @@ class TestRunConfigValidation:
             return op.solve_interior(np.full(op.n - 2, np.nan))
 
         monkeypatch.setattr(cli, "solve_e", nan_load)
-        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        code, _, report = run_cli(
+            tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33", "--psi", "square"
+        )
         assert code == 2 and report is None and seen == ["tent table"]
+        err = capsys.readouterr().err
+        assert "numerical failure: e-solve: array must not contain infs or NaNs" in err
+
+    def test_non_finite_load_on_a_uniform_grid_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # and so do the FFT solves of a uniform grid
+        seen = []
+
+        def nan_load(op):
+            seen.append(op.factorization)
+            return op.solve_interior(np.full(op.n - 2, np.nan))
+
+        monkeypatch.setattr(cli, "solve_e", nan_load)
+        code, _, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", "--grid-n", "33")
+        assert code == 2 and report is None and seen == ["toeplitz"]
         err = capsys.readouterr().err
         assert "numerical failure: e-solve: array must not contain infs or NaNs" in err
 
@@ -651,13 +689,23 @@ class TestDiagnostics:
             assert "lambda2" not in path.read_text()
 
     def test_fractional_interior_is_the_tent_table(self, tmp_path):
-        code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
+        code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST, "--psi", "square")
         assert code == 0
-        # the block of 63 rows is full, and solved through K's triangular factor
+        # the block of 63 rows is full, and solved through K's triangular
+        # factor, on a non-uniform grid
         interior = report["diagnostics"]["interior"]
         assert interior == {"factorization": "tent table", "bandwidth": [62, 62]}
         for path in out.glob("*.csv"):
             assert "tent" not in path.read_text()
+
+    def test_fractional_interior_on_a_uniform_grid_is_toeplitz(self, tmp_path):
+        code, out, report = run_cli(tmp_path, "eigen", "--alpha", "0.75", *FAST)
+        assert code == 0
+        # the same full block, solved by FFTs with the table's row 1
+        interior = report["diagnostics"]["interior"]
+        assert interior == {"factorization": "toeplitz", "bandwidth": [62, 62]}
+        for path in out.glob("*.csv"):
+            assert "toeplitz" not in path.read_text()
 
 
 def _probe(code: str) -> str:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -142,9 +143,10 @@ class TestBandedInterior:
         # with V = table[1:] (K = V V^T) followed by the elimination of the
         # half tent at T with g = K^-1 e_last, has a normwise backward error
         # within twice that of the same steps by LAPACK's triangular solves
-        # (1.8 times at most here, 6.1 eps), and the rows of a block are
-        # bitwise single solves
-        op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=129))
+        # (1.62 times at most here, 1.2 eps), and the rows of a block are
+        # bitwise single solves.  On a non-uniform grid: a uniform one keeps
+        # the table's row 1 alone
+        op = assemble_composed(make_spec(alpha=alpha, beta=0.5, psi="square", grid_n=129))
         assert op.factorization == "tent table"
         assert op.interior_bandwidth == (op.n - 3, op.n - 3)
         assert np.all(form_matrix(op)[:, 1:-1] != 0.0)
@@ -180,7 +182,10 @@ class TestBandedInterior:
                 for n in (9, 33, 129):
                     spec = make_spec(alpha=alpha, beta=beta, psi=psi, grid_n=n)
                     op = assemble_composed(spec)
-                    assert op.factorization == "tent table"
+                    # the uniform grid's solves are FFTs with row 1's series
+                    # inverse, and meet the same bounds
+                    want = "toeplitz" if psi == "identity" else "tent table"
+                    assert op.factorization == want
                     b = op.w * np.random.default_rng(n).standard_normal(n - 2)
                     x = op.solve_form(b)
                     ref = tent_form_reference(spec)[:, 1:-1]
@@ -196,8 +201,9 @@ class TestBandedInterior:
 
     def test_factorization_follows_the_band(self, monkeypatch):
         # no LAPACK solve or inverse at any alpha: cumulative sums at
-        # alpha = 1; below, the tent table and the inverses of its diagonal
-        # blocks, built at assembly in numpy, and no dense LU, K or A
+        # alpha = 1; below, on a non-uniform grid, the tent table and the
+        # inverses of its diagonal blocks, built at assembly in numpy, and
+        # no dense LU, K or A; on a uniform grid, FFTs with the table's row 1
         for name in ("lu_factor", "lu_solve", "dlauum", "dsyr", "dgbtrf", "dgbtrs", "dtrtrs"):
             assert not hasattr(psifrac.operators, name), name
         calls = []
@@ -209,15 +215,18 @@ class TestBandedInterior:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        for alpha, n in [(1.0, 8), (1.0, 129), (0.9, 33), (0.75, 129), (0.75, 258)]:
-            op = assemble_composed(make_spec(alpha=alpha, grid_n=n))
-            principal_eigenpair(op, tol=1e-9)
-            solve_e(op)
-            if alpha == 1.0:
-                assert op.factorization == "stiffness"
-            else:
-                assert op.factorization == "tent table"
-                assert op._a.inv.shape == (-(-(n - 1) // 128), 128, 128)
+        for psi in ("square", "identity"):
+            for alpha, n in [(1.0, 8), (1.0, 129), (0.9, 33), (0.75, 129), (0.75, 258)]:
+                op = assemble_composed(make_spec(alpha=alpha, psi=psi, grid_n=n))
+                principal_eigenpair(op, tol=1e-9)
+                solve_e(op)
+                if alpha == 1.0:
+                    assert op.factorization == "stiffness"
+                elif psi == "identity":
+                    assert op.factorization == "toeplitz"
+                else:
+                    assert op.factorization == "tent table"
+                    assert op._a.inv.shape == (-(-(n - 1) // 128), 128, 128)
         assert calls == []
 
     def test_non_finite_table_is_refused_at_assembly(self, monkeypatch):
@@ -230,7 +239,7 @@ class TestBandedInterior:
 
         monkeypatch.setattr(psifrac.operators, "_tent_table", with_nan)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            assemble_composed(make_spec(alpha=0.75, grid_n=33))
+            assemble_composed(make_spec(alpha=0.75, psi="square", grid_n=33))
 
 
 def _normwise_backward_error(k: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -326,71 +335,133 @@ def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _block_loop_table(u: np.ndarray, alpha: float) -> np.ndarray:
-    """The tent table built by the block loop alone, every grid's path but a uniform one."""
+def _toeplitz_table(u: np.ndarray, alpha: float) -> np.ndarray:
+    """The table the Toeplitz class stands for: row i is the symbol shifted i - 1 cells right."""
     n = len(u)
-    return psifrac.operators._fill_tents(np.zeros((n, n - 1)), u, alpha, n - 2)
+    r, h = psifrac.operators._symbol(u, alpha)
+    table = np.zeros((n, n - 1))
+    for i in range(1, n - 1):
+        table[i, i - 1 :] = r[: n - i]
+    table[-1, -1] = h
+    return table
 
 
-def _shift_gap(n: int, alpha: float, T: float) -> float:
-    """The uniform grid's table against the block loop's, relative to the table's sup."""
-    u = np.linspace(0.0, T, n)
-    want = _block_loop_table(u, alpha)
-    return float(np.abs(psifrac.operators._tent_table(u, alpha) - want).max() / np.abs(want).max())
+def _dense(spec, table: np.ndarray):
+    """The operator of spec kept as the given tent table, solved by block back-substitution."""
+    u = spec.grid.u
+    w = psifrac.operators.tent_masses(u)[1:-1]
+    return dataclasses.replace(assemble_composed(spec), _a=psifrac.operators._Tents.of(table, w, np.diff(u)))
 
 
-# The nodes of linspace(0, T, n) carry rounding of eps * T, so the kernels
-# of the shifted row 1 and of the block loop part by about n * eps of the
-# table's sup.  Measured: 0.67 n eps at most on the fixed grids below
-# (T = 0.3, n = 1000, alpha = 0.55), 0.85 n eps over 3000 random ones of
-# the property's range.
-def _shift_bound(n: int) -> float:
-    return 2.0 * n * np.finfo(float).eps
+def _gaps(op, dense, seed: int) -> dict[str, float]:
+    """form, apply_left, solve_form and energies of op against dense, in units of n eps of the sup."""
+    n = op.n
+    f = np.random.default_rng(seed).standard_normal((3, n))
+    calls = {
+        "form": lambda o: o.form(f),
+        "left": lambda o: o.apply_left(f),
+        "solve": lambda o: o.solve_form(f[:, 1:-1]),
+        "energy": lambda o: energies(f, o),
+    }
+    gaps = {}
+    for name, call in calls.items():
+        got, want = call(op), call(dense)
+        gaps[name] = float(np.abs(got - want).max() / np.abs(want).max() / (n * np.finfo(float).eps))
+    return gaps
+
+
+# The FFT products and solves against the same table's dense ones:
+# measured at most 0.53 n eps (the solve) at exact progressions up to
+# n = 1025, and 1.39 n eps (the solve; products 0.88, energies 0.90) over
+# 11000 random specs of the property's range.
+_FFT_BOUND = 2.0
+
+# Against the block loop's table at a uniform grid that is not an exact
+# progression, whose entries part from the symbol's shifts by about n eps
+# of the sup: products and energies measured at most 1.61 n eps, the solve,
+# which this spreads by K_int's conditioning, 48 n eps (n = 1000,
+# alpha = 0.9) and 39 n eps over the property's range.
+_TABLE_BOUND = {"form": 4.0, "left": 4.0, "energy": 4.0, "solve": 100.0}
+
+
+def _symbol_is_the_block_loops(u: np.ndarray, alpha: float) -> bool:
+    table = psifrac.operators._tent_table(u, alpha)
+    r, h = psifrac.operators._symbol(u, alpha)
+    return _bitwise(r, table[1]) and h == table[-1, -1]
 
 
 class TestToeplitzTable:
-    """On a uniform grid the table is row 1 and its right shifts."""
+    """On a uniform grid the operator keeps the tent table's row 1, its
+    symbol, and its corner, and makes every product and solve an FFT."""
 
     @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 0.99])
     @pytest.mark.parametrize("n", [9, 33, 65, 129, 257, 1025])
     @pytest.mark.parametrize("T", [1.0, 2.0, 7.0])
     def test_exact_progression_is_the_block_loop(self, T, n, alpha):
+        # there the block loop's table is the Toeplitz one bit for bit, so
+        # the two classes keep the same numbers
         u = np.linspace(0.0, T, n)
         assert np.all(np.diff(u) == u[1])
-        assert _bitwise(psifrac.operators._tent_table(u, alpha), _block_loop_table(u, alpha))
+        assert _bitwise(psifrac.operators._tent_table(u, alpha), _toeplitz_table(u, alpha))
+        assert _symbol_is_the_block_loops(u, alpha)
 
     @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 0.99])
     @pytest.mark.parametrize("n", [100, 769, 1000])
     @pytest.mark.parametrize("T", [0.3, 1.0])
     def test_other_uniform_grids_within_bound(self, T, n, alpha):
-        u = np.linspace(0.0, T, n)
+        spec = make_spec(alpha=alpha, grid_n=n, T=T)
+        u = spec.grid.u
         assert not np.all(np.diff(u) == u[1])
-        assert _shift_gap(n, alpha, T) <= _shift_bound(n)
+        assert _symbol_is_the_block_loops(u, alpha)
+        op = assemble_composed(spec)
+        assert op.factorization == "toeplitz"
+        for name, gap in _gaps(op, _dense(spec, psifrac.operators._tent_table(u, alpha)), n).items():
+            assert gap <= _TABLE_BOUND[name], name
+        for name, gap in _gaps(op, _dense(spec, _toeplitz_table(u, alpha)), n).items():
+            assert gap <= _FFT_BOUND, name
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(3, 300),
         alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
         T=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_uniform_property(self, n, alpha, T):
-        assert _shift_gap(n, alpha, T) <= _shift_bound(n)
+    def test_uniform_property(self, n, alpha, T, seed):
+        # built from its parts, since a spec wants n >= 8
+        u = np.linspace(0.0, T, n)
+        assert _symbol_is_the_block_loops(u, alpha)
+        w, du = psifrac.operators.tent_masses(u)[1:-1], np.diff(u)
+        toeplitz = psifrac.operators._Toeplitz.of(*psifrac.operators._symbol(u, alpha), w, du)
+        op = _Parts(n, toeplitz, du)
+        for table, bound in [
+            (psifrac.operators._tent_table(u, alpha), _TABLE_BOUND),
+            (_toeplitz_table(u, alpha), dict.fromkeys(_TABLE_BOUND, _FFT_BOUND)),
+        ]:
+            dense = _Parts(n, psifrac.operators._Tents.of(table, w, du), du)
+            for name, gap in _gaps(op, dense, seed).items():
+                assert gap <= bound[name], name
 
     @pytest.mark.parametrize("n", [65, 129, 257, 513, 769, 1025])
     def test_shifts_only_at_identity(self, n, monkeypatch):
-        # the other psi build every row by the block loop
+        # only identity psi, the uniform grid, takes the Toeplitz class,
+        # built from the 3-row table of the symbol; the other psi build
+        # every row by the block loop and keep the table
         real = psifrac.operators._fill_tents
         rows = []
 
         def spy(table, u, alpha, m):
-            rows.append(m)
+            rows.append((len(table), m))
             return real(table, u, alpha, m)
 
         monkeypatch.setattr(psifrac.operators, "_fill_tents", spy)
         for psi in PSIS:
             rows.clear()
-            psifrac.operators._tent_table(make_spec(psi=psi, grid_n=n).grid.u, 0.75)
-            assert rows == ([1] if psi == "identity" else [n - 2]), psi
+            op = assemble_composed(make_spec(alpha=0.75, psi=psi, grid_n=n))
+            if psi == "identity":
+                assert op.factorization == "toeplitz" and rows == [(3, 1)], psi
+            else:
+                assert op.factorization == "tent table" and rows == [(n, n - 2)], psi
 
     def test_three_kernel_rows_raised_at_identity(self, monkeypatch):
         # the block loop raised about 574k kernel values at n = 1025
@@ -408,10 +479,121 @@ class TestToeplitzTable:
         assert 0 < sum(raised) <= 3 * n
 
 
+@dataclasses.dataclass(frozen=True)
+class _Parts:
+    """What `_gaps` reads of an operator, for one kept as the given K class (any n >= 3)."""
+
+    n: int
+    _a: object
+    cell_widths: np.ndarray
+
+    def form(self, f):
+        return self._a.form(f)
+
+    def apply_left(self, f):
+        return self._a.left(f)
+
+    def solve_form(self, b):
+        return self._a.solve(b)
+
+
+class TestToeplitzOperator:
+    """The uniform grid's FFT products and solves against the dense table's."""
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [9, 65, 257, 1025])
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_matches_dense(self, T, n, alpha):
+        spec = make_spec(alpha=alpha, beta=0.5, grid_n=n, T=T)
+        op = assemble_composed(spec)
+        assert op.factorization == "toeplitz"
+        assert op.interior_bandwidth == (n - 3, n - 3)
+        dense = _dense(spec, psifrac.operators._tent_table(spec.grid.u, alpha))
+        for name, gap in _gaps(op, dense, n).items():
+            assert gap <= _FFT_BOUND, name
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [65, 257, 1025])
+    def test_k_solve_within_twice_lapack(self, n, alpha):
+        # K = T(r) T(r)^T, the Toeplitz matrix of the symbol, by FFTs with
+        # its series inverse against LAPACK's triangular solves with T(r):
+        # measured at most 1.18 times LAPACK's error here (1.44 over three
+        # other seeds), and 8.3 eps at most
+        u = np.linspace(0.0, 1.0, n)
+        r, h = psifrac.operators._symbol(u, alpha)
+        t = psifrac.operators._Toeplitz.of(r, h, np.ones(n - 2), np.diff(u))
+        v = np.triu(scipy.linalg.toeplitz(r[:1].repeat(n - 1), r))
+        k = v @ v.T
+        errors = [
+            [
+                _normwise_backward_error(k, x, b)
+                for x in (psifrac.operators._toeplitz_k_solve(t.s_hat, b), _lapack_k_solve(v, b))
+            ]
+            for b in np.random.default_rng(n).standard_normal((4, n - 1))
+        ]
+        ours, lapack = np.max(errors, axis=0)
+        assert ours <= 2 * lapack
+
+    @pytest.mark.parametrize("n", [8, 9, 65, 1025])
+    def test_block_rows_are_single_calls(self, n):
+        # numpy's FFTs transform each row of a block alone, and every
+        # reduction is the row's own
+        op = assemble_composed(make_spec(alpha=0.75, grid_n=n))
+        f = np.random.default_rng(n).standard_normal((5, n))
+        for call, x in [(op.solve_form, f[:, 1:-1]), (op.form, f), (op.apply_left, f)]:
+            block = call(x)
+            for j in range(len(x)):
+                assert _bitwise(block[j], call(x[j].copy()))
+        assert _bitwise(energies(f, op), np.array([energy(row, op) for row in f]))
+
+    def test_assembly_at_scale(self):
+        # the series inverse is O(n log n) and nothing n x n is built:
+        # 36 ms and 16 n floats traced at n = 2^16 + 1, where an np.convolve
+        # Newton takes about a second and the table 34 GB
+        spec = make_spec(alpha=0.75, grid_n=2**16 + 1)
+        start = time.perf_counter()
+        op = assemble_composed(spec)
+        assert time.perf_counter() - start < 0.5
+        assert op.factorization == "toeplitz"
+        tracemalloc.start()
+        try:
+            assemble_composed(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 8 * spec.grid.n, peak
+
+    def test_zero_on_the_diagonal_names_row_one(self, monkeypatch):
+        real = psifrac.operators._symbol
+
+        def singular(u, alpha):
+            r, h = real(u, alpha)
+            return np.concatenate(([0.0], r[1:])), h
+
+        monkeypatch.setattr(psifrac.operators, "_symbol", singular)
+        with pytest.raises(np.linalg.LinAlgError, match=r"zero on its diagonal \(row 1\)"):
+            assemble_composed(make_spec(alpha=0.75, grid_n=33))
+
+    @pytest.mark.parametrize("where", ["row", "corner"])
+    def test_non_finite_symbol_is_refused_at_assembly(self, where, monkeypatch):
+        real = psifrac.operators._symbol
+
+        def with_nan(u, alpha):
+            r, h = real(u, alpha)
+            if where == "corner":
+                return r, np.nan
+            return np.concatenate((r[:9], [np.inf], r[10:])), h
+
+        monkeypatch.setattr(psifrac.operators, "_symbol", with_nan)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            assemble_composed(make_spec(alpha=0.75, grid_n=33))
+
+
 class TestBandConstruction:
     """At alpha = 1, K is kept as the cell widths and the tent masses, and
     its dense form is bit for bit the three diagonals of the P1 stiffness;
-    no n x n array is formed.  Below, the tent table is the only one."""
+    no n x n array is formed.  Below, on a non-uniform grid, the tent table
+    is the only one, and on a uniform grid there is none."""
 
     @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
@@ -430,8 +612,15 @@ class TestBandConstruction:
         assert np.abs(k - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_no_square_array_at_alpha_one(self):
+        self._check_no_square_array(make_spec(alpha=1.0, grid_n=2049, lam=50.0))
+
+    def test_no_square_array_on_a_uniform_grid(self):
+        # below alpha = 1 the tent table's row 1 alone: 0.73 MB traced
+        self._check_no_square_array(make_spec(alpha=0.75, beta=0.5, grid_n=2049, lam=50.0))
+
+    @staticmethod
+    def _check_no_square_array(spec):
         # one 2049 x 2049 float64 array is 33.6 MB
-        spec = make_spec(alpha=1.0, grid_n=2049, lam=50.0)
         tracemalloc.start()
         try:
             op = assemble_composed(spec)
@@ -449,9 +638,9 @@ class TestBandConstruction:
         assert peak < 4e6, peak
 
     def test_table_is_the_only_square_array_below_alpha_one(self):
-        # the n x (n-1) tent table is 8.4 MB at n = 1025; no K, dense A or
-        # LU factors are built next to it
-        spec = make_spec(alpha=0.75, beta=0.5, grid_n=1025, lam=50.0)
+        # the n x (n-1) tent table of a non-uniform grid is 8.4 MB at
+        # n = 1025; no K, dense A or LU factors are built next to it
+        spec = make_spec(alpha=0.75, beta=0.5, psi="square", grid_n=1025, lam=50.0)
         table_bytes = 8.0 * spec.grid.n * (spec.grid.n - 1)
         tracemalloc.start()
         try:

@@ -78,9 +78,10 @@ def test_assemble_composed_returns_or_raises_value_error(spec):
 @settings(deadline=None, max_examples=150)
 @given(spec=spec_fields(0).map(lambda fields: make_spec(**fields)), seed=st.integers(0, 2**32 - 1))
 def test_solve_interior_matches_dense_solve(spec, seed):
-    # the cumulative sums (alpha = 1) and the tent table's triangular solves
-    # (below) both agree with a plain dense solve of A_int = W^-1 K_int, the
-    # reference's K_int, to the block's conditioning
+    # the cumulative sums (alpha = 1), the FFT solves (below, uniform grid)
+    # and the tent table's triangular solves (below, other grids) all agree
+    # with a plain dense solve of A_int = W^-1 K_int, the reference's K_int,
+    # to the block's conditioning
     try:
         op = assemble_composed(spec)
     except ValueError:

@@ -20,11 +20,14 @@ The list: the benchmark's nine invocations at seed 1 (from
 `eigen --alpha 0.75 --grid-n 129` and `verify --grid-n 257 --lambda 100`
 for each of the four psi; `verify --grid-n 769 --lambda 110`; `eigen
 --grid-n 12`, an even grid at alpha = 1, where the modes have both
-parities about the midpoint; and, at
+parities about the midpoint; at
 uniform grids whose nodes are not an exact arithmetic progression (so the
 tent table's last bits may move when its construction does), `eigen
 --alpha 0.75 --grid-n 1000` and `verify --alpha 0.75 --grid-n 769
---lambda 30`.
+--lambda 30`; `sweep --alpha 0.75 --grid-n 129 --psi square`, Picard
+with the dense tent table's block solves on a non-uniform grid; and
+`solve --alpha 0.75 --grid-n 1025 --lambda 30`, one Picard solve with
+the uniform grid's FFT solves at the benchmark's size.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ def invocations() -> list[tuple[str, ...]]:
     out.append(("eigen", "--grid-n", "12"))
     out.append(("eigen", "--alpha", "0.75", "--grid-n", "1000"))
     out.append(("verify", "--alpha", "0.75", "--grid-n", "769", "--lambda", "30"))
+    out.append(("sweep", "--alpha", "0.75", "--grid-n", "129", "--psi", "square"))
+    out.append(("solve", "--alpha", "0.75", "--grid-n", "1025", "--lambda", "30"))
     return out
 
 
