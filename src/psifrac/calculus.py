@@ -7,6 +7,11 @@ linearly in u and the two moment integrals of each cell are evaluated in
 closed form, so the weakly singular kernel is integrated exactly against
 the interpolant (product integration; no free parameters, no tuning).
 The right-side integral is the left rule applied to the reflected nodes.
+On a uniform grid (np.linspace's nodes, the test `operators` applies too)
+a cell's weights depend only on its lag behind the row's node, so the
+rule is one row of 2n powers in distance form copied down the diagonals
+(the convolution structure of fractional quadrature; Lubich 1986); every
+other grid raises the distances of each row block to the two powers.
 
 The left derivative is Riemann-Liouville: d/du after an integral of order
 1 - alpha.  The type beta cancels on the fields it differentiates
@@ -65,8 +70,13 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _is_uniform(u: np.ndarray) -> bool:
+    """Whether the nodes are exactly np.linspace's between their ends."""
+    return np.array_equal(u, np.linspace(u[0], u[-1], len(u)))
+
+
 def _left_integral_entries(
-    u: np.ndarray, order: float, out: np.ndarray | None = None
+    u: np.ndarray, order: float, out: np.ndarray | None = None, *, uniform: bool = False
 ) -> np.ndarray:
     """Row i approximates 1/Gamma(a) * int_0^{x_i} (u_i - u)^(a-1) f du.
 
@@ -76,12 +86,16 @@ def _left_integral_entries(
     the distances d = u_i - u_j, clipped at 0, are raised to the powers a
     and a+1 once per block, and the cell ends are the shifted columns.
     Cells at or above the diagonal have both ends at distance 0, so their
-    weights come out exact zeros.  The rule is written into `out` (zeros,
-    possibly a view) when given.
+    weights come out exact zeros.  With `uniform`, the caller's word that
+    the grid's nodes are uniform, the weights are `_lag_weights`' instead.
+    The rule is written into `out` (zeros, possibly a view) when given.
     """
     n = len(u)
     a = order
     W = np.zeros((n, n)) if out is None else out
+    if uniform:
+        _lag_weights(W, u, a)
+        return W
     du = u[1:] - u[:-1]
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
@@ -95,6 +109,36 @@ def _left_integral_entries(
         W[lo:hi, 1:hi] += (m1 - u[: hi - 1] * m0) / du[: hi - 1]
     W /= math.gamma(a)
     return W
+
+
+def _lag_weights(W: np.ndarray, u: np.ndarray, a: float) -> None:
+    """The rule on uniform nodes, where a weight depends only on the lag i - j.
+
+    The cell k cells behind a row's node lies between the distances
+    t_{k-1} and t_k from it, t_k = u_k - u_0 taken from the nodes.  With
+    m0 = (t_k^a - t_{k-1}^a)/a and Q = (t_k^(a+1) - t_{k-1}^(a+1))/(a+1),
+    its far end weighs (Q - t_{k-1} m0)/dt and its near end
+    (t_k m0 - Q)/dt, dt = t_k - t_{k-1}: 2n powers in all.  Both weights
+    share one rounded m0 and Q, so a row integrates 1 and u - u_0 to a few
+    ulps (the block loop, to a few hundred at n = 1025).  Node j >= 1 of
+    row i is the near end at lag i - j + 1 and the far end at lag i - j,
+    so rows and columns 1 on are one lower-triangular Toeplitz copy of
+    that lag row; column 0 is only ever a far end.
+    """
+    n = len(u)
+    t = u - u[0]
+    p, q = t**a, t ** (a + 1)
+    m0 = (p[1:] - p[:-1]) / a
+    Q = (q[1:] - q[:-1]) / (a + 1)
+    dt = (t[1:] - t[:-1]) * math.gamma(a)
+    far = (Q - t[:-1] * m0) / dt
+    lags = (t[1:] * m0 - Q) / dt  # the near ends, at lags 1 .. n-1
+    lags[1:] += far[:-1]
+    # row i of the windows over (lag row reversed, then zeros) reads lags i, i-1, ..., 0, 0, ...
+    windows = np.zeros(2 * n - 3)
+    windows[: n - 1] = lags[::-1]
+    W[1:, 1:] = np.lib.stride_tricks.sliding_window_view(windows, n - 1)[::-1]
+    W[1:, 0] = far
 
 
 def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side) -> OperatorMatrix:
@@ -112,10 +156,12 @@ def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float, side: Side)
     if bad:
         raise ValueError("invalid grid: " + "; ".join(bad))
     u = grid.u
+    # decided on the grid, so that the left and the right rule take one path
+    uniform = _is_uniform(u)
     if side is Side.LEFT:
-        return OperatorMatrix(_left_integral_entries(u, order))
+        return OperatorMatrix(_left_integral_entries(u, order, uniform=uniform))
     W = np.zeros((len(u), len(u)))
-    _left_integral_entries(-u[::-1], order, W[::-1, ::-1])
+    _left_integral_entries(-u[::-1], order, W[::-1, ::-1], uniform=uniform)
     return OperatorMatrix(W)
 
 
@@ -185,7 +231,7 @@ def _left_derivative_entries(u: np.ndarray, order: FractionalOrder) -> np.ndarra
     if g <= 0.0:
         return _d1_entries(u)
     c, start = _d1_stencil(u)
-    entries = _stencil_times(c, start, _left_integral_entries(u, g))
+    entries = _stencil_times(c, start, _left_integral_entries(u, g, uniform=_is_uniform(u)))
     if order.beta == 1.0:
         entries[:, 0] -= entries.sum(axis=1)
     return entries

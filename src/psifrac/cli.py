@@ -2,8 +2,9 @@
 
 Every subcommand writes `report.json` (schema 1) plus plot-ready CSV files
 into --output-dir.  CSV floats use fixed 17-significant-digit formatting so
-identical configs byte-reproduce their outputs.  Exit status: 0 success,
-1 validation error, 2 numerical failure.
+identical configs byte-reproduce their outputs; the wall time of each
+numerical stage goes into the report's `timings`, never into a CSV.  Exit
+status: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,15 +118,22 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     path.write_text(",".join(header) + "\n" + body)
 
 
+# seconds spent in each stage of the running subcommand, by key; `run` resets it
+_timings: dict[str, float] = {}
+
+
 @contextlib.contextmanager
-def _stage(name):
+def _stage(name, key: str | None = None):
     """Run one numerical stage: overflow, a non-finite array, a LinAlgError or no memory exits 2.
 
     Overflow and invalid operations raise where they happen; they, a failed
     allocation, numpy's finiteness checks (ValueErrors) and the stage's own
     RuntimeErrors are re-raised as a RuntimeError that names the stage.
-    `name` is the name, or a function that gives it at the failure.
+    `name` is the name, or a function that gives it at the failure.  The
+    stage's wall time is added to `_timings[key]`; the key is the name
+    unless given, and a stage named by a function must give one.
     """
+    start = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -136,6 +145,9 @@ def _stage(name):
         if isinstance(exc, np.linalg.LinAlgError) or "infs or NaNs" in str(exc):
             raise RuntimeError(f"{_name(name)}: {exc}") from None
         raise
+    finally:
+        key = name if key is None else key
+        _timings[key] = _timings.get(key, 0.0) + time.perf_counter() - start
 
 
 def _name(name) -> str:
@@ -307,7 +319,7 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     lams, pairs = [], []
     lam = rc.sweep_min
     while lam <= rc.sweep_max + 1e-12:
-        with _stage(f"sweep at lambda = {lam:g}"):
+        with _stage(f"sweep at lambda = {lam:g}", key="sweep pairs"):
             pairs.append(build_pair(dataclasses.replace(rc.spec, lam=lam), eig, e, rc.r))
         lams.append(lam)
         lam = round(lam + rc.sweep_step, 12)
@@ -315,7 +327,8 @@ def _cmd_sweep(rc: RunConfig) -> tuple[int, dict]:
     solved = {}
     with _stage(
         lambda: "sweep at lambda = "
-        + ", ".join(f"{lam:g}" for j, lam in enumerate(lams) if j not in solved)
+        + ", ".join(f"{lam:g}" for j, lam in enumerate(lams) if j not in solved),
+        key="sweep Picard",
     ):
         for j, res in picard_block(pairs, rc.spec, lams, op, tol=rc.tol, max_iter=rc.max_iter):
             solved[j] = res
@@ -436,6 +449,8 @@ def run(rc: RunConfig) -> int:
             print(f"error: {msg}", file=sys.stderr)
         return 1
     rc.output_dir.mkdir(parents=True, exist_ok=True)
+    _timings.clear()
+    start = time.perf_counter()
     try:
         status, report = _COMMANDS[rc.subcommand](rc)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -445,6 +460,7 @@ def run(rc: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report["timings"] = {**_timings, "total": time.perf_counter() - start}
     with open(rc.output_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _BLOCK
+from .calculus import _BLOCK, _is_uniform
 from .core import Field, ProblemSpec, validate_spec
 
 __all__ = [
@@ -468,7 +468,7 @@ def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
         a.setflags(write=False)
     if spec.order.alpha == 1.0:
         return ComposedOperator(spec, _Stiffness(du, w, float(u[-1] - u[0])))
-    if np.array_equal(u, np.linspace(u[0], u[-1], len(u))):
+    if _is_uniform(u):
         return ComposedOperator(spec, _Toeplitz.of(*_symbol(u, spec.order.alpha), w, du))
     table = _tent_table(u, spec.order.alpha)
     table.setflags(write=False)

@@ -19,7 +19,7 @@ from psifrac import (
     hilfer_power_oracle,
 )
 import psifrac.calculus
-from psifrac.calculus import _BLOCK, _left_integral_entries
+from psifrac.calculus import _BLOCK, _is_uniform, _left_integral_entries
 from psifrac.cli import main
 from psifrac.core import PsiKind, make_spec
 from psifrac.operators import assemble_composed, energy, principal_eigenpair, solve_e
@@ -137,7 +137,11 @@ class TestHilferDerivative:
 
 
 class TestLeftRule:
-    """Rows in blocks, one power per node pair, bit for bit the four-power loop."""
+    """Rows in blocks, one power per node pair, bit for bit the four-power loop.
+
+    The block loop runs on every node set; `frac_integral_matrix` runs it on
+    every grid but a uniform one, whose rule TestUniformRule checks.
+    """
 
     @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
     # 2*_BLOCK +- 1: a last block one row short of full, full, and of one row
@@ -145,11 +149,45 @@ class TestLeftRule:
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
     def test_integral_matches_reference(self, psi, n, order):
         g = grid_for(psi, n=n)
-        got = frac_integral_matrix(g, psi, order, Side.LEFT).entries
-        assert np.array_equal(got, left_integral_reference(g.u, order))
+        want = left_integral_reference(g.u, order)
+        assert np.array_equal(_left_integral_entries(g.u, order), want)
+        if not _is_uniform(g.u):
+            assert np.array_equal(frac_integral_matrix(g, psi, order, Side.LEFT).entries, want)
         # the reflected nodes, which the right rule runs on
         v = -g.u[::-1]
         assert np.array_equal(_left_integral_entries(v, order), left_integral_reference(v, order))
+
+
+def exact_row_sums(W: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """W f with every row summed exactly: the weights' error, not BLAS's summation order."""
+    return np.array([math.fsum(row) for row in (W * f).tolist()])
+
+
+class TestUniformRule:
+    """On uniform nodes a weight depends only on the lag i - j, in distance form."""
+
+    @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [9, 100, 127, 128, 129, 513, 1025])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+    def test_lag_structure_and_exact_moments(self, side, n, order):
+        g = grid_for(IDENTITY, n=n)
+        assert _is_uniform(g.u)
+        W = frac_integral_matrix(g, IDENTITY, order, side).entries
+        t = g.u - g.u[0]
+        if side is Side.RIGHT:
+            # the right rule is the left one on the reflected nodes
+            W, t = W[::-1, ::-1], g.u[-1] - g.u[::-1]
+        # W[i+1, j+1] == W[i, j] from column 1 on; column 0 holds the half cells
+        assert np.array_equal(W[1:, 2:], W[:-1, 1:-1])
+        # the interpolant is exact on 1 and on u - u_0, so the rule integrates
+        # both in closed form, to the rounding of the closed form itself
+        eps = np.finfo(float).eps
+        for f, want in (
+            (np.ones(n), t**order / math.gamma(order + 1.0)),
+            (t, t ** (order + 1.0) / math.gamma(order + 2.0)),
+        ):
+            err = np.abs(exact_row_sums(W, f) - want).max()
+            assert err <= 4 * eps * np.abs(want).max()
 
 
 class _MatmulSpy(np.ndarray):
@@ -208,8 +246,8 @@ class TestLeftFactors:
         calc = psifrac.calculus
         real_rule, real_d1 = calc._left_integral_entries, calc._d1_entries
 
-        def spy_rule(*args):
-            return real_rule(*args).view(_MatmulSpy)
+        def spy_rule(*args, **kwargs):
+            return real_rule(*args, **kwargs).view(_MatmulSpy)
 
         monkeypatch.setattr(calc, "_left_integral_entries", spy_rule)
         monkeypatch.setattr(calc, "_d1_entries", lambda u: real_d1(u).view(_MatmulSpy))
@@ -278,15 +316,23 @@ class TestTypeParameter:
 
 
 class TestRightReflection:
-    """The right rule is the left rule on reflected nodes, bit for bit the direct rule."""
+    """The right rule is the left rule on reflected nodes, bit for bit the direct rule.
+
+    At a uniform grid the left rule is the lag rule (TestUniformRule), so
+    there the block loop on the reflected nodes is compared.
+    """
 
     @pytest.mark.parametrize("order", [0.05, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [9, 100, 513])
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
     def test_integral_matches_reference(self, psi, n, order):
         g = grid_for(psi, n=n)
-        got = frac_integral_matrix(g, psi, order, Side.RIGHT).entries
-        assert np.array_equal(got, right_integral_reference(g.u, order))
+        want = right_integral_reference(g.u, order)
+        loop = np.zeros((n, n))
+        _left_integral_entries(-g.u[::-1], order, loop[::-1, ::-1])
+        assert np.array_equal(loop, want)
+        if not _is_uniform(g.u):
+            assert np.array_equal(frac_integral_matrix(g, psi, order, Side.RIGHT).entries, want)
 
 
 class TestPowerOracle:

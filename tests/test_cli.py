@@ -238,6 +238,37 @@ class TestSweepBlock:
         assert "pinned" not in (out / "sweep.csv").read_text()
 
 
+class TestTimings:
+    """Each run reports the seconds spent per stage, in report.json only."""
+
+    PIPELINE = {"assembly", "principal eigenpair", "e-solve", "majorant"}
+
+    @pytest.mark.parametrize(
+        "argv,stages",
+        [
+            pytest.param(["eigen"], PIPELINE, id="eigen"),
+            pytest.param(
+                ["sweep", "--sweep-min", "2", "--sweep-max", "4", "--sweep-step", "1"],
+                # every lambda's pair under one key, the Picard block under another
+                PIPELINE | {"empirical mu2", "sweep pairs", "sweep Picard"},
+                id="sweep",
+            ),
+            pytest.param(
+                ["convergence"],
+                {f"convergence table at n = {n}" for n in cli.CONVERGENCE_NS},
+                id="convergence",
+            ),
+        ],
+    )
+    def test_stage_seconds_and_total(self, tmp_path, argv, stages):
+        code, _, report = run_cli(tmp_path, *argv, *FAST)
+        assert code == 0
+        timings = report["timings"]
+        assert set(timings) == stages | {"total"}
+        assert all(0.0 <= v < math.inf for v in timings.values())
+        assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
+
+
 class TestConvergence:
     def test_csv_schema_and_rates(self, tmp_path):
         code, out, report = run_cli(tmp_path, "convergence", "--alpha", "0.75", *FAST)
@@ -250,8 +281,8 @@ class TestConvergence:
         assert first[0] == "64" and first[4] == ""
         later = lines[2].split(",")
         assert float(later[4]) > 0  # error shrinks with n
-        # the table needs no eigenpair: the report holds the table only
-        assert set(report) == {"schema", "version", "config", "convergence"}
+        # the table needs no eigenpair: the report holds the table and its timings only
+        assert set(report) == {"schema", "version", "config", "convergence", "timings"}
         assert len(report["convergence"]) == 3
 
 

@@ -11,8 +11,9 @@ out` inside a fresh working directory, so paths printed by the run are the
 same for both trees.  Then the exit codes, stdout, stderr and every file
 written are compared byte for byte.  A CSV that differs is named with the
 columns that differ and the number of rows where they do; a JSON file with
-the keys that differ and both values.  Exit status: 0 when every output is
-identical, 1 otherwise.
+the keys that differ and both values.  A report's `timings`, wall times
+that differ on every run, are left out of the comparison.  Exit status: 0
+when every output is identical, 1 otherwise.
 
 The list: the benchmark's nine invocations at seed 1 (from
 `perfbench/workloads.py` next to this file); `sweep --alpha 0.75
@@ -25,9 +26,11 @@ uniform grids whose nodes are not an exact arithmetic progression (so the
 tent table's last bits may move when its construction does), `eigen
 --alpha 0.75 --grid-n 1000` and `verify --alpha 0.75 --grid-n 769
 --lambda 30`; `sweep --alpha 0.75 --grid-n 129 --psi square`, Picard
-with the dense tent table's block solves on a non-uniform grid; and
+with the dense tent table's block solves on a non-uniform grid;
 `solve --alpha 0.75 --grid-n 1025 --lambda 30`, one Picard solve with
-the uniform grid's FFT solves at the benchmark's size.
+the uniform grid's FFT solves at the benchmark's size; and `convergence
+--alpha 0.75 --psi square` and `convergence --alpha 0.6 --beta 1 --psi
+exp_minus_one`, the nodal calculus's block loop on non-uniform grids.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ def invocations() -> list[tuple[str, ...]]:
     out.append(("verify", "--alpha", "0.75", "--grid-n", "769", "--lambda", "30"))
     out.append(("sweep", "--alpha", "0.75", "--grid-n", "129", "--psi", "square"))
     out.append(("solve", "--alpha", "0.75", "--grid-n", "1025", "--lambda", "30"))
+    out.append(("convergence", "--alpha", "0.75", "--psi", "square"))
+    out.append(("convergence", "--alpha", "0.6", "--beta", "1", "--psi", "exp_minus_one"))
     return out
 
 
@@ -133,7 +138,16 @@ def json_difference(a: bytes, b: bytes) -> str:
     return "; ".join(diffs) or "the bytes differ, not the values"
 
 
+def _untimed(report: bytes) -> bytes:
+    """A report as the CLI writes it, without its `timings`."""
+    value = json.loads(report)
+    value.pop("timings", None)
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
 def difference(name: str, a: bytes | None, b: bytes | None) -> str | None:
+    if name.endswith(".json") and a is not None and b is not None:
+        a, b = _untimed(a), _untimed(b)
     if a == b:
         return None
     if a is None or b is None:
