@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .calculus import (
     OperatorMatrix,
-    Side,
     frac_integral_matrix,
     hilfer_derivative_matrix,
     hilfer_power_oracle,
@@ -67,7 +66,6 @@ __all__ = [
     "ProblemSpec",
     "make_spec",
     "validate_spec",
-    "Side",
     "OperatorMatrix",
     "frac_integral_matrix",
     "hilfer_derivative_matrix",

@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 120
+# the majorant's log-spaced scan of (0, s_max]: its floor and its number of points
+_SCAN_MIN = 1e-8
+_SCAN_POINTS = 20000
+# zeta_lambda's bisection stops at this width relative to its upper end
+_ZETA_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,12 @@ class Majorant:
     s_star: float
 
 
-def _golden_min(g, lo: float, hi: float, iters: int = 120) -> float:
+def _golden_min(g, lo: float, hi: float) -> float:
     """Golden-section minimizer of g on [lo, hi]."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     g1, g2 = g(x1), g(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if g1 <= g2:
             hi, x2, g2 = x2, x1, g1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -77,12 +83,10 @@ def _golden_min(g, lo: float, hi: float, iters: int = 120) -> float:
     return 0.5 * (lo + hi)
 
 
-def linear_majorant(
-    h: Nonlinearity, nu: float, a: float, s_max: float, s_min: float = 1e-8, n_scan: int = 20000
-) -> Majorant:
+def linear_majorant(h: Nonlinearity, nu: float, a: float, s_max: float) -> Majorant:
     """Compute b = inf over (0, s_max] of g(s) = a*s - h(s) + s^(-nu).
 
-    Log-spaced scan (>= 10^4 points) locates the best cell; golden-section
+    A log-spaced scan of [_SCAN_MIN, s_max] locates the best cell; golden-section
     refinement pins the minimizer.  Raises if h is not sublinear at s_max
     or if the infimum is nonpositive (slope a too small).
     """
@@ -96,11 +100,11 @@ def linear_majorant(
     def g(s):
         return a * s - h(s) + s ** (-nu)
 
-    s = np.logspace(math.log10(s_min), math.log10(s_max), n_scan)
+    s = np.logspace(math.log10(_SCAN_MIN), math.log10(s_max), _SCAN_POINTS)
     vals = g(s)
     k = int(np.argmin(vals))
     lo = s[max(k - 1, 0)]
-    hi = s[min(k + 1, n_scan - 1)]
+    hi = s[min(k + 1, _SCAN_POINTS - 1)]
     s_star = _golden_min(g, lo, hi)
     b = float(g(s_star))
     # endpoint of the scan may beat the refined interior point
@@ -113,9 +117,7 @@ def linear_majorant(
     return Majorant(a=a, b=b, s_star=float(s_star))
 
 
-def zeta_lambda(
-    h: Nonlinearity, lam: float, zeta0: float, e_sup: float, rel_tol: float = 1e-6
-) -> float:
+def zeta_lambda(h: Nonlinearity, lam: float, zeta0: float, e_sup: float) -> float:
     """Smallest zeta with zeta0*zeta >= lam*h(zeta*e_sup), by doubling + bisection.
 
     Existence for the catalog members follows from h(s)/s -> 0.  The search
@@ -140,7 +142,7 @@ def zeta_lambda(
                 "h not sublinear numerically: no zeta with a finite zeta*e_sup satisfies the bound"
             )
     lo, hi = z / 2.0, z
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _ZETA_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid

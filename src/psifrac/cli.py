@@ -31,7 +31,7 @@ from .analysis import (
     nonexistence_threshold,
     verify_weak_inequality,
 )
-from .calculus import Side, frac_integral_matrix, hilfer_derivative_matrix, hilfer_power_oracle
+from .calculus import frac_integral_matrix, hilfer_derivative_matrix, hilfer_power_oracle
 from .config import CONFIG_DEFAULTS, load_config, spec_from_config
 from .core import Grid, ProblemSpec, cell_width_violations, validate_spec
 from .operators import assemble_composed, principal_eigenpair, solve_e
@@ -398,7 +398,7 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
                 want = hilfer_power_oracle(spec.order, delta, spec.psi, grid)
                 err = float(np.abs(hil.entries @ f - want)[collar:-1].max())
                 cases.setdefault(("hilfer_left", f"power_{delta}"), []).append(err)
-            intm = frac_integral_matrix(grid, spec.psi, spec.order.alpha, Side.LEFT)
+            intm = frac_integral_matrix(grid, spec.psi, spec.order.alpha)
             ones = np.ones(n)
             want = (u - u[0]) ** spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
             err = float(np.abs(intm.entries @ ones - want)[1:].max())
@@ -406,8 +406,9 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
     for (operator, fname), errs in sorted(cases.items()):
         prev = None
         for n, err in zip(CONVERGENCE_NS, errs):
-            # the first grid has no rate, so the column is text
-            rate = "" if prev is None else "%.17g" % np.log2(prev / err)
+            # the first grid has no rate, so the column is text; nor has int_left,
+            # which integrates the interpolant of 1 exactly: its error is rounding
+            rate = "" if prev is None or operator == "int_left" else "%.17g" % np.log2(prev / err)
             rows.append((n, operator, fname, err, rate))
             prev = err
     write_csv(

@@ -316,12 +316,13 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     out = []
     out += spec.order.violations()
     out += spec.psi.violations()
-    out += spec.grid.violations()
+    grid_bad = spec.grid.violations()
+    out += grid_bad
     out += spec.m.violations()
     out += spec.h.violations()
     out += spec.violations()
     # cross-field consistency: the grid must carry this psi's transform
-    if not spec.grid.violations():
+    if not grid_bad:
         expect = spec.psi(spec.grid.x)
         if not np.allclose(expect, spec.grid.u, rtol=1e-13, atol=1e-15):
             out.append("grid.u does not match psi(grid.x); rebuild the grid with this psi")

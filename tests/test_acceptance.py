@@ -19,7 +19,6 @@ from psifrac import (
     FractionalOrder,
     Grid,
     PsiFunction,
-    Side,
     build_pair,
     empirical_mu2,
     frac_integral_matrix,
@@ -111,9 +110,9 @@ def test_criterion_3_semigroup_and_left_inverse():
             errs = {}
             for n in (128, 256):
                 g = Grid.make(1.0, n, psi)
-                ip = frac_integral_matrix(g, psi, p, Side.LEFT).entries
-                iq = frac_integral_matrix(g, psi, q, Side.LEFT).entries
-                ipq = frac_integral_matrix(g, psi, p + q, Side.LEFT).entries
+                ip = frac_integral_matrix(g, psi, p).entries
+                iq = frac_integral_matrix(g, psi, q).entries
+                ipq = frac_integral_matrix(g, psi, p + q).entries
                 f = (g.u - g.u[0]) ** 1.5
                 errs[n] = np.abs(ip @ (iq @ f) - ipq @ f).max()
             ratio = errs[128] / errs[256]
@@ -121,7 +120,7 @@ def test_criterion_3_semigroup_and_left_inverse():
                 problems.append(f"semigroup {kind.value} p={p} q={q} ratio={ratio:.2f}")
         g = Grid.make(1.0, 512, psi)
         order = FractionalOrder(0.75, 0.5)
-        integ = frac_integral_matrix(g, psi, order.alpha, Side.LEFT).entries
+        integ = frac_integral_matrix(g, psi, order.alpha).entries
         deriv = hilfer_derivative_matrix(g, psi, order).entries
         s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
         for fname, fn in SMOOTH.items():

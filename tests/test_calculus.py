@@ -13,13 +13,12 @@ from psifrac import (
     FractionalOrder,
     Grid,
     PsiFunction,
-    Side,
     frac_integral_matrix,
     hilfer_derivative_matrix,
     hilfer_power_oracle,
 )
 import psifrac.calculus
-from psifrac.calculus import _BLOCK, _is_uniform, _left_integral_entries
+from psifrac.calculus import _BLOCK, _block_weights, _is_uniform
 from psifrac.cli import main
 from psifrac.core import PsiKind, make_spec
 from psifrac.operators import assemble_composed, energy, principal_eigenpair, solve_e
@@ -36,21 +35,21 @@ def grid_for(psi, n=129, T=1.0):
 class TestFracIntegral:
     def test_order_one_is_plain_integration(self):
         g = grid_for(IDENTITY, n=65)
-        m = frac_integral_matrix(g, IDENTITY, 1.0, Side.LEFT)
+        m = frac_integral_matrix(g, IDENTITY, 1.0)
         got = m.entries @ np.ones(g.n)
         assert got == pytest.approx(g.x, abs=1e-13)
 
     def test_half_order_of_one_identity(self):
         # I^{1/2} 1 at x=1 equals 1/Gamma(1.5) = 2/sqrt(pi)
         g = grid_for(IDENTITY, n=257)
-        m = frac_integral_matrix(g, IDENTITY, 0.5, Side.LEFT)
+        m = frac_integral_matrix(g, IDENTITY, 0.5)
         got = m.entries @ np.ones(g.n)
         assert got[-1] == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-6)
         assert got == pytest.approx(frac_integral_of_one(g.u, 0.5), abs=1e-6)
 
     def test_half_order_of_one_expm1(self):
         g = grid_for(EXPM1, n=257)
-        m = frac_integral_matrix(g, EXPM1, 0.5, Side.LEFT)
+        m = frac_integral_matrix(g, EXPM1, 0.5)
         got = m.entries @ np.ones(g.n)
         want = (np.expm1(g.x)) ** 0.5 / math.gamma(1.5)
         assert got == pytest.approx(want, abs=1e-6)
@@ -59,31 +58,22 @@ class TestFracIntegral:
     def test_bad_order_rejected(self, order):
         g = grid_for(IDENTITY, n=16)
         with pytest.raises(ValueError, match="order"):
-            frac_integral_matrix(g, IDENTITY, order, Side.LEFT)
+            frac_integral_matrix(g, IDENTITY, order)
 
     def test_small_grid_rejected(self):
         g = grid_for(IDENTITY, n=4)
         with pytest.raises(ValueError, match="grid_n"):
-            frac_integral_matrix(g, IDENTITY, 0.5, Side.LEFT)
+            frac_integral_matrix(g, IDENTITY, 0.5)
 
     def test_triangular_structure(self):
         g = grid_for(IDENTITY, n=32)
-        left = frac_integral_matrix(g, IDENTITY, 0.5, Side.LEFT).entries
-        right = frac_integral_matrix(g, IDENTITY, 0.5, Side.RIGHT).entries
+        left = frac_integral_matrix(g, IDENTITY, 0.5).entries
         assert np.allclose(left, np.tril(left))
-        assert np.allclose(right, np.triu(right))
-
-    def test_right_integral_of_one(self):
-        g = grid_for(IDENTITY, n=257)
-        m = frac_integral_matrix(g, IDENTITY, 0.5, Side.RIGHT)
-        got = m.entries @ np.ones(g.n)
-        want = (g.u[-1] - g.u) ** 0.5 / math.gamma(1.5)
-        assert got == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("psi", [IDENTITY, EXPM1], ids=("identity", "expm1"))
     def test_order_one_is_composite_trapezoid(self, psi):
         g = grid_for(psi, n=33)
-        m = frac_integral_matrix(g, psi, 1.0, Side.LEFT)
+        m = frac_integral_matrix(g, psi, 1.0)
         rng = np.random.default_rng(11)
         f = rng.uniform(-1.0, 1.0, g.n)
         got = m.entries @ f
@@ -139,8 +129,8 @@ class TestHilferDerivative:
 class TestLeftRule:
     """Rows in blocks, one power per node pair, bit for bit the four-power loop.
 
-    The block loop runs on every node set; `frac_integral_matrix` runs it on
-    every grid but a uniform one, whose rule TestUniformRule checks.
+    The block loop runs on every node set; the rule runs it on every grid
+    but a uniform one, whose rule TestUniformRule checks.
     """
 
     @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
@@ -150,12 +140,12 @@ class TestLeftRule:
     def test_integral_matches_reference(self, psi, n, order):
         g = grid_for(psi, n=n)
         want = left_integral_reference(g.u, order)
-        assert np.array_equal(_left_integral_entries(g.u, order), want)
+        assert np.array_equal(_block_weights(g.u, order), want)
         if not _is_uniform(g.u):
-            assert np.array_equal(frac_integral_matrix(g, psi, order, Side.LEFT).entries, want)
-        # the reflected nodes, which the right rule runs on
+            assert np.array_equal(frac_integral_matrix(g, psi, order).entries, want)
+        # the reflected nodes, which increase to 0
         v = -g.u[::-1]
-        assert np.array_equal(_left_integral_entries(v, order), left_integral_reference(v, order))
+        assert np.array_equal(_block_weights(v, order), left_integral_reference(v, order))
 
 
 def exact_row_sums(W: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -168,15 +158,11 @@ class TestUniformRule:
 
     @pytest.mark.parametrize("order", [0.05, 0.125, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [9, 100, 127, 128, 129, 513, 1025])
-    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
-    def test_lag_structure_and_exact_moments(self, side, n, order):
+    def test_lag_structure_and_exact_moments(self, n, order):
         g = grid_for(IDENTITY, n=n)
         assert _is_uniform(g.u)
-        W = frac_integral_matrix(g, IDENTITY, order, side).entries
+        W = frac_integral_matrix(g, IDENTITY, order).entries
         t = g.u - g.u[0]
-        if side is Side.RIGHT:
-            # the right rule is the left one on the reflected nodes
-            W, t = W[::-1, ::-1], g.u[-1] - g.u[::-1]
         # W[i+1, j+1] == W[i, j] from column 1 on; column 0 holds the half cells
         assert np.array_equal(W[1:, 2:], W[:-1, 1:-1])
         # the interpolant is exact on 1 and on u - u_0, so the rule integrates
@@ -244,13 +230,13 @@ class TestLeftFactors:
     def test_no_dense_product_no_triangular(self, monkeypatch, alpha, beta):
         # every factor is a spy, so a dense product with any of them is counted
         calc = psifrac.calculus
-        real_rule, real_d1 = calc._left_integral_entries, calc._d1_entries
+        real_rule, real_stencil = calc._left_integral_entries, calc._d1_stencil
 
         def spy_rule(*args, **kwargs):
             return real_rule(*args, **kwargs).view(_MatmulSpy)
 
         monkeypatch.setattr(calc, "_left_integral_entries", spy_rule)
-        monkeypatch.setattr(calc, "_d1_entries", lambda u: real_d1(u).view(_MatmulSpy))
+        monkeypatch.setattr(calc, "_d1_stencil", lambda u: real_stencil(u).view(_MatmulSpy))
         monkeypatch.setattr(_MatmulSpy, "products", 0)
         g = grid_for(IDENTITY, n=33)
         hilfer_derivative_matrix(g, IDENTITY, FractionalOrder(alpha, beta))
@@ -259,12 +245,33 @@ class TestLeftFactors:
     @pytest.mark.parametrize("n", [4, 9, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 513])
     @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
     def test_stencil_slices_match_gathers(self, psi, n):
-        # the middle blocks read slices, the end blocks gather: bit for bit
-        # the stencil applied by gathers to every row at once
-        c, start = psifrac.calculus._d1_stencil(grid_for(psi, n=n).u)
+        # the end rows on their own, the interior blocks from slices: bit for
+        # bit the stencil applied by gathers to every row at once
+        c = psifrac.calculus._d1_stencil(grid_for(psi, n=n).u)
+        start = np.clip(np.arange(n) - 1, 0, n - 3)
         x = np.random.default_rng(n).standard_normal((n, n + 3))
         want = c[:, 0:1] * x[start] + c[:, 1:2] * x[start + 1] + c[:, 2:3] * x[start + 2]
-        got = psifrac.calculus._stencil_times(c, start, x)
+        got = psifrac.calculus._stencil_times(c, x)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [9, 2 * _BLOCK - 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda p: p.kind.value)
+    def test_alpha_one_is_the_dense_stencil(self, psi, n):
+        # the three-point stencil written out densely, one row at a time:
+        # its matrix is D_left at alpha = 1, bit for bit and with no -0.0
+        u = grid_for(psi, n=n).u
+        want = np.zeros((n, n))
+        for i in range(n):
+            j = min(max(i - 1, 0), n - 3)
+            a, b = u[j + 1] - u[j], u[j + 2] - u[j + 1]
+            if i == 0:
+                row = -(2 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))
+            elif i == n - 1:
+                row = b / (a * (a + b)), -(a + b) / (a * b), (a + 2 * b) / (b * (a + b))
+            else:
+                row = -b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))
+            want[i, j : j + 3] = row
+        got = hilfer_derivative_matrix(grid_for(psi, n=n), psi, FractionalOrder(1.0)).entries
         assert got.tobytes() == want.tobytes()
 
 
@@ -316,11 +323,7 @@ class TestTypeParameter:
 
 
 class TestRightReflection:
-    """The right rule is the left rule on reflected nodes, bit for bit the direct rule.
-
-    At a uniform grid the left rule is the lag rule (TestUniformRule), so
-    there the block loop on the reflected nodes is compared.
-    """
+    """The block loop on reflected nodes, reversed, is bit for bit the direct right rule."""
 
     @pytest.mark.parametrize("order", [0.05, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [9, 100, 513])
@@ -328,11 +331,7 @@ class TestRightReflection:
     def test_integral_matches_reference(self, psi, n, order):
         g = grid_for(psi, n=n)
         want = right_integral_reference(g.u, order)
-        loop = np.zeros((n, n))
-        _left_integral_entries(-g.u[::-1], order, loop[::-1, ::-1])
-        assert np.array_equal(loop, want)
-        if not _is_uniform(g.u):
-            assert np.array_equal(frac_integral_matrix(g, psi, order, Side.RIGHT).entries, want)
+        assert np.array_equal(_block_weights(-g.u[::-1], order)[::-1, ::-1], want)
 
 
 class TestPowerOracle:
@@ -379,7 +378,7 @@ class TestApply:
 
     def test_cumulative_values(self):
         g = grid_for(IDENTITY, n=33)
-        m = frac_integral_matrix(g, IDENTITY, 1.0, Side.LEFT)
+        m = frac_integral_matrix(g, IDENTITY, 1.0)
         assert m.entries @ np.ones(g.n) == pytest.approx(g.x, abs=1e-13)
 
 
@@ -389,9 +388,9 @@ def test_semigroup_error_shrinks(psi, p, q):
     errs = {}
     for n in (128, 256):
         g = grid_for(psi, n=n)
-        ip = frac_integral_matrix(g, psi, p, Side.LEFT).entries
-        iq = frac_integral_matrix(g, psi, q, Side.LEFT).entries
-        ipq = frac_integral_matrix(g, psi, p + q, Side.LEFT).entries
+        ip = frac_integral_matrix(g, psi, p).entries
+        iq = frac_integral_matrix(g, psi, q).entries
+        ipq = frac_integral_matrix(g, psi, p + q).entries
         f = (g.u - g.u[0]) ** 1.5
         errs[n] = np.abs(ip @ (iq @ f) - ipq @ f).max()
     assert errs[128] / errs[256] >= 1.5
@@ -413,7 +412,7 @@ SMOOTH_FNS = {
 def test_left_inverse_property(psi, alpha, beta, fname):
     g = grid_for(psi, n=512)
     order = FractionalOrder(alpha, beta)
-    integ = frac_integral_matrix(g, psi, alpha, Side.LEFT)
+    integ = frac_integral_matrix(g, psi, alpha)
     deriv = hilfer_derivative_matrix(g, psi, order)
     s = (g.u - g.u[0]) / (g.u[-1] - g.u[0])
     f = SMOOTH_FNS[fname](s)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psifrac import Side, frac_integral_matrix, make_spec, validate_spec
+from psifrac import frac_integral_matrix, make_spec, validate_spec
 from psifrac.config import parse_config_text
 from psifrac.core import (
     FractionalOrder,
@@ -67,7 +67,7 @@ def test_integral_order_floor_keeps_the_rule_finite(psi):
     for T in (100.0, widest):
         spec = make_spec(alpha=alpha, psi=psi, T=T, grid_n=33)
         assert validate_spec(spec) == []
-        w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha, Side.LEFT).entries
+        w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha).entries
         assert np.isfinite(w).all()
     for T in (refused, 1e293 if psi == "identity" else math.sqrt(1e293)):
         for a in (alpha, 1.0 - 2.0**-49):

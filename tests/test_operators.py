@@ -16,6 +16,7 @@ import psifrac.operators
 from oracles import (
     classical_e,
     form_matrix,
+    right_integral_reference,
     stiffness_reference,
     tent_energy_reference,
     tent_form_reference,
@@ -989,13 +990,13 @@ def test_composed_inverts_double_integral_in_bulk(alpha, beta):
     # inverse identities twice; discretely it holds away from the ends,
     # while the fractional boundary rows are wild (same mechanism that
     # loses positivity at alpha < 1)
-    from psifrac import Side, frac_integral_matrix
+    from psifrac import frac_integral_matrix
 
     spec = make_spec(alpha=alpha, beta=beta, grid_n=513)
     op = assemble_composed(spec)
     g = spec.grid
-    il = frac_integral_matrix(g, spec.psi, alpha, Side.LEFT).entries
-    ir = frac_integral_matrix(g, spec.psi, alpha, Side.RIGHT).entries
+    il = frac_integral_matrix(g, spec.psi, alpha).entries
+    ir = right_integral_reference(g.u, alpha)
     f = np.sin(np.pi * g.u)
     got = op.form(il @ (ir @ f)) / op.w
     collar = max(2, int(np.ceil(0.05 * g.n)))

@@ -28,9 +28,11 @@ tent table's last bits may move when its construction does), `eigen
 --lambda 30`; `sweep --alpha 0.75 --grid-n 129 --psi square`, Picard
 with the dense tent table's block solves on a non-uniform grid;
 `solve --alpha 0.75 --grid-n 1025 --lambda 30`, one Picard solve with
-the uniform grid's FFT solves at the benchmark's size; and `convergence
+the uniform grid's FFT solves at the benchmark's size; `convergence
 --alpha 0.75 --psi square` and `convergence --alpha 0.6 --beta 1 --psi
-exp_minus_one`, the nodal calculus's block loop on non-uniform grids.
+exp_minus_one`, the nodal calculus's block loop on non-uniform grids; and
+`convergence` and `convergence --psi log1p` at the default alpha = 1,
+the stencil applied to the identity on a uniform and a non-uniform grid.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ def invocations() -> list[tuple[str, ...]]:
     out.append(("solve", "--alpha", "0.75", "--grid-n", "1025", "--lambda", "30"))
     out.append(("convergence", "--alpha", "0.75", "--psi", "square"))
     out.append(("convergence", "--alpha", "0.6", "--beta", "1", "--psi", "exp_minus_one"))
+    out.append(("convergence",))
+    out.append(("convergence", "--psi", "log1p"))
     return out
 
 
