@@ -316,6 +316,9 @@ def nonexistence_threshold(lambda1: float, zeta_inf: float, a: float) -> float:
 
 # lambdas per sub-side block: past the answer at most 31 rows are wasted
 _LAMBDA_BLOCK = 32
+# empirical_mu2's grid: lambda = 1, 1 + step, ... up to the cap
+_MU2_LAM_MAX = 150.0
+_MU2_STEP = 0.25
 
 
 def _sub_passes(spec, p, energy_p, form_p, w, lams) -> list[bool]:
@@ -334,17 +337,11 @@ def _sub_passes(spec, p, energy_p, form_p, w, lams) -> list[bool]:
 
 
 def empirical_mu2(
-    spec: ProblemSpec,
-    op: ComposedOperator,
-    eig: EigenPair,
-    e: Field,
-    r: float,
-    lam_max: float = 150.0,
-    step: float = 0.25,
+    spec: ProblemSpec, op: ComposedOperator, eig: EigenPair, e: Field, r: float
 ) -> float | None:
     """Smallest lambda >= 1 (grid search) at which both verifications pass.
 
-    Returns None when no lambda up to lam_max passes.  The existence proof
+    Returns None when no lambda up to _MU2_LAM_MAX passes.  The existence proof
     guarantees such a threshold exists but gives no formula, so it is
     located empirically.
 
@@ -359,9 +356,6 @@ def empirical_mu2(
     evaluated one lambda at a time, so that the failure shows at the
     lambda where a scan by single lambdas meets it.
     """
-    if 1.0 > lam_max + 1e-12:
-        # an empty grid builds and refuses nothing
-        return None
     n = spec.grid.n
     # build_pair's refusals, in its order; p is phi at lambda = 1
     e = _positive_e(e)
@@ -371,9 +365,9 @@ def empirical_mu2(
     # the grid by repeated addition, each lambda with its scalar lambda^r
     grid = []
     lam = 1.0
-    while lam <= lam_max + 1e-12:
+    while lam <= _MU2_LAM_MAX + 1e-12:
         grid.append((lam, lam**r))
-        lam += step
+        lam += _MU2_STEP
     sub_passes = functools.partial(_sub_passes, spec, p, energy_p, form_p, op.w)
     for lo in range(0, len(grid), _LAMBDA_BLOCK):
         block = grid[lo : lo + _LAMBDA_BLOCK]

@@ -78,6 +78,9 @@ class RunConfig:
                     f"sweep_min and sweep_max must be finite "
                     f"(got {self.sweep_min}, {self.sweep_max})"
                 )
+            elif not self.sweep_min > 0:
+                # every lambda of the sweep builds a subsolution, which needs lambda > 0
+                out.append(f"sweep_min must be positive (got {self.sweep_min})")
             elif self.sweep_min > self.sweep_max:
                 out.append(
                     f"sweep_min must not exceed sweep_max "
@@ -195,10 +198,7 @@ def _base_report(rc: RunConfig, op, eig, e, maj, mu1) -> dict:
         "majorant_a": maj.a,
         "majorant_b": maj.b,
         "diagnostics": {
-            "interior": {
-                "factorization": op.factorization,
-                "bandwidth": list(op.interior_bandwidth),
-            },
+            "interior": {"factorization": op.factorization},
             "eigen": dict(
                 solves=eig.iterations, residual=eig.residual, threshold=eig.threshold,
                 lambda2=eig.lambda2, psi1_error_estimate=eig.psi1_error_estimate,

@@ -176,25 +176,23 @@ class KirchhoffKind(enum.Enum):
 class KirchhoffFn:
     """Nonlocal coefficient M with hard bounds zeta0 <= M(t) <= zeta_inf.
 
-    The affine member a0 + b0*t is capped at zeta_inf so the upper bound
+    The affine member zeta0 + t is capped at zeta_inf so the upper bound
     is enforced rather than assumed; the saturating member is
-    zeta0 + (zeta_inf - zeta0) * t/(t + scale).
+    zeta0 + (zeta_inf - zeta0) * t/(t + 1).
     """
 
     kind: KirchhoffKind = KirchhoffKind.CONSTANT
     zeta0: float = 1.0
     zeta_inf: float = 1.0
-    b0: float = 1.0
-    scale: float = 1.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind is KirchhoffKind.CONSTANT:
             out = np.full_like(t, self.zeta0)
         elif self.kind is KirchhoffKind.AFFINE:
-            out = np.minimum(self.zeta0 + self.b0 * t, self.zeta_inf)
+            out = np.minimum(self.zeta0 + t, self.zeta_inf)
         else:
-            out = self.zeta0 + (self.zeta_inf - self.zeta0) * t / (t + self.scale)
+            out = self.zeta0 + (self.zeta_inf - self.zeta0) * t / (t + 1.0)
         return float(out) if out.ndim == 0 else out
 
     def violations(self) -> list[str]:
@@ -206,10 +204,6 @@ class KirchhoffFn:
             out.append(f"zeta_inf must be finite (got {self.zeta_inf})")
         elif not self.zeta_inf >= self.zeta0:
             out.append(f"zeta_inf must be at least zeta0 (got {self.zeta_inf} < {self.zeta0})")
-        if self.kind is KirchhoffKind.AFFINE and self.b0 < 0:
-            out.append(f"affine slope must be nonnegative (got {self.b0})")
-        if self.kind is KirchhoffKind.SATURATING and self.scale <= 0:
-            out.append(f"saturating scale must be positive (got {self.scale})")
         return out
 
     @classmethod
@@ -233,14 +227,11 @@ class NonlinearityKind(enum.Enum):
 class Nonlinearity:
     """Reaction term h: continuous, nondecreasing, sublinear at infinity.
 
-    Catalog: sqrt(s), log(1+s), c*s/(1+s) and 0; each satisfies
-    h(s)/s -> 0 analytically.  `shift` subtracts a constant so that
-    h(0) < 0 variants can be explored; it defaults to 0.
+    Catalog: sqrt(s), log(1+s), s/(1+s) and 0; each satisfies
+    h(s)/s -> 0 analytically.
     """
 
     kind: NonlinearityKind = NonlinearityKind.SQRT
-    c: float = 1.0
-    shift: float = 0.0
 
     def __call__(self, s):
         if isinstance(s, float):
@@ -248,42 +239,33 @@ class Nonlinearity:
             s = float(s)  # not a numpy scalar
             pos = s if not s <= 0.0 else 0.0  # np.maximum(s, 0.0): nan stays, -0.0 becomes 0.0
             if self.kind is NonlinearityKind.SQRT:
-                return math.sqrt(pos) - self.shift
+                return math.sqrt(pos)
             if self.kind is NonlinearityKind.LOG1P:
                 # math.log1p rounds differently from numpy's
-                return float(np.log1p(pos)) - self.shift
+                return float(np.log1p(pos))
             if self.kind is NonlinearityKind.ZERO:
-                return 0.0 - self.shift
+                return 0.0
             if s != -1.0:  # numpy divides by zero there
-                return self.c * s / (1.0 + s) - self.shift
+                return s / (1.0 + s)
         s = np.asarray(s, dtype=float)
         if self.kind is NonlinearityKind.SQRT:
             out = np.sqrt(np.maximum(s, 0.0))
         elif self.kind is NonlinearityKind.LOG1P:
             out = np.log1p(np.maximum(s, 0.0))
         elif self.kind is NonlinearityKind.SATURATING_LINEAR:
-            out = self.c * s / (1.0 + s)
+            out = s / (1.0 + s)
         else:
             out = np.zeros_like(s)
-        out = out - self.shift
         return float(out) if out.ndim == 0 else out
 
-    def violations(self) -> list[str]:
-        out = []
-        if self.kind is NonlinearityKind.SATURATING_LINEAR and self.c <= 0:
-            out.append(f"saturating_linear coefficient must be positive (got {self.c})")
-        if self.shift < 0:
-            out.append(f"nonlinearity shift must be nonnegative (got {self.shift})")
-        return out
-
     @classmethod
-    def from_name(cls, name: str, c: float = 1.0) -> "Nonlinearity":
+    def from_name(cls, name: str) -> "Nonlinearity":
         try:
             kind = NonlinearityKind(name)
         except ValueError:
             names = ", ".join(m.value for m in NonlinearityKind)
             raise ValueError(f"unknown h kind {name!r}; expected one of {names}") from None
-        return cls(kind, c)
+        return cls(kind)
 
 
 @dataclass(frozen=True)
@@ -319,7 +301,6 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     grid_bad = spec.grid.violations()
     out += grid_bad
     out += spec.m.violations()
-    out += spec.h.violations()
     out += spec.violations()
     # cross-field consistency: the grid must carry this psi's transform
     if not grid_bad:

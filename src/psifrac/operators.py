@@ -86,9 +86,6 @@ class _Stiffness:
     span: float
     kind = "stiffness"
 
-    def bandwidth(self) -> tuple[int, int]:
-        return (1, 1)
-
     def left(self, f: np.ndarray) -> np.ndarray:
         d = np.diff(f)
         d[..., 0] = f[..., 1]  # f_0 enters nothing, as below alpha = 1
@@ -187,9 +184,6 @@ class _Tents:
     inv: np.ndarray
     g: np.ndarray
     kind = "tent table"
-
-    def bandwidth(self) -> tuple[int, int]:
-        return (len(self.w) - 1, len(self.w) - 1)
 
     def left(self, f: np.ndarray) -> np.ndarray:
         return _by_row(lambda r: r @ self.table, f) / self.root_du
@@ -290,9 +284,6 @@ class _Toeplitz:
             a.setflags(write=False)
         return cls(r_hat, s_hat, float(h), w, np.sqrt(du), g)
 
-    def bandwidth(self) -> tuple[int, int]:
-        return (len(self.w) - 1, len(self.w) - 1)
-
     def _times_table(self, f: np.ndarray) -> np.ndarray:
         """f @ table: T(r)^T of the interior values, and h f(T) at the last cell."""
         y = _lower(self.r_hat, f[..., 1:-1])
@@ -345,13 +336,9 @@ class ComposedOperator:
     @property
     def factorization(self) -> str:
         """How interior solves are made: "stiffness" (cumulative sums), "toeplitz"
-        (FFTs with row 1's series inverse) or "tent table" (K's factor)."""
+        (FFTs with row 1's series inverse) or "tent table" (K's factor); the
+        interior block is tridiagonal for the first and full for the others."""
         return self._a.kind
-
-    @property
-    def interior_bandwidth(self) -> tuple[int, int]:
-        """(kl, ku) of the interior block: (1, 1) at alpha = 1, full below."""
-        return self._a.bandwidth()
 
     def form(self, f: Field) -> np.ndarray:
         """K f on the interior rows: the form of f against every interior tent.

@@ -170,9 +170,7 @@ def test_criterion_5_zeta_oracle():
 
 def test_criterion_6_verification_window(catalog_spec, catalog_op, catalog_eig, catalog_e):
     step = 0.25
-    lam_star = empirical_mu2(
-        catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8, step=step
-    )
+    lam_star = empirical_mu2(catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8)
 
     def sub_at(lam):
         spec_l = dataclasses.replace(catalog_spec, lam=lam)

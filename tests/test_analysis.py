@@ -275,11 +275,9 @@ class TestEmpiricalMu2:
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
         assert not verify_weak_inequality(pair.phi, op, "sub").passed
 
-    def test_cap_returns_none(self, catalog_spec, catalog_op, catalog_eig, catalog_e):
-        assert (
-            empirical_mu2(catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8, lam_max=5.0)
-            is None
-        )
+    def test_cap_returns_none(self, catalog_spec, catalog_op, catalog_eig, catalog_e, monkeypatch):
+        monkeypatch.setattr(psifrac.analysis, "_MU2_LAM_MAX", 5.0)
+        assert empirical_mu2(catalog_spec, catalog_op, catalog_eig, catalog_e, 0.8) is None
 
     @pytest.mark.parametrize(
         "n,psi,step,found",
@@ -290,9 +288,10 @@ class TestEmpiricalMu2:
             (257, "identity", 0.5, True),
         ],
     )
-    def test_matches_reference(self, n, psi, step, found):
+    def test_matches_reference(self, n, psi, step, found, monkeypatch):
+        monkeypatch.setattr(psifrac.analysis, "_MU2_STEP", step)
         spec, op, eig, e = _mu2_problem(n, psi)
-        got = empirical_mu2(spec, op, eig, e, 0.8, step=step)
+        got = empirical_mu2(spec, op, eig, e, 0.8)
         assert got == mu2_reference(spec, op, eig, e, 0.8, step=step)
         assert (got is not None) == found
 

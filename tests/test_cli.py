@@ -423,6 +423,20 @@ class TestRunConfigValidation:
         assert code == 1
         assert msg in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo", ["0", "-0.5"])
+    def test_nonpositive_sweep_min_exits_before_assembly(self, tmp_path, capsys, monkeypatch, lo):
+        # every lambda of the sweep builds a subsolution, which needs lambda > 0,
+        # so the range is refused before the operator, the eigenpair and mu2
+        def assemble(spec):
+            raise AssertionError("the assembly ran")
+
+        monkeypatch.setattr(cli, "assemble_composed", assemble)
+        bounds = [f"--sweep-min={lo}", "--sweep-max", "1"]
+        code, out, report = run_cli(tmp_path, "sweep", *FAST, *bounds)
+        assert code == 1 and report is None and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: sweep_min must be positive (got {float(lo)})\n"
+
     @pytest.mark.parametrize("flag", ["--lambda", "--zeta0", "--zeta-inf", "--tol"])
     def test_nan_is_status_one(self, tmp_path, capsys, flag):
         code, _, _ = run_cli(tmp_path, "eigen", "--grid-n", "17", flag, "nan")
@@ -683,7 +697,7 @@ class TestDiagnostics:
         code, out, report = run_cli(tmp_path, sub, *FAST, *extra)
         assert code == 0
         interior = report["diagnostics"]["interior"]
-        assert interior == {"factorization": "stiffness", "bandwidth": [1, 1]}
+        assert interior == {"factorization": "stiffness"}
         # the CSVs carry no diagnostics, so their bytes do not depend on them
         for path in out.glob("*.csv"):
             assert "stiffness" not in path.read_text()
@@ -728,7 +742,7 @@ class TestDiagnostics:
         # the block of 63 rows is full, and solved through K's triangular
         # factor, on a non-uniform grid
         interior = report["diagnostics"]["interior"]
-        assert interior == {"factorization": "tent table", "bandwidth": [62, 62]}
+        assert interior == {"factorization": "tent table"}
         for path in out.glob("*.csv"):
             assert "tent" not in path.read_text()
 
@@ -737,7 +751,7 @@ class TestDiagnostics:
         assert code == 0
         # the same full block, solved by FFTs with the table's row 1
         interior = report["diagnostics"]["interior"]
-        assert interior == {"factorization": "toeplitz", "bandwidth": [62, 62]}
+        assert interior == {"factorization": "toeplitz"}
         for path in out.glob("*.csv"):
             assert "toeplitz" not in path.read_text()
 

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psifrac import frac_integral_matrix, make_spec, validate_spec
-from psifrac.config import parse_config_text
+from psifrac.config import parse_config_text, spec_from_config
 from psifrac.core import (
     FractionalOrder,
     KirchhoffFn,
     KirchhoffKind,
     Nonlinearity,
     NonlinearityKind,
+    ProblemSpec,
     PsiFunction,
     PsiKind,
 )
@@ -22,13 +23,13 @@ ALL_PSI = [PsiFunction(k) for k in PsiKind]
 ALL_H = [
     Nonlinearity(NonlinearityKind.SQRT),
     Nonlinearity(NonlinearityKind.LOG1P),
-    Nonlinearity(NonlinearityKind.SATURATING_LINEAR, c=2.0),
+    Nonlinearity(NonlinearityKind.SATURATING_LINEAR),
     Nonlinearity(NonlinearityKind.ZERO),
 ]
 ALL_M = [
     KirchhoffFn(KirchhoffKind.CONSTANT, zeta0=1.5, zeta_inf=1.5),
-    KirchhoffFn(KirchhoffKind.AFFINE, zeta0=1.0, zeta_inf=3.0, b0=0.5),
-    KirchhoffFn(KirchhoffKind.SATURATING, zeta0=0.5, zeta_inf=2.0, scale=10.0),
+    KirchhoffFn(KirchhoffKind.AFFINE, zeta0=1.0, zeta_inf=3.0),
+    KirchhoffFn(KirchhoffKind.SATURATING, zeta0=0.5, zeta_inf=2.0),
 ]
 
 
@@ -114,13 +115,11 @@ SPECIAL_S = [
 @given(
     kind=st.sampled_from(NonlinearityKind),
     s=st.one_of(st.sampled_from(SPECIAL_S), st.floats()),
-    c=st.floats(1e-3, 1e3),
-    shift=st.sampled_from([0.0, 0.25]),
 )
-def test_h_of_a_float_is_bitwise_its_array_path(kind, s, c, shift):
+def test_h_of_a_float_is_bitwise_its_array_path(kind, s):
     # a Python float (or a numpy scalar) takes h's float path, a 0-d array
     # the array path; signed zeros and nan payloads count
-    h = Nonlinearity(kind, c, shift)
+    h = Nonlinearity(kind)
     with np.errstate(all="ignore"):
         want = h(np.asarray(s))
         for got in (h(s), h(np.float64(s))):
@@ -139,7 +138,7 @@ def test_kirchhoff_bounds(m):
 
 
 def test_kirchhoff_affine_is_capped():
-    m = KirchhoffFn(KirchhoffKind.AFFINE, zeta0=1.0, zeta_inf=2.0, b0=1.0)
+    m = KirchhoffFn(KirchhoffKind.AFFINE, zeta0=1.0, zeta_inf=2.0)
     assert m(0.0) == 1.0
     assert m(0.5) == 1.5
     assert m(1e9) == 2.0
@@ -185,15 +184,6 @@ def test_grid_mismatch_detected():
     assert any("grid.u" in m for m in msgs)
 
 
-def test_shift_flag_lowers_h_at_zero():
-    h = Nonlinearity(NonlinearityKind.SQRT, shift=0.5)
-    assert h(0.0) == -0.5
-    s = np.linspace(0.0, 10.0, 50)
-    assert np.all(np.diff(h(s)) >= 0)
-    with_neg = Nonlinearity(NonlinearityKind.SQRT, shift=-1.0)
-    assert any("shift" in m for m in with_neg.violations())
-
-
 def test_domain_types_are_immutable():
     import dataclasses
 
@@ -229,3 +219,36 @@ class TestConfig:
     def test_missing_equals_is_error(self):
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_text("alpha 0.9\n")
+
+    # (the spec's attribute holding the field, or "" for its own, field) -> a
+    # config key and a value other than its default
+    REACH = {
+        ("order", "alpha"): ("alpha", 0.75),
+        ("order", "beta"): ("beta", 1.0),
+        ("psi", "kind"): ("psi", "square"),
+        ("psi", "k"): ("psi_k", 2.0),
+        ("m", "kind"): ("m", "affine"),
+        ("m", "zeta0"): ("zeta0", 0.5),
+        ("m", "zeta_inf"): ("zeta_inf", 3.0),
+        ("h", "kind"): ("h", "log1p"),
+        ("", "nu"): ("nu", 0.25),
+        ("", "lam"): ("lambda", 7.0),
+    }
+
+    def test_every_problem_field_is_set_by_a_config_key(self):
+        # a field that no key sets is a knob that no run can turn
+        import dataclasses
+
+        holders = {"order": FractionalOrder, "psi": PsiFunction, "m": KirchhoffFn, "h": Nonlinearity}
+        walked = {(attr, f.name) for attr, cls in holders.items() for f in dataclasses.fields(cls)}
+        walked |= {
+            ("", f.name)
+            for f in dataclasses.fields(ProblemSpec)
+            if f.name not in holders and f.name != "grid"
+        }
+        assert walked == set(self.REACH)
+        base = spec_from_config(parse_config_text(""))
+        for (attr, name), (key, value) in self.REACH.items():
+            spec = spec_from_config(parse_config_text(f"{key} = {value}\n"))
+            old, new = (getattr(x, attr) if attr else x for x in (base, spec))
+            assert getattr(new, name) != getattr(old, name), (attr, name, key)

@@ -89,7 +89,7 @@ class TestBandedInterior:
     @pytest.mark.parametrize("psi", PSIS)
     def test_band_solve_and_products_match_dense(self, psi, n):
         op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
-        assert op.factorization == "stiffness" and op.interior_bandwidth == (1, 1)
+        assert op.factorization == "stiffness"
         k = form_matrix(op)
         block = k[:, 1:-1]
         assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
@@ -149,7 +149,6 @@ class TestBandedInterior:
         # the table's row 1 alone
         op = assemble_composed(make_spec(alpha=alpha, beta=0.5, psi="square", grid_n=129))
         assert op.factorization == "tent table"
-        assert op.interior_bandwidth == (op.n - 3, op.n - 3)
         assert np.all(form_matrix(op)[:, 1:-1] != 0.0)
         table = op._a.table
 
@@ -508,7 +507,6 @@ class TestToeplitzOperator:
         spec = make_spec(alpha=alpha, beta=0.5, grid_n=n, T=T)
         op = assemble_composed(spec)
         assert op.factorization == "toeplitz"
-        assert op.interior_bandwidth == (n - 3, n - 3)
         dense = _dense(spec, psifrac.operators._tent_table(spec.grid.u, alpha))
         for name, gap in _gaps(op, dense, n).items():
             assert gap <= _FFT_BOUND, name

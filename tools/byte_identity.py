@@ -30,9 +30,16 @@ with the dense tent table's block solves on a non-uniform grid;
 `solve --alpha 0.75 --grid-n 1025 --lambda 30`, one Picard solve with
 the uniform grid's FFT solves at the benchmark's size; `convergence
 --alpha 0.75 --psi square` and `convergence --alpha 0.6 --beta 1 --psi
-exp_minus_one`, the nodal calculus's block loop on non-uniform grids; and
+exp_minus_one`, the nodal calculus's block loop on non-uniform grids;
 `convergence` and `convergence --psi log1p` at the default alpha = 1,
-the stencil applied to the identity on a uniform and a non-uniform grid.
+the stencil applied to the identity on a uniform and a non-uniform grid;
+and, so that a change to the catalogs shows, `solve --grid-n 257
+--lambda 50` at alpha = 1 and at alpha = 0.75 with each M and h other
+than the defaults (`--m affine --zeta-inf 3`, `--m saturating --zeta-inf
+3`, `--h log1p`, `--h saturating_linear`, `--h zero`), and `sweep --alpha
+0.75 --grid-n 129 --m affine --zeta-inf 3 --h saturating_linear`.  The
+solves' energies hold the affine member at its cap, so only the sweep's
+rows show its slope.
 """
 
 from __future__ import annotations
@@ -52,6 +59,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 PSIS = ("identity", "exp_minus_one", "square", "log1p")
+# every catalog M and h but the default constant M and sqrt h
+CATALOG = (
+    ("--m", "affine", "--zeta-inf", "3"),
+    ("--m", "saturating", "--zeta-inf", "3"),
+    ("--h", "log1p"),
+    ("--h", "saturating_linear"),
+    ("--h", "zero"),
+)
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUN = "import sys; from psifrac.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -73,6 +88,11 @@ def invocations() -> list[tuple[str, ...]]:
     out.append(("convergence", "--alpha", "0.6", "--beta", "1", "--psi", "exp_minus_one"))
     out.append(("convergence",))
     out.append(("convergence", "--psi", "log1p"))
+    for alpha in ("1", "0.75"):
+        solve = ("solve", "--alpha", alpha, "--grid-n", "257", "--lambda", "50")
+        out += [solve + flags for flags in CATALOG]
+    sweep = ("sweep", "--alpha", "0.75", "--grid-n", "129")
+    out.append(sweep + CATALOG[0] + CATALOG[3])
     return out
 
 
