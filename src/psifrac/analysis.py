@@ -48,16 +48,15 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 120
-# the majorant's log-spaced scan of (0, s_max]: its floor and its number of points
-_SCAN_MIN = 1e-8
-_SCAN_POINTS = 20000
+# the floor of the majorant's search range [_S_MIN, s_max]
+_S_MIN = 1e-8
 # zeta_lambda's bisection stops at this width relative to its upper end
 _ZETA_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class Majorant:
-    """Linear bound h(s) - s^(-nu) <= a*s - b on the scan range, b > 0."""
+    """Linear bound h(s) - s^(-nu) <= a*s - b on [_S_MIN, s_max], b > 0."""
 
     a: float
     b: float
@@ -65,7 +64,7 @@ class Majorant:
 
 
 def _golden_min(g, lo: float, hi: float) -> float:
-    """Golden-section minimizer of g on [lo, hi]."""
+    """Golden-section minimizer of a unimodal g on [lo, hi] (Kiefer 1953)."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     g1, g2 = g(x1), g(x2)
@@ -84,37 +83,32 @@ def _golden_min(g, lo: float, hi: float) -> float:
 
 
 def linear_majorant(h: Nonlinearity, nu: float, a: float, s_max: float) -> Majorant:
-    """Compute b = inf over (0, s_max] of g(s) = a*s - h(s) + s^(-nu).
+    """Compute b = min over [_S_MIN, s_max] of g(s) = a*s - h(s) + s^(-nu).
 
-    A log-spaced scan of [_SCAN_MIN, s_max] locates the best cell; golden-section
-    refinement pins the minimizer.  Raises if h is not sublinear at s_max
-    or if the infimum is nonpositive (slope a too small).
+    Every catalog h is concave, so g is convex and g(e^t) unimodal: one
+    golden-section search in t = log s pins the minimizer, where a search
+    in s itself stops far from it once s_max spans many decades.  Raises
+    if h is not sublinear at s_max or if b <= 0 (slope a too small).
     """
     if a <= 0:
         raise ValueError(f"majorant slope must be positive, got {a}")
     if not 0 < nu < 1:
         raise ValueError(f"nu must lie in (0,1), got {nu}")
+    if not _S_MIN < s_max < math.inf:
+        raise ValueError(f"s_max must be finite and exceed {_S_MIN:g}, got {s_max}")
     if h(s_max) / s_max >= a:
         raise ValueError(f"h not sublinear at s_max: h({s_max:g})/{s_max:g} >= {a:g}")
 
     def g(s):
         return a * s - h(s) + s ** (-nu)
 
-    s = np.logspace(math.log10(_SCAN_MIN), math.log10(s_max), _SCAN_POINTS)
-    vals = g(s)
-    k = int(np.argmin(vals))
-    lo = s[max(k - 1, 0)]
-    hi = s[min(k + 1, _SCAN_POINTS - 1)]
-    s_star = _golden_min(g, lo, hi)
-    b = float(g(s_star))
-    # endpoint of the scan may beat the refined interior point
-    if vals[-1] < b:
-        s_star, b = float(s[-1]), float(vals[-1])
+    s_star = math.exp(_golden_min(lambda t: g(math.exp(t)), math.log(_S_MIN), math.log(s_max)))
+    b = g(s_star)
     if b <= 0:
         raise ValueError(
             f"majorant slope too small: infimum of a*s - h(s) + s^-nu is {b:.6g} <= 0; raise a"
         )
-    return Majorant(a=a, b=b, s_star=float(s_star))
+    return Majorant(a=a, b=b, s_star=s_star)
 
 
 def zeta_lambda(h: Nonlinearity, lam: float, zeta0: float, e_sup: float) -> float:
@@ -122,9 +116,9 @@ def zeta_lambda(h: Nonlinearity, lam: float, zeta0: float, e_sup: float) -> floa
 
     Existence for the catalog members follows from h(s)/s -> 0.  The search
     floor 1e-12 is returned directly when the inequality already holds
-    there (h == 0, say).  The doubling goes on while zeta*e_sup stays a
-    finite float, so only an h that is not sublinear on the float range
-    raises.
+    there (h == 0, say).  Past a finite zeta*e_sup the doubling raises:
+    the threshold lies beyond the float range (for sqrt h it is
+    lam^2 * e_sup / zeta0^2), or h fails to be sublinear on it.
     """
     if lam <= 0 or zeta0 <= 0 or e_sup <= 0:
         raise ValueError("lambda, zeta0 and e_sup must all be positive")
@@ -139,7 +133,9 @@ def zeta_lambda(h: Nonlinearity, lam: float, zeta0: float, e_sup: float) -> floa
         z *= 2.0
         if not math.isfinite(z * e_sup):
             raise RuntimeError(
-                "h not sublinear numerically: no zeta with a finite zeta*e_sup satisfies the bound"
+                "no zeta with a finite zeta*e_sup satisfies zeta0*zeta >= lambda*h(zeta*e_sup) "
+                f"(lambda={lam:g}, zeta0={zeta0:g}, e_sup={e_sup:g}): either the threshold "
+                "lies beyond the float range or h fails to be sublinear on it"
             )
     lo, hi = z / 2.0, z
     while hi - lo > _ZETA_REL_TOL * hi:
@@ -182,7 +178,6 @@ class SubSuperPair:
 
     phi: Field
     xi: Field
-    r: float
     zeta: float
 
     def ordered(self) -> bool:
@@ -215,7 +210,7 @@ def build_pair(
     ratio = float(np.max(phi[1:-1] / e[1:-1]))
     z = max(z, ratio)
     xi = build_supersolution(z, e)
-    pair = SubSuperPair(phi=phi, xi=xi, r=r, zeta=z)
+    pair = SubSuperPair(phi=phi, xi=xi, zeta=z)
     if not pair.ordered():
         raise AssertionError("pair ordering failed after raising zeta; should be impossible")
     return pair

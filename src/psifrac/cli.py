@@ -39,8 +39,8 @@ from .solver import STOPS, picard_block, solve_between
 
 SUBCOMMANDS = ("eigen", "solve", "verify", "sweep", "convergence")
 
-# slope of the linear majorant used for the nonexistence threshold; doubled
-# until the infimum is positive (h=0 already works at 1)
+# slope of the majorant for the nonexistence threshold; 1 gives b > 0 for every
+# catalog h: on (0, 1), s - h(s) >= -1/4 and s^(-nu) > 1; on [1, inf), s >= h(s)
 MAJORANT_SLOPE = 1.0
 MAJORANT_SMAX = 1e6
 
@@ -157,16 +157,6 @@ def _name(name) -> str:
     return name() if callable(name) else name
 
 
-def _majorant_for(spec: ProblemSpec):
-    a = MAJORANT_SLOPE
-    for _ in range(60):
-        try:
-            return linear_majorant(spec.h, spec.nu, a, MAJORANT_SMAX)
-        except ValueError:
-            a *= 2.0
-    raise RuntimeError("could not find a positive linear majorant even with a large slope")
-
-
 def _common_pipeline(rc: RunConfig):
     with _stage("assembly"):
         op = assemble_composed(rc.spec)
@@ -175,7 +165,7 @@ def _common_pipeline(rc: RunConfig):
     with _stage("e-solve"):
         e = solve_e(op)
     with _stage("majorant"):
-        maj = _majorant_for(rc.spec)
+        maj = linear_majorant(rc.spec.h, rc.spec.nu, MAJORANT_SLOPE, MAJORANT_SMAX)
     # the threshold formula needs a positive bottom eigenvalue, a computed
     # outcome that is reported, not assumed
     mu1 = (

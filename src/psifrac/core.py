@@ -34,6 +34,15 @@ __all__ = [
 Field = np.ndarray
 
 
+def _catalog_kind(kinds: type[enum.Enum], label: str, name: str):
+    """The member of the catalog enum `kinds` named `name`, refused with the catalog's names."""
+    try:
+        return kinds(name)
+    except ValueError:
+        names = ", ".join(m.value for m in kinds)
+        raise ValueError(f"unknown {label} kind {name!r}; expected one of {names}") from None
+
+
 @dataclass(frozen=True)
 class FractionalOrder:
     """Order/type pair (alpha, beta) of the fractional derivative.
@@ -116,12 +125,7 @@ class PsiFunction:
 
     @classmethod
     def from_name(cls, name: str, k: float = 1.0) -> "PsiFunction":
-        try:
-            kind = PsiKind(name)
-        except ValueError:
-            names = ", ".join(m.value for m in PsiKind)
-            raise ValueError(f"unknown psi kind {name!r}; expected one of {names}") from None
-        return cls(kind, k)
+        return cls(_catalog_kind(PsiKind, "psi", name), k)
 
 
 @dataclass(frozen=True)
@@ -208,12 +212,7 @@ class KirchhoffFn:
 
     @classmethod
     def from_name(cls, name: str, zeta0: float, zeta_inf: float) -> "KirchhoffFn":
-        try:
-            kind = KirchhoffKind(name)
-        except ValueError:
-            names = ", ".join(m.value for m in KirchhoffKind)
-            raise ValueError(f"unknown m kind {name!r}; expected one of {names}") from None
-        return cls(kind, zeta0, zeta_inf)
+        return cls(_catalog_kind(KirchhoffKind, "m", name), zeta0, zeta_inf)
 
 
 class NonlinearityKind(enum.Enum):
@@ -260,12 +259,7 @@ class Nonlinearity:
 
     @classmethod
     def from_name(cls, name: str) -> "Nonlinearity":
-        try:
-            kind = NonlinearityKind(name)
-        except ValueError:
-            names = ", ".join(m.value for m in NonlinearityKind)
-            raise ValueError(f"unknown h kind {name!r}; expected one of {names}") from None
-        return cls(kind)
+        return cls(_catalog_kind(NonlinearityKind, "h", name))
 
 
 @dataclass(frozen=True)

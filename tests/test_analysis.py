@@ -69,6 +69,9 @@ class TestLinearMajorant:
             linear_majorant(SQRT, nu=0.5, a=0.0, s_max=1e6)
         with pytest.raises(ValueError, match="nu"):
             linear_majorant(SQRT, nu=1.5, a=1.0, s_max=1e6)
+        for s_max in (1e-8, 1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="s_max must be finite and exceed 1e-08"):
+                linear_majorant(SQRT, nu=0.5, a=1.0, s_max=s_max)
 
 
 class TestZetaLambda:
@@ -112,7 +115,7 @@ class TestZetaLambda:
 
     def test_linear_h_raises_at_the_float_range(self):
         # zeta >= 2 * zeta * e_sup holds for no positive zeta when e_sup = 1
-        with pytest.raises(RuntimeError, match="not sublinear"):
+        with pytest.raises(RuntimeError, match="fails to be sublinear"):
             zeta_lambda(lambda s: 2.0 * s, lam=1.0, zeta0=1.0, e_sup=1.0)
 
 

@@ -680,6 +680,15 @@ class TestRunConfigValidation:
         assert "not sublinear" not in err
         assert "numerical failure: verification: overflow" in err
 
+    def test_threshold_past_the_float_range_is_not_blamed_on_h(self, tmp_path, capsys):
+        # sqrt h is sublinear; its threshold lambda^2 * e_sup / zeta0^2 ~ 1e599 is not a float
+        code, _, report = run_cli(tmp_path, "solve", "--grid-n", "9", "--lambda", "1e300")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "verification: no zeta with a finite zeta*e_sup satisfies" in err
+        assert "(lambda=1e+300, zeta0=1, e_sup=0.125)" in err
+        assert "beyond the float range" in err and "not sublinear" not in err
+
     def test_tiny_normal_integral_order_runs(self, tmp_path):
         code, _, report = run_cli(
             tmp_path, "eigen", "--alpha", "0.75", "--beta", "1e-200", "--grid-n", "33"

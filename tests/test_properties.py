@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from oracles import form_matrix, stiffness_reference, tent_form_reference
 from psifrac import (
     assemble_composed,
+    linear_majorant,
     make_spec,
     principal_eigenpair,
     solve_e,
     validate_spec,
 )
 from psifrac.cli import SUBCOMMANDS, main
-from psifrac.core import KirchhoffKind, NonlinearityKind, PsiKind
+from psifrac.core import KirchhoffKind, Nonlinearity, NonlinearityKind, PsiKind
 
 
 def _floats(lo, hi):
@@ -110,6 +111,24 @@ def test_fractional_operator_keeps_the_positivity_the_pair_needs(fields, alpha):
     assert solve_e(op)[1:-1].min() > 0
     inv = np.linalg.inv(form_matrix(op)[:, 1:-1])
     assert inv.min() >= -1e-12 * np.abs(inv).max()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(list(NonlinearityKind)),
+    nu=_floats(1e-6, 1.0 - 1e-9),
+    a=_floats(1.0, 10.0),
+    log_s_max=_floats(2.0, 300.0),
+)
+def test_linear_majorant_bounds_every_catalog_h(kind, nu, a, log_s_max):
+    # every catalog h is concave: slope 1 already gives b > 0, and the
+    # search in log s finds the infimum however many decades s_max spans
+    h, s_max = Nonlinearity(kind), 10.0**log_s_max
+    assert linear_majorant(h, nu, 1.0, s_max).b > 0
+    b = linear_majorant(h, nu, a, s_max).b
+    s = np.logspace(-8.0, log_s_max, 100_000)
+    g = a * s - h(s) + s ** (-nu)
+    assert np.all(b <= g + 1e-15 * np.abs(g))
 
 
 def _dense_pencil(op):

@@ -87,7 +87,7 @@ class TestPicardStep:
         # in turn: together the two clips leave the whole step
         u = catalog_solution.u
         for phi, xi, from_super in ((catalog_pair.phi, u, True), (u, catalog_pair.xi, False)):
-            pair = SubSuperPair(phi=phi, xi=xi, r=catalog_pair.r, zeta=catalog_pair.zeta)
+            pair = SubSuperPair(phi=phi, xi=xi, zeta=catalog_pair.zeta)
             v = solve_between(pair, catalog_spec, catalog_op, max_iter=1, from_super=from_super).u
             assert np.abs(v - u).max() <= 1e-8 * (1.0 + np.abs(u).max())
 
@@ -190,16 +190,14 @@ class TestSolveBetween:
 
     def test_degenerate_pair_returns_zero(self, catalog_spec, catalog_op):
         n = catalog_spec.grid.n
-        pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), r=0.8, zeta=1.0)
+        pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), zeta=1.0)
         res = solve_between(pair, catalog_spec, catalog_op, verified=False)
         assert res.iterations == 0
         assert not res.positive
         assert np.all(res.u == 0.0)
 
     def test_unordered_pair_rejected(self, catalog_pair, catalog_spec, catalog_op):
-        bad = SubSuperPair(
-            phi=catalog_pair.xi, xi=catalog_pair.phi, r=0.8, zeta=catalog_pair.zeta
-        )
+        bad = SubSuperPair(phi=catalog_pair.xi, xi=catalog_pair.phi, zeta=catalog_pair.zeta)
         with pytest.raises(ValueError, match="ordered"):
             solve_between(bad, catalog_spec, catalog_op)
 

@@ -13,7 +13,9 @@ written are compared byte for byte.  A CSV that differs is named with the
 columns that differ and the number of rows where they do; a JSON file with
 the keys that differ and both values.  A report's `timings`, wall times
 that differ on every run, are left out of the comparison.  Exit status: 0
-when every output is identical, 1 otherwise.
+when every output is identical, 1 otherwise.  The output ends with both
+trees' `src/psifrac/*.py` line totals (what `wc -l` counts) and their
+difference.
 
 The list: the benchmark's nine invocations at seed 1 (from
 `perfbench/workloads.py` next to this file); `sweep --alpha 0.75
@@ -39,7 +41,10 @@ than the defaults (`--m affine --zeta-inf 3`, `--m saturating --zeta-inf
 3`, `--h log1p`, `--h saturating_linear`, `--h zero`), and `sweep --alpha
 0.75 --grid-n 129 --m affine --zeta-inf 3 --h saturating_linear`.  The
 solves' energies hold the affine member at its cap, so only the sweep's
-rows show its slope.
+rows show its slope.  Last, so that the majorant's dependence on nu shows
+(every other invocation runs nu = 1/2), `eigen --grid-n 65 --h H --nu
+0.95` and `eigen --grid-n 65 --h H --nu 0.05 --r 0.99` for each of the
+four h; the r keeps the window (1/(1 + nu), 1) non-empty.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 PSIS = ("identity", "exp_minus_one", "square", "log1p")
+HS = ("sqrt", "log1p", "saturating_linear", "zero")
 # every catalog M and h but the default constant M and sqrt h
 CATALOG = (
     ("--m", "affine", "--zeta-inf", "3"),
@@ -93,7 +99,15 @@ def invocations() -> list[tuple[str, ...]]:
         out += [solve + flags for flags in CATALOG]
     sweep = ("sweep", "--alpha", "0.75", "--grid-n", "129")
     out.append(sweep + CATALOG[0] + CATALOG[3])
+    for h in HS:
+        eigen = ("eigen", "--grid-n", "65", "--h", h)
+        out += [eigen + ("--nu", "0.95"), eigen + ("--nu", "0.05", "--r", "0.99")]
     return out
+
+
+def source_lines(tree: Path) -> int:
+    """The lines of a tree's `src/psifrac/*.py`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "psifrac").glob("*.py"))
 
 
 def run(tree: Path, argv: tuple[str, ...], cwd: Path) -> dict[str, bytes]:
@@ -213,6 +227,8 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"same     {label} ({len(a) - 3} files, exit {a['<exit code>'].decode()})")
     print(f"{differs} of {k + 1} invocations differ")
+    before, after = map(source_lines, trees)
+    print(f"src/psifrac/*.py: {before} -> {after} lines ({after - before:+d})")
     return 1 if differs else 0
 
 
