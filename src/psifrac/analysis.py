@@ -284,7 +284,9 @@ def _verdict(
     )
 
 
-def verify_weak_inequality(u: Field, op: ComposedOperator, side: str) -> VerifyReport:
+def verify_weak_inequality(
+    u: Field, spec: ProblemSpec, op: ComposedOperator, side: str
+) -> VerifyReport:
     """Check the weak inequality of the given side against all interior tents.
 
     For each interior test function w_i computes
@@ -293,9 +295,8 @@ def verify_weak_inequality(u: Field, op: ComposedOperator, side: str) -> VerifyR
     masses `op.w`, both in the transformed variable psi(x) (energy(u)
     integrates in x); the margin is R_i - L_i for side="sub" (must be
     >= -tol_margin) and L_i - R_i for side="super".
-    tol_margin = 1e-8 * (1 + sup|R|).
+    tol_margin = 1e-8 * (1 + sup|R|).  lambda, h, M and nu come from spec.
     """
-    spec = op.spec
     u = np.asarray(u, dtype=float)
     ui = _checked_interior(u, spec.grid.n, side)
     left = spec.m(energy(u, op)) * op.form(u)

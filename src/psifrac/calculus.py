@@ -20,9 +20,9 @@ beta = 1, alpha < 1, the Caputo type, which first subtracts f(0).  No
 right integral or derivative is built: below alpha = 1 the composed
 operator is the weak form of `operators`, which needs only the left one.
 
-Every builder reads the transformed nodes from `grid.u`; its psi argument
-names the map the grid was built with.  Matrix assembly is
-row-independent; assembled matrices are immutable and safe to share.
+Every builder reads the transformed nodes from `grid.u`, which the grid
+derives from its own psi.  Matrix assembly is row-independent; assembled
+matrices are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ def frac_integral_matrix(grid: Grid, psi: PsiFunction, order: float) -> Operator
     """Left Riemann-Liouville fractional integral of the given order.
 
     order must lie in (0, 1]; order=1 reduces to the composite trapezoid
-    rule in the transformed variable.
+    rule in the transformed variable.  psi is not read (the grid holds it);
+    it stays as in `hilfer_derivative_matrix`, which keeps it for perfbench.
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"integral order must lie in (0, 1], got {order}")
@@ -205,7 +206,9 @@ def hilfer_derivative_matrix(
     D1 . I^{1-alpha}, the stencil acting on the integral as three-row
     combinations; at alpha = 1 it acts on the identity, so the entries are
     D1's own.  At beta = 1, alpha < 1 column 0 loses each row's sum: the
-    derivative acts on f - f(0).  No right derivative is built.
+    derivative acts on f - f(0).  No right derivative is built.  psi is
+    not read (the grid holds it); it stays because `perfbench/spans.py`
+    reads order as positional argument 2.
     """
     u = _grid_nodes(grid)
     g = 1.0 - order.alpha
@@ -216,9 +219,7 @@ def hilfer_derivative_matrix(
     return OperatorMatrix(entries)
 
 
-def hilfer_power_oracle(
-    order: FractionalOrder, delta: float, psi: PsiFunction, grid: Grid
-) -> Field:
+def hilfer_power_oracle(order: FractionalOrder, delta: float, grid: Grid) -> Field:
     """Closed-form left-derivative image of (psi(x) - psi(0))^(delta-1).
 
     Returns Gamma(delta)/Gamma(delta-alpha) * (psi(x)-psi(0))^(delta-1-alpha),

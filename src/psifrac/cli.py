@@ -218,8 +218,8 @@ def _cmd_eigen(rc: RunConfig) -> tuple[int, dict]:
 def _verify_both(rc: RunConfig, op, eig, e):
     with _stage("verification"):
         pair = build_pair(rc.spec, eig, e, rc.r)
-        sub = verify_weak_inequality(pair.phi, op, "sub")
-        sup = verify_weak_inequality(pair.xi, op, "super")
+        sub = verify_weak_inequality(pair.phi, rc.spec, op, "sub")
+        sup = verify_weak_inequality(pair.xi, rc.spec, op, "super")
     return pair, sub, sup
 
 
@@ -299,6 +299,11 @@ def _cmd_solve(rc: RunConfig) -> tuple[int, dict]:
         ["x", "u", "phi", "xi"],
         (x, res.u, pair.phi, pair.xi),
     )
+    if not res.converged:
+        print(
+            f"numerical failure: Picard solve: not converged (stop {res.stop} after "
+            f"{res.iterations} solves, final residual {res.final_residual:.4g})", file=sys.stderr
+        )
     return (0 if res.converged else 2), report
 
 
@@ -358,7 +363,7 @@ def _convergence_violations(spec: ProblemSpec) -> list[str]:
     """The table's own grids: the stencil's width bound and the int_left rule's span^(1 + alpha)."""
     out = []
     for n in CONVERGENCE_NS:
-        grid = Grid.make(spec.grid.T, n, spec.psi)
+        grid = Grid(spec.grid.T, n, spec.grid.psi)
         out += [f"convergence grid n = {n}: {msg}" for msg in cell_width_violations(grid.u)]
     # the same array power as the rule's, so the bound is exact to the last float
     span = float(spec.grid.u[-1] - spec.grid.u[0])
@@ -379,16 +384,16 @@ def _cmd_convergence(rc: RunConfig) -> tuple[int, dict]:
     cases: dict[tuple[str, str], list[float]] = {}
     for n in CONVERGENCE_NS:
         with _stage(f"convergence table at n = {n}"):
-            grid = Grid.make(spec.grid.T, n, spec.psi)
+            grid = Grid(spec.grid.T, n, spec.grid.psi)
             collar = max(2, int(np.ceil(0.05 * n)))
-            hil = hilfer_derivative_matrix(grid, spec.psi, spec.order)
+            hil = hilfer_derivative_matrix(grid, grid.psi, spec.order)
             u = grid.u
             for delta in CONVERGENCE_DELTAS:
                 f = (u - u[0]) ** (delta - 1.0)
-                want = hilfer_power_oracle(spec.order, delta, spec.psi, grid)
+                want = hilfer_power_oracle(spec.order, delta, grid)
                 err = float(np.abs(hil.entries @ f - want)[collar:-1].max())
                 cases.setdefault(("hilfer_left", f"power_{delta}"), []).append(err)
-            intm = frac_integral_matrix(grid, spec.psi, spec.order.alpha)
+            intm = frac_integral_matrix(grid, grid.psi, spec.order.alpha)
             ones = np.ones(n)
             want = (u - u[0]) ** spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
             err = float(np.abs(intm.entries @ ones - want)[1:].max())

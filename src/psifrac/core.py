@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,36 +130,32 @@ class PsiFunction:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node set on [0, T] together with its psi-transform.
+    """Uniform node set on [0, T] and the map psi that transforms it.
 
-    x holds the n uniform nodes, u the transformed values psi(x_i); the
-    boundary index set is always {0, n-1}.
+    x holds the n uniform nodes and u the transformed values psi(x_i),
+    both derived once, at construction, and read-only; the boundary index
+    set is always {0, n-1}.
     """
 
     T: float
     n: int
-    x: np.ndarray = field(repr=False, compare=False)
-    u: np.ndarray = field(repr=False, compare=False)
+    psi: PsiFunction
 
-    @classmethod
-    def make(cls, T: float, n: int, psi: PsiFunction) -> "Grid":
-        x = np.linspace(0.0, float(T), int(n))
+    def __post_init__(self):
+        x = np.linspace(0.0, self.T, self.n)
         # an overflowing psi(T) is reported by violations(), not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            g = cls(float(T), int(n), x, psi(x))
-        g.x.setflags(write=False)
-        g.u.setflags(write=False)
-        return g
+            u = self.psi(x)
+        for name, nodes in (("x", x), ("u", u)):
+            nodes.setflags(write=False)
+            object.__setattr__(self, name, nodes)
 
     def violations(self) -> list[str]:
-        out = []
+        out = self.psi.violations()
         if not self.T > 0:
             out.append(f"T must be positive (got {self.T})")
         if self.n < 8:
             out.append(f"grid_n must be at least 8 (got {self.n})")
-        if len(self.x) != self.n or len(self.u) != self.n:
-            out.append("node arrays must have length grid_n")
-            return out
         if not np.all(np.isfinite(self.u)):
             out.append("transformed nodes must be finite (psi(T) overflows)")
             return out
@@ -267,7 +263,6 @@ class ProblemSpec:
     """All data of the boundary-value problem on (0, T)."""
 
     order: FractionalOrder
-    psi: PsiFunction
     grid: Grid
     m: KirchhoffFn
     h: Nonlinearity
@@ -291,16 +286,11 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     """
     out = []
     out += spec.order.violations()
-    out += spec.psi.violations()
     grid_bad = spec.grid.violations()
     out += grid_bad
     out += spec.m.violations()
     out += spec.violations()
-    # cross-field consistency: the grid must carry this psi's transform
     if not grid_bad:
-        expect = spec.psi(spec.grid.x)
-        if not np.allclose(expect, spec.grid.u, rtol=1e-13, atol=1e-15):
-            out.append("grid.u does not match psi(grid.x); rebuild the grid with this psi")
         out += cell_width_violations(spec.grid.u)
     return out
 
@@ -348,11 +338,9 @@ def make_spec(
     for name, value in (("T", T), ("psi_k", psi_k)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite (got {value})")
-    psif = PsiFunction.from_name(psi, psi_k)
     return ProblemSpec(
         order=FractionalOrder(alpha, beta),
-        psi=psif,
-        grid=Grid.make(T, grid_n, psif),
+        grid=Grid(float(T), int(grid_n), PsiFunction.from_name(psi, psi_k)),
         m=KirchhoffFn.from_name(m, zeta0, zeta_inf),
         h=Nonlinearity.from_name(h),
         nu=nu,

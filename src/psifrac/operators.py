@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import _BLOCK, _is_uniform
-from .core import Field, ProblemSpec, validate_spec
+from .core import Field, Grid, ProblemSpec, validate_spec
 
 __all__ = [
     "ComposedOperator",
@@ -311,15 +311,16 @@ class ComposedOperator:
     right side by it) where it says so.  `_a` holds K as the assembly
     built it, with what its solves use: the cell widths and tent masses at
     alpha = 1; below, the tent table's row 1 and corner on a uniform grid,
-    and the whole table on any other.
+    and the whole table on any other.  Of the problem data it keeps only
+    the grid: lambda, h, M and nu reach the callers that take the spec.
     """
 
-    spec: ProblemSpec
+    grid: Grid
     _a: _Stiffness | _Toeplitz | _Tents = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return self.spec.grid.n
+        return self.grid.n
 
     @property
     def w(self) -> np.ndarray:
@@ -329,7 +330,7 @@ class ComposedOperator:
     @functools.cached_property
     def cell_widths(self) -> np.ndarray:
         """The cell widths of the grid in x, which weigh the energy's cells."""
-        dx = np.diff(self.spec.grid.x)
+        dx = np.diff(self.grid.x)
         dx.setflags(write=False)
         return dx
 
@@ -346,7 +347,7 @@ class ComposedOperator:
         f holds all n nodal values, or is a block of such fields, one per
         row (each row's form bitwise its own); f_0 enters nothing.
         """
-        return self._a.form(np.asarray(f, dtype=float))
+        return self._a.form(_last_axis(f, self.n))
 
     def solve_form(self, b: np.ndarray) -> np.ndarray:
         """K_int^-1 b, without boundary entries: the interior field whose form is b.
@@ -354,17 +355,12 @@ class ComposedOperator:
         b may be a block with one right-hand side per row; row j of the
         result is bitwise the solve of row j alone.
         """
-        return self._a.solve(b)
+        return self._a.solve(_last_axis(b, self.n - 2))
 
     def solve_interior(self, rhs_interior: np.ndarray) -> Field:
         """Solve A u = rhs on the interior with zero Dirichlet data: K_int u = W rhs."""
-        rhs_interior = np.asarray(rhs_interior, dtype=float)
-        if rhs_interior.shape != (self.n - 2,):
-            raise ValueError(
-                f"rhs length {rhs_interior.shape} does not match interior size {self.n - 2}"
-            )
         out = np.zeros(self.n)
-        out[1:-1] = self.solve_form(self.w * rhs_interior)
+        out[1:-1] = self.solve_form(self.w * _last_axis(rhs_interior, self.n - 2))
         return out
 
     def apply_left(self, f: Field) -> np.ndarray:
@@ -373,7 +369,15 @@ class ComposedOperator:
         Of a field, or of each row of a block (bitwise the row's own); f_0
         enters nothing.
         """
-        return self._a.left(np.asarray(f, dtype=float))
+        return self._a.left(_last_axis(f, self.n))
+
+
+def _last_axis(f, length: int) -> np.ndarray:
+    """f as floats, refused unless its last axis holds `length` entries (FFTs would pad or cut)."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (length,):
+        raise ValueError(f"last axis of shape {f.shape} does not hold {length} entries")
+    return f
 
 
 def tent_masses(u: np.ndarray) -> np.ndarray:
@@ -437,29 +441,29 @@ def _fill_tents(table: np.ndarray, u: np.ndarray, alpha: float, m: int) -> np.nd
 
 
 def assemble_composed(spec: ProblemSpec) -> ComposedOperator:
-    """Build the composed operator for the problem data.
+    """Build the composed operator from valid problem data: only the grid and alpha enter.
 
     K is the tent form at every alpha.  At alpha = 1 it is kept as the
     cell widths and tent masses (K the P1 stiffness).  Below, on a uniform
-    grid, as the table's row 1 and corner from `_symbol`, and on any
-    other grid as the table of `_tent_table`; either also gives D_left at
-    the cell midpoints.  Only the interior rows are kept: u = 0 at both
-    ends.
+    grid, as the table's row 1 and corner from `_symbol`, and on any other
+    grid as the table of `_tent_table`; either also gives D_left at the
+    cell midpoints.  Only the interior rows are kept: u = 0 at both ends.
     """
     bad = validate_spec(spec)
     if bad:
         raise ValueError("invalid problem spec: " + "; ".join(bad))
-    u = spec.grid.u
+    grid, alpha = spec.grid, spec.order.alpha
+    u = grid.u
     du, w = np.diff(u), tent_masses(u)[1:-1]
     for a in (du, w):
         a.setflags(write=False)
-    if spec.order.alpha == 1.0:
-        return ComposedOperator(spec, _Stiffness(du, w, float(u[-1] - u[0])))
+    if alpha == 1.0:
+        return ComposedOperator(grid, _Stiffness(du, w, float(u[-1] - u[0])))
     if _is_uniform(u):
-        return ComposedOperator(spec, _Toeplitz.of(*_symbol(u, spec.order.alpha), w, du))
-    table = _tent_table(u, spec.order.alpha)
+        return ComposedOperator(grid, _Toeplitz.of(*_symbol(u, alpha), w, du))
+    table = _tent_table(u, alpha)
     table.setflags(write=False)
-    return ComposedOperator(spec, _Tents.of(table, w, du))
+    return ComposedOperator(grid, _Tents.of(table, w, du))
 
 
 @dataclass(frozen=True)
@@ -512,7 +516,7 @@ def _inverse_lanczos(op: ComposedOperator, k: int, tol: float) -> tuple[np.ndarr
     """
     basis = np.zeros((op.n - 2, k))
     tri = np.zeros((k, k))
-    start = op.spec.grid.x[1:-1]
+    start = op.grid.x[1:-1]
     basis[:, 0] = start / np.sqrt(start @ (op.w * start))
     for j in range(k):
         r = op.solve_form(op.w * basis[:, j])

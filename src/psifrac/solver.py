@@ -46,8 +46,7 @@ class SolveReport:
     residual below 100 * tol), "fixed point" (converged on an iterate that
     repeats bitwise with no bound active, its residual at the rounding
     floor), "pinned" (an iterate that repeats bitwise with a bound active:
-    not converged) or "max_iter"; "degenerate" for the zero interval.
-    Each of the `iterations` made one solve.
+    not converged) or "max_iter".  Each of the `iterations` made one solve.
     """
 
     converged: bool
@@ -199,26 +198,21 @@ def picard_block(
     Yields (j, report) as each pair leaves the block, so the rows not yet
     yielded are the ones still iterating.  Each report is the one of
     `solve_between` on that pair alone: see there for the stopping rules.
+    Refuses a pair that is not ordered, or whose phi is not positive on
+    the interior, where the singular term u^-nu is evaluated.
     """
     if len(pairs) != len(lams):
         raise ValueError(f"{len(pairs)} pairs for {len(lams)} lambda values")
     for pair in pairs:
         if not pair.ordered():
             raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
-    rows = []
-    for j, pair in enumerate(pairs):
-        if float(np.abs(pair.xi - pair.phi).max()) == 0.0 and float(np.abs(pair.xi).max()) == 0.0:
-            # degenerate interval: only possible when both fields vanish
-            rec = _Record(tol)
-            rec.stop = "degenerate"
-            zero = np.zeros(spec.grid.n)
-            yield j, _report(rec, zero, 0.0, float(spec.m(0.0)), pair, 0.0, from_super, verified)
-        else:
-            rows.append(j)
-    if not rows:
+        if not np.all(pair.phi[1:-1] > 0.0):
+            raise ValueError("phi must be positive on the interior, where u^-nu is evaluated")
+    if not pairs:
         return
-    start = [pairs[j].xi if from_super else pairs[j].phi for j in rows]
-    block = _Block(op, spec, [lams[j] for j in rows], [pairs[j] for j in rows], np.array(start))
+    rows = list(range(len(pairs)))
+    start = [pair.xi if from_super else pair.phi for pair in pairs]
+    block = _Block(op, spec, lams, pairs, np.array(start))
     records = [_Record(tol) for _ in rows]
     for it in range(1, max_iter + 1):
         v, outside = block.step()

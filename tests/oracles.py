@@ -224,24 +224,6 @@ def picard_reference(pair, spec, op, tol=1e-10, max_iter=400, from_super=False, 
     """
     if not pair.ordered():
         raise ValueError("pair is not ordered: phi must not exceed xi anywhere")
-    n = spec.grid.n
-    span = float(np.abs(pair.xi - pair.phi).max())
-    if span == 0.0 and float(np.abs(pair.xi).max()) == 0.0:
-        return SolveReport(
-            converged=False,
-            iterations=0,
-            residual_history=(),
-            u=np.zeros(n),
-            sandwich_ok=True,
-            energy_final=0.0,
-            kirchhoff_coeff_final=float(spec.m(0.0)),
-            positive=False,
-            projection_activity=(),
-            damped_steps=0,
-            override=not verified,
-            from_super=from_super,
-            stop="degenerate",
-        )
     u = (pair.xi if from_super else pair.phi).copy()
     energy_u = _picard_energy(u, spec)
     eps = 1e-12 * (1.0 + float(np.abs(pair.xi).max()))
@@ -300,10 +282,10 @@ def tent_reference(spec):
     evaluated at every left and right cell end separately.  At alpha = 1
     wl and wr are steps, banded, and at identity psi wl @ d + wr @ d with d
     the slopes of f is the operator's form K f;
-    `node_weights` are its masses at every alpha.
+    `node_weights` are its masses at every alpha.  Every weight integrates
+    in u = psi(x), cell by cell.
     """
     u = spec.grid.u
-    x = spec.grid.x
     n = spec.grid.n
     alpha = spec.order.alpha
     ex = 1.0 - alpha
@@ -332,12 +314,12 @@ def tent_reference(spec):
             row_r += np.where(dr > 0.0, c * np.power(np.maximum(dr, 0.0), ex), 0.0)
         lv[i - 1] = row_l * coef_scale
         rv[i - 1] = row_r * coef_scale
-    half_dx = 0.5 * np.diff(x)
+    half_du = 0.5 * du
     tw = np.empty(n)
-    tw[1:-1] = 0.5 * (x[2:] - x[:-2])
-    tw[0] = 0.5 * (x[1] - x[0])
-    tw[-1] = 0.5 * (x[-1] - x[-2])
-    return lv * half_dx, rv * half_dx, tw
+    tw[1:-1] = 0.5 * (u[2:] - u[:-2])
+    tw[0] = 0.5 * du[0]
+    tw[-1] = 0.5 * du[-1]
+    return lv * half_du, rv * half_du, tw
 
 
 def _tent_derivatives(spec):
@@ -403,10 +385,9 @@ def mu2_reference(spec, op, eig, e, r, lam_max=150.0, step=0.25):
     lam = 1.0
     while lam <= lam_max + 1e-12:
         trial = dataclasses.replace(spec, lam=lam)
-        trial_op = dataclasses.replace(op, spec=trial)
         pair = build_pair(trial, eig, e, r)
-        sub = verify_weak_inequality(pair.phi, trial_op, "sub")
-        sup = verify_weak_inequality(pair.xi, trial_op, "super")
+        sub = verify_weak_inequality(pair.phi, trial, op, "sub")
+        sup = verify_weak_inequality(pair.xi, trial, op, "super")
         if sub.passed and sup.passed:
             return lam
         lam += step

@@ -209,36 +209,37 @@ class TestPairOrdering:
 
 class TestVerifyWeakInequality:
     def test_supersolution_chain_passes(self, catalog_spec, catalog_op, catalog_pair):
-        rep = verify_weak_inequality(catalog_pair.xi, catalog_op, "super")
+        rep = verify_weak_inequality(catalog_pair.xi, catalog_spec, catalog_op, "super")
         assert rep.passed
         assert rep.verdict == "super-pass"
         assert rep.worst_margin > 0
 
     def test_subsolution_fails_at_tiny_lambda(self, catalog_spec, catalog_eig, catalog_e, catalog_op):
         spec = dataclasses.replace(catalog_spec, lam=0.1)
-        op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-        rep = verify_weak_inequality(pair.phi, op, "sub")
+        rep = verify_weak_inequality(pair.phi, spec, catalog_op, "sub")
         assert not rep.passed
         assert rep.worst_margin < -rep.tol_margin
 
-    def test_boundary_violation_is_precondition_error(self, catalog_op):
+    def test_boundary_violation_is_precondition_error(self, catalog_spec, catalog_op):
         u = np.full(catalog_op.n, 0.01)
         with pytest.raises(ValueError, match="vanish at both boundary"):
-            verify_weak_inequality(u, catalog_op, "sub")
+            verify_weak_inequality(u, catalog_spec, catalog_op, "sub")
 
-    def test_interior_nonpositivity_is_singular_failure(self, catalog_op, catalog_pair):
+    def test_interior_nonpositivity_is_singular_failure(
+        self, catalog_spec, catalog_op, catalog_pair
+    ):
         u = catalog_pair.phi.copy()
         u[catalog_op.n // 2] = 0.0
         with pytest.raises(ValueError, match="singular-term failure"):
-            verify_weak_inequality(u, catalog_op, "sub")
+            verify_weak_inequality(u, catalog_spec, catalog_op, "sub")
 
-    def test_bad_side_rejected(self, catalog_op, catalog_pair):
+    def test_bad_side_rejected(self, catalog_spec, catalog_op, catalog_pair):
         with pytest.raises(ValueError, match="side"):
-            verify_weak_inequality(catalog_pair.phi, catalog_op, "weak")
+            verify_weak_inequality(catalog_pair.phi, catalog_spec, catalog_op, "weak")
 
-    def test_margins_shape_and_worst_node(self, catalog_op, catalog_pair):
-        rep = verify_weak_inequality(catalog_pair.xi, catalog_op, "super")
+    def test_margins_shape_and_worst_node(self, catalog_spec, catalog_op, catalog_pair):
+        rep = verify_weak_inequality(catalog_pair.xi, catalog_spec, catalog_op, "super")
         assert rep.margins.shape == (catalog_op.n - 2,)
         assert 1 <= rep.worst_node <= catalog_op.n - 2
         assert rep.worst_margin == rep.margins[rep.worst_node - 1]
@@ -274,9 +275,8 @@ class TestEmpiricalMu2:
         assert mu2 == pytest.approx(77.5, abs=1e-12)
         # grid resolution: one step lower must fail on the sub side
         spec = dataclasses.replace(catalog_spec, lam=mu2 - 0.25)
-        op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-        assert not verify_weak_inequality(pair.phi, op, "sub").passed
+        assert not verify_weak_inequality(pair.phi, spec, catalog_op, "sub").passed
 
     def test_cap_returns_none(self, catalog_spec, catalog_op, catalog_eig, catalog_e, monkeypatch):
         monkeypatch.setattr(psifrac.analysis, "_MU2_LAM_MAX", 5.0)
@@ -380,9 +380,7 @@ class TestTentBasis:
     def test_matches_reference(self, alpha, psi, n):
         spec = make_spec(alpha=alpha, psi=psi, grid_n=n)
         basis = TentBasis(spec)
-        # the weights integrate in u: the reference on a grid whose x is u
-        in_u = dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, x=spec.grid.u))
-        wl, wr, node_weights = tent_reference(in_u)
+        wl, wr, node_weights = tent_reference(spec)
         assert np.array_equal(basis.node_weights, node_weights)
         # the verifier's masses and form are the operator's, W and K f, at
         # every alpha: the tent form summed tent by tent

@@ -29,7 +29,7 @@ ALL_PSI = [PsiFunction(k) for k in PsiKind]
 
 
 def grid_for(psi, n=129, T=1.0):
-    return Grid.make(T, n, psi)
+    return Grid(T, n, psi)
 
 
 class TestFracIntegral:
@@ -121,7 +121,7 @@ class TestHilferDerivative:
         order = FractionalOrder(0.75, 0.5)
         m = hilfer_derivative_matrix(g, IDENTITY, order)
         f = (g.u - g.u[0]) ** 1.5
-        want = hilfer_power_oracle(order, 2.5, IDENTITY, g)
+        want = hilfer_power_oracle(order, 2.5, g)
         collar = max(2, int(np.ceil(0.05 * g.n)))
         assert np.abs(m.entries @ f - want)[collar:-1].max() < 1e-4
 
@@ -341,20 +341,20 @@ class TestPowerOracle:
         delta = (3.0 + nu) / (1.0 + nu)
         assert delta == pytest.approx(2.5, abs=1e-15)
         g = grid_for(IDENTITY, n=65)
-        field = hilfer_power_oracle(FractionalOrder(0.75, 0.5), delta, IDENTITY, g)
+        field = hilfer_power_oracle(FractionalOrder(0.75, 0.5), delta, g)
         coef = math.gamma(2.5) / math.gamma(1.75)
         assert coef == pytest.approx(1.4464, abs=1e-4)
         assert field[-1] == pytest.approx(coef, abs=1e-12)
 
     def test_classical_derivative_of_x(self):
         g = grid_for(IDENTITY, n=65)
-        field = hilfer_power_oracle(FractionalOrder(1.0, 0.0), 2.0, IDENTITY, g)
+        field = hilfer_power_oracle(FractionalOrder(1.0, 0.0), 2.0, g)
         assert field == pytest.approx(np.ones(g.n), abs=1e-14)
 
     def test_constant_field_at_delta_one_plus_alpha(self):
         g = grid_for(IDENTITY, n=65)
         for alpha in (0.6, 0.75, 0.9):
-            field = hilfer_power_oracle(FractionalOrder(alpha, 0.5), 1.0 + alpha, IDENTITY, g)
+            field = hilfer_power_oracle(FractionalOrder(alpha, 0.5), 1.0 + alpha, g)
             assert field == pytest.approx(math.gamma(1.0 + alpha) * np.ones(g.n), abs=1e-12)
 
     def test_gamma_pole_rejected(self):
@@ -362,9 +362,9 @@ class TestPowerOracle:
         # delta - alpha <= 0 only happens with out-of-range orders, but the
         # guard must still hold
         with pytest.raises(ValueError, match="delta - alpha"):
-            hilfer_power_oracle(FractionalOrder(1.2, 0.0), 1.1, IDENTITY, g)
+            hilfer_power_oracle(FractionalOrder(1.2, 0.0), 1.1, g)
         with pytest.raises(ValueError, match="delta"):
-            hilfer_power_oracle(FractionalOrder(0.75, 0.0), 0.8, IDENTITY, g)
+            hilfer_power_oracle(FractionalOrder(0.75, 0.0), 0.8, g)
 
 
 class TestApply:
@@ -428,7 +428,7 @@ def test_oracle_convergence_is_monotone(beta):
         g = grid_for(IDENTITY, n=n)
         m = hilfer_derivative_matrix(g, IDENTITY, order)
         f = (g.u - g.u[0]) ** 1.5
-        want = hilfer_power_oracle(order, 2.5, IDENTITY, g)
+        want = hilfer_power_oracle(order, 2.5, g)
         collar = max(2, int(np.ceil(0.05 * n)))
         errs.append(np.abs(m.entries @ f - want)[collar:-1].max())
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))

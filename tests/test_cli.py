@@ -122,13 +122,19 @@ class TestSolve:
         lines = (out / "solve.csv").read_text().splitlines()
         assert lines[0] == "x,u,phi,xi"
 
-    def test_nonconvergence_is_status_two(self, tmp_path):
-        # lambda below the nonexistence threshold: solver reports failure
+    def test_nonconvergence_is_status_two(self, tmp_path, capsys):
+        # lambda below the nonexistence threshold: solver reports failure,
+        # on stderr as well as in the report
         code, out, report = run_cli(
             tmp_path, "solve", *FAST, "--lambda", "5", "--max-iter", "60"
         )
         assert code == 2
         assert report["solve"]["converged"] is False
+        solve = report["solve"]
+        assert capsys.readouterr().err == (
+            f"numerical failure: Picard solve: not converged (stop pinned after "
+            f"{solve['iterations']} solves, final residual {solve['final_residual']:.4g})\n"
+        )
 
     def test_from_super_flag(self, tmp_path):
         code, _, report = run_cli(tmp_path, "solve", "--grid-n", "129", "--from-super")
@@ -188,8 +194,7 @@ class TestSweepBlock:
         for lam in self.LAMS:
             spec = dataclasses.replace(rc.spec, lam=lam)
             pair = cli.build_pair(spec, eig, e, rc.r)
-            op_l = dataclasses.replace(op, spec=spec)
-            out[lam] = solve_between(pair, spec, op_l, tol=rc.tol, max_iter=rc.max_iter).iterations
+            out[lam] = solve_between(pair, spec, op, tol=rc.tol, max_iter=rc.max_iter).iterations
         return out
 
     def test_failure_in_the_block_names_the_lambdas_still_iterating(

@@ -10,6 +10,7 @@ from psifrac import frac_integral_matrix, make_spec, validate_spec
 from psifrac.config import parse_config_text, spec_from_config
 from psifrac.core import (
     FractionalOrder,
+    Grid,
     KirchhoffFn,
     KirchhoffKind,
     Nonlinearity,
@@ -68,7 +69,7 @@ def test_integral_order_floor_keeps_the_rule_finite(psi):
     for T in (100.0, widest):
         spec = make_spec(alpha=alpha, psi=psi, T=T, grid_n=33)
         assert validate_spec(spec) == []
-        w = frac_integral_matrix(spec.grid, spec.psi, 1.0 - alpha).entries
+        w = frac_integral_matrix(spec.grid, spec.grid.psi, 1.0 - alpha).entries
         assert np.isfinite(w).all()
     for T in (refused, 1e293 if psi == "identity" else math.sqrt(1e293)):
         for a in (alpha, 1.0 - 2.0**-49):
@@ -174,16 +175,6 @@ def test_unknown_catalog_names_rejected():
         KirchhoffFn.from_name("linear", 1.0, 2.0)
 
 
-def test_grid_mismatch_detected():
-    import dataclasses
-
-    spec = make_spec(psi="identity")
-    other = PsiFunction(PsiKind.SQUARE)
-    broken = dataclasses.replace(spec, psi=other)
-    msgs = validate_spec(broken)
-    assert any("grid.u" in m for m in msgs)
-
-
 def test_domain_types_are_immutable():
     import dataclasses
 
@@ -220,13 +211,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_text("alpha 0.9\n")
 
-    # (the spec's attribute holding the field, or "" for its own, field) -> a
-    # config key and a value other than its default
+    # (the path of the spec's attribute holding the field, or "" for its own,
+    # field) -> a config key and a value other than its default
     REACH = {
         ("order", "alpha"): ("alpha", 0.75),
         ("order", "beta"): ("beta", 1.0),
-        ("psi", "kind"): ("psi", "square"),
-        ("psi", "k"): ("psi_k", 2.0),
+        ("grid", "T"): ("T", 2.0),
+        ("grid", "n"): ("grid_n", 65),
+        ("grid.psi", "kind"): ("psi", "square"),
+        ("grid.psi", "k"): ("psi_k", 2.0),
         ("m", "kind"): ("m", "affine"),
         ("m", "zeta0"): ("zeta0", 0.5),
         ("m", "zeta_inf"): ("zeta_inf", 3.0),
@@ -238,17 +231,25 @@ class TestConfig:
     def test_every_problem_field_is_set_by_a_config_key(self):
         # a field that no key sets is a knob that no run can turn
         import dataclasses
+        import operator
 
-        holders = {"order": FractionalOrder, "psi": PsiFunction, "m": KirchhoffFn, "h": Nonlinearity}
-        walked = {(attr, f.name) for attr, cls in holders.items() for f in dataclasses.fields(cls)}
-        walked |= {
-            ("", f.name)
-            for f in dataclasses.fields(ProblemSpec)
-            if f.name not in holders and f.name != "grid"
+        holders = {
+            "order": FractionalOrder,
+            "grid": Grid,
+            "grid.psi": PsiFunction,
+            "m": KirchhoffFn,
+            "h": Nonlinearity,
         }
+        walked = {
+            (attr, f.name)
+            for attr, cls in holders.items()
+            for f in dataclasses.fields(cls)
+            if f"{attr}.{f.name}" not in holders
+        }
+        walked |= {("", f.name) for f in dataclasses.fields(ProblemSpec) if f.name not in holders}
         assert walked == set(self.REACH)
         base = spec_from_config(parse_config_text(""))
         for (attr, name), (key, value) in self.REACH.items():
             spec = spec_from_config(parse_config_text(f"{key} = {value}\n"))
-            old, new = (getattr(x, attr) if attr else x for x in (base, spec))
+            old, new = (operator.attrgetter(attr)(x) if attr else x for x in (base, spec))
             assert getattr(new, name) != getattr(old, name), (attr, name, key)

@@ -72,7 +72,7 @@ class TestFactoredAssembly:
                     monkeypatch.setattr(module, name, spy)
         for beta in (0.0, 0.5, 1.0):
             op = assemble_composed(make_spec(alpha=alpha, beta=beta, grid_n=65))
-            energy(np.sin(np.pi * op.spec.grid.x), op)
+            energy(np.sin(np.pi * op.grid.x), op)
         assert calls == []
 
 
@@ -117,9 +117,10 @@ class TestBandedInterior:
         # 101 other right-hand sides the componentwise error reached
         # 8474 eps at n = 1025 and 529 eps at n = 33, the normwise 3.4 eps
         eps = np.finfo(float).eps
-        op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
-        k = stiffness_reference(op.spec)
-        w = psifrac.operators.tent_masses(op.spec.grid.u)[1:-1]
+        spec = make_spec(alpha=1.0, psi=psi, grid_n=n)
+        op = assemble_composed(spec)
+        k = stiffness_reference(spec)
+        w = psifrac.operators.tent_masses(op.grid.u)[1:-1]
         rhs = w * np.stack([np.random.default_rng(n).standard_normal(n - 2), np.ones(n - 2)])
         solved = op.solve_form(rhs)
         for b, x in zip(rhs, solved):
@@ -131,7 +132,7 @@ class TestBandedInterior:
         # the slopes of the field, the first f_1 / du_0
         f = np.random.default_rng(n + 1).standard_normal(n)
         f[-1] = 0.0
-        du = np.diff(op.spec.grid.u)
+        du = np.diff(op.grid.u)
         s = np.diff(f) / du
         s[0] = f[1] / du[0]
         want = s[:-1] - s[1:]
@@ -597,17 +598,18 @@ class TestBandConstruction:
     @pytest.mark.parametrize("n", [8, 9, 10, 33, 129, 769])
     @pytest.mark.parametrize("psi", PSIS)
     def test_matches_dense_composition_bitwise(self, psi, n):
-        op = assemble_composed(make_spec(alpha=1.0, psi=psi, grid_n=n))
-        u = op.spec.grid.u
+        spec = make_spec(alpha=1.0, psi=psi, grid_n=n)
+        op = assemble_composed(spec)
+        u = op.grid.u
         assert op.factorization == "stiffness"
         assert _bitwise(op._a.du, np.diff(u))
         assert _bitwise(op._a.w, psifrac.operators.tent_masses(u)[1:-1])
         assert op._a.span == u[-1] - u[0]
         k = form_matrix(op)
-        assert _bitwise(np.ascontiguousarray(k[:, 1:-1]), stiffness_reference(op.spec))
+        assert _bitwise(np.ascontiguousarray(k[:, 1:-1]), stiffness_reference(spec))
         # and, to rounding, the tent form V V^T composed densely from the
         # step derivatives, the half tent at T included
-        want = tent_form_reference(op.spec)
+        want = tent_form_reference(spec)
         assert np.abs(k - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_no_square_array_at_alpha_one(self):
@@ -627,8 +629,8 @@ class TestBandConstruction:
             e = solve_e(op)
             pair = build_pair(spec, eig, e, 0.8)
             reports = [
-                verify_weak_inequality(pair.phi, op, "sub"),
-                verify_weak_inequality(pair.xi, op, "super"),
+                verify_weak_inequality(pair.phi, spec, op, "sub"),
+                verify_weak_inequality(pair.xi, spec, op, "super"),
             ]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -648,8 +650,8 @@ class TestBandConstruction:
             e = solve_e(op)
             pair = build_pair(spec, eig, e, 0.8)
             reports = [
-                verify_weak_inequality(pair.phi, op, "sub"),
-                verify_weak_inequality(pair.xi, op, "super"),
+                verify_weak_inequality(pair.phi, spec, op, "sub"),
+                verify_weak_inequality(pair.xi, spec, op, "super"),
             ]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -713,6 +715,40 @@ class TestAssembly:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             assemble_composed(make_spec(alpha=0.3))
+
+    # one spec per factorization: (alpha, psi) -> the factorization it assembles
+    FACTORIZATIONS = [(1.0, "identity"), (0.75, "identity"), (0.75, "square")]
+    KINDS = {(1.0, "identity"): "stiffness", (0.75, "identity"): "toeplitz"}
+
+    @pytest.mark.parametrize("alpha, psi", FACTORIZATIONS)
+    def test_wrong_length_refused(self, alpha, psi):
+        # the FFT convolutions would pad or truncate a wrong length in silence
+        op = assemble_composed(make_spec(alpha=alpha, psi=psi, grid_n=65))
+        assert op.factorization == self.KINDS.get((alpha, psi), "tent table")
+        for method, length in (("form", 65), ("apply_left", 65), ("solve_form", 63)):
+            for bad in (length - 1, length + 1):
+                for shape in ((bad,), (2, bad)):
+                    with pytest.raises(ValueError, match=f"does not hold {length} entries"):
+                        getattr(op, method)(np.ones(shape))
+
+    @pytest.mark.parametrize("alpha, psi", FACTORIZATIONS)
+    def test_only_the_grid_and_alpha_enter(self, alpha, psi):
+        # beta, lambda, nu, h and M reach the callers that take the spec, never the operator
+        ops = [
+            assemble_composed(make_spec(alpha=alpha, psi=psi, grid_n=65)),
+            assemble_composed(
+                make_spec(
+                    alpha=alpha, psi=psi, grid_n=65, beta=1.0, lam=7.0, nu=0.25,
+                    h="log1p", m="affine", zeta0=0.5, zeta_inf=3.0,
+                )
+            ),
+        ]  # fmt: skip
+        assert ops[0].grid == ops[1].grid
+        rng = np.random.default_rng(65)
+        fields, rhs = rng.standard_normal((3, 65)), rng.standard_normal((3, 63))
+        for method, arg in (("form", fields), ("apply_left", fields), ("solve_form", rhs)):
+            got = [getattr(op, method)(arg) for op in ops]
+            assert _bitwise(*got), method
 
 
 class TestEigenpair:
@@ -825,7 +861,7 @@ class TestEigenpair:
         # 1: the Krylov space is invariant after one step, so the pass stops
         # there and the polishing solve is the second
         op = assemble_composed(make_spec(alpha=1.0, psi="square", grid_n=16))
-        s = op.spec.grid.x[1:-1]
+        s = op.grid.x[1:-1]
         ks = op.form(np.concatenate(([0.0], s, [0.0])))
         assert ks.min() > 0.0
         k = op._a
@@ -914,7 +950,7 @@ class TestEnergy:
         errors = []
         for n in (65, 257, 1025):
             op = assemble_composed(make_spec(alpha=alpha, beta=0.5, grid_n=n))
-            x = op.spec.grid.x
+            x = op.grid.x
             errors.append(abs(energy(x - x * x, op) - want) / want)
         # 4.5e-5 at alpha = 0.75 and 1.6e-4 at 0.6, n = 257; at alpha = 1
         # the difference quotients are exact at the midpoints, and the error
@@ -930,7 +966,7 @@ class TestEnergy:
         energies = []
         for alpha in (1.0, 1.0 - 1e-6):
             op = assemble_composed(make_spec(alpha=alpha, beta=0.5, psi=psi, grid_n=65))
-            x = op.spec.grid.x
+            x = op.grid.x
             energies.append(energy(x - x * x, op))
         assert abs(energies[0] - energies[1]) <= 1e-4 * energies[0], energies
 
@@ -993,21 +1029,12 @@ def test_composed_inverts_double_integral_in_bulk(alpha, beta):
     spec = make_spec(alpha=alpha, beta=beta, grid_n=513)
     op = assemble_composed(spec)
     g = spec.grid
-    il = frac_integral_matrix(g, spec.psi, alpha).entries
+    il = frac_integral_matrix(g, g.psi, alpha).entries
     ir = right_integral_reference(g.u, alpha)
     f = np.sin(np.pi * g.u)
     got = op.form(il @ (ir @ f)) / op.w
     collar = max(2, int(np.ceil(0.05 * g.n)))
     assert np.abs(got - f[1:-1])[collar:-collar].max() < 5e-3
-
-
-def test_operator_reuse_across_lambda():
-    spec = make_spec(alpha=1.0, grid_n=65, lam=10.0)
-    op = assemble_composed(spec)
-    op50 = dataclasses.replace(op, spec=dataclasses.replace(spec, lam=50.0))
-    assert op50.spec.lam == 50.0
-    # the replaced operator shares what the assembly stored: nothing is rebuilt
-    assert op50._a is op._a
 
 
 @functools.cache
@@ -1024,7 +1051,7 @@ class TestBlockContract:
     def test_rows_match_single_calls(self, alpha, n, k):
         op = _block_op(alpha, n)
         rng = np.random.default_rng(n + k)
-        x = op.spec.grid.x
+        x = op.grid.x
         # positive fields with zero boundary values, one per row of a C-ordered
         # (k, n) block, as the Picard block holds its iterates
         scale = rng.uniform(0.1, 50.0, (k, 1))

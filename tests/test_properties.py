@@ -24,7 +24,7 @@ from psifrac import (
     validate_spec,
 )
 from psifrac.cli import SUBCOMMANDS, main
-from psifrac.core import KirchhoffKind, Nonlinearity, NonlinearityKind, PsiKind
+from psifrac.core import Grid, KirchhoffKind, Nonlinearity, NonlinearityKind, PsiFunction, PsiKind
 
 
 def _floats(lo, hi):
@@ -166,6 +166,28 @@ def test_psi1_error_is_within_its_estimate(fields, n):
     vec = _dense_pencil(op)[1][:, 0]
     vec = vec / vec[np.argmax(np.abs(vec))]
     assert np.abs(eig.psi1[1:-1] - vec).max() <= eig.psi1_error_estimate + 1e-13
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    psi=st.sampled_from([k.value for k in PsiKind]),
+    psi_k=_floats(-1.0, 3.0),
+    T=_floats(-0.5, 400.0),
+    n=st.integers(2, 65),
+)
+def test_grid_is_the_value_of_t_n_and_psi(psi, psi_k, T, n):
+    # x and u are derived from (T, n, psi) alone: bitwise np.linspace's nodes
+    # and psi of them, read-only, and equal data give equal grids
+    grid = make_spec(psi=psi, psi_k=psi_k, T=T, grid_n=n).grid
+    x = np.linspace(0.0, T, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = PsiFunction.from_name(psi, psi_k)(x)
+    for got, want in ((grid.x, x), (grid.u, u)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    twin = make_spec(psi=psi, psi_k=psi_k, T=T, grid_n=n, alpha=0.6, lam=3.0).grid
+    assert twin == grid and hash(twin) == hash(grid)
+    assert twin == Grid(T, n, PsiFunction.from_name(psi, psi_k))
 
 
 alpha_one_specs = st.builds(

@@ -50,9 +50,7 @@ def _fixed_point_solve():
     spec, op, eig, e = _problem(769, "constant")
     spec = dataclasses.replace(spec, lam=100.0)
     pair = build_pair(spec, eig, e, 0.8)
-    return solve_between(
-        pair, spec, dataclasses.replace(op, spec=spec), tol=1e-14, max_iter=200
-    )
+    return solve_between(pair, spec, op, tol=1e-14, max_iter=200)
 
 
 def _at(n, m, lam, nu=0.5):
@@ -60,7 +58,7 @@ def _at(n, m, lam, nu=0.5):
     spec, op, eig, e = _problem(n, m)
     spec = dataclasses.replace(spec, lam=lam, nu=nu)
     r = 0.5 * (1.0 / (1.0 + nu) + 1.0)
-    return spec, dataclasses.replace(op, spec=spec), build_pair(spec, eig, e, r)
+    return spec, op, build_pair(spec, eig, e, r)
 
 
 def assert_same_report(got, want):
@@ -101,9 +99,8 @@ class TestPicardStep:
         # phi everywhere, and projection lifts it back exactly onto phi: the
         # first step repeats phi bitwise with every interior node pinned
         spec = dataclasses.replace(catalog_spec, h=Nonlinearity(NonlinearityKind.ZERO))
-        op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-        res = solve_between(pair, spec, op)
+        res = solve_between(pair, spec, catalog_op)
         assert res.u == pytest.approx(pair.phi, abs=0)
         assert res.stop == "pinned" and res.iterations == 1 and not res.converged
         assert res.pinned_nodes == spec.grid.n - 2
@@ -146,9 +143,8 @@ class TestSolveBetween:
         # lambda = 5 sits below mu1 ~ 9.87: no positive solution; iterates
         # pin to the clamp floor and the projection stays active
         spec = dataclasses.replace(catalog_spec, lam=5.0)
-        op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-        res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
+        res = solve_between(pair, spec, catalog_op, tol=1e-10, max_iter=120, verified=False)
         assert not res.converged and res.stop == "pinned"
         assert res.projection_activity[-1] > 0
         assert sum(res.projection_activity) > 100
@@ -163,7 +159,6 @@ class TestSolveBetween:
         # cumulative sums
         assert catalog_op.factorization == "stiffness"
         spec = dataclasses.replace(catalog_spec, lam=5.0)
-        op = dataclasses.replace(catalog_op, spec=spec)
         pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
         solves = []
         solve_form = psifrac.operators.ComposedOperator.solve_form
@@ -173,7 +168,7 @@ class TestSolveBetween:
             return solve_form(self, rhs)
 
         monkeypatch.setattr(psifrac.operators.ComposedOperator, "solve_form", counting)
-        res = solve_between(pair, spec, op, tol=1e-10, max_iter=120, verified=False)
+        res = solve_between(pair, spec, catalog_op, tol=1e-10, max_iter=120, verified=False)
         assert res.stop == "pinned" and res.iterations == len(solves) <= 5
         assert res.damped_steps == 0
 
@@ -188,13 +183,19 @@ class TestSolveBetween:
         assert res.final_residual > 100.0 * 1e-14
         assert res.sandwich_ok and res.positive
 
-    def test_degenerate_pair_returns_zero(self, catalog_spec, catalog_op):
+    @pytest.mark.parametrize("zeros", ["all", "one"])
+    def test_non_positive_phi_refused(self, catalog_pair, catalog_spec, catalog_op, zeros):
+        # u^-nu is evaluated at the floor max(u, phi): a phi that is not
+        # positive on the interior is refused before any solve
         n = catalog_spec.grid.n
-        pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), zeta=1.0)
-        res = solve_between(pair, catalog_spec, catalog_op, verified=False)
-        assert res.iterations == 0
-        assert not res.positive
-        assert np.all(res.u == 0.0)
+        if zeros == "all":
+            pair = SubSuperPair(phi=np.zeros(n), xi=np.zeros(n), zeta=1.0)
+        else:
+            phi = catalog_pair.phi.copy()
+            phi[n // 2] = 0.0
+            pair = SubSuperPair(phi=phi, xi=catalog_pair.xi, zeta=catalog_pair.zeta)
+        with pytest.raises(ValueError, match="phi must be positive on the interior"):
+            solve_between(pair, catalog_spec, catalog_op)
 
     def test_unordered_pair_rejected(self, catalog_pair, catalog_spec, catalog_op):
         bad = SubSuperPair(phi=catalog_pair.xi, xi=catalog_pair.phi, zeta=catalog_pair.zeta)
@@ -245,9 +246,8 @@ class TestSolveBetween:
         energies = []
         for lam in (80.0, 100.0, 125.0, 150.0):
             spec = dataclasses.replace(catalog_spec, lam=lam)
-            op = dataclasses.replace(catalog_op, spec=spec)
             pair = build_pair(spec, catalog_eig, catalog_e, 0.8)
-            res = solve_between(pair, spec, op, tol=1e-10, max_iter=400, verified=True)
+            res = solve_between(pair, spec, catalog_op, tol=1e-10, max_iter=400, verified=True)
             assert res.converged and res.positive
             energies.append(res.energy_final)
         assert all(b >= a for a, b in zip(energies, energies[1:]))
@@ -317,7 +317,7 @@ class TestPicardBlock:
         got = dict(picard_block(pairs, spec, self.LAMS, op, **kw))
         assert sorted(got) == list(range(len(self.LAMS)))
         for j, (s, pair) in enumerate(zip(specs, pairs)):
-            want = solve_between(pair, s, dataclasses.replace(op, spec=s), **kw)
+            want = solve_between(pair, s, op, **kw)
             assert_same_report(got[j], want)
         stops = [got[j].stop for j in range(len(self.LAMS))]
         assert stops[:2] == ["pinned", "pinned"] and stops[-3:] == ["residual"] * 3
@@ -335,7 +335,7 @@ class TestPicardBlock:
         pairs = [build_pair(s, eig, e, 0.8) for s in specs]
         got = dict(picard_block(pairs, spec, lams, op, tol=1e-10, max_iter=200))
         for j, (s, pair) in enumerate(zip(specs, pairs)):
-            want = solve_between(pair, s, dataclasses.replace(op, spec=s), tol=1e-10, max_iter=200)
+            want = solve_between(pair, s, op, tol=1e-10, max_iter=200)
             assert_same_report(got[j], want)
         assert got[0].stop == "pinned" and got[2].stop == "residual"
 
@@ -466,9 +466,7 @@ def test_fractional_dichotomy():
     for lam in np.arange(0.5, 100.6, 4.0):
         trial = dataclasses.replace(spec, lam=float(lam))
         pair = build_pair(trial, eig, e, 0.8)
-        res = solve_between(
-            pair, trial, dataclasses.replace(op, spec=trial), tol=1e-10, max_iter=200
-        )
+        res = solve_between(pair, trial, op, tol=1e-10, max_iter=200)
         if lam < mu1:
             assert not (res.converged and res.positive), lam
         if lam > mu2:

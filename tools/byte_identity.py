@@ -44,7 +44,13 @@ solves' energies hold the affine member at its cap, so only the sweep's
 rows show its slope.  Last, so that the majorant's dependence on nu shows
 (every other invocation runs nu = 1/2), `eigen --grid-n 65 --h H --nu
 0.95` and `eigen --grid-n 65 --h H --nu 0.05 --r 0.99` for each of the
-four h; the r keeps the window (1/(1 + nu), 1) non-empty.
+four h; the r keeps the window (1/(1 + nu), 1) non-empty.  Then, since
+the grid derives its nodes from T, grid_n and psi (psi_k included), runs
+at T and psi_k other than 1: `eigen --alpha 0.75 --grid-n 129 --psi
+exp_minus_one --psi-k 2 --T 1.5`, `verify --grid-n 257 --lambda 100 --T 2
+--psi square` and `convergence --alpha 0.75 --psi exp_minus_one --psi-k 2
+--T 0.5`; and `eigen --psi exp_minus_one --psi-k -1 --alpha 0.3`, which
+exits 1 with three messages whose order the stderr comparison pins.
 """
 
 from __future__ import annotations
@@ -102,6 +108,11 @@ def invocations() -> list[tuple[str, ...]]:
     for h in HS:
         eigen = ("eigen", "--grid-n", "65", "--h", h)
         out += [eigen + ("--nu", "0.95"), eigen + ("--nu", "0.05", "--r", "0.99")]
+    expm1 = ("--psi", "exp_minus_one", "--psi-k")
+    out.append(("eigen", "--alpha", "0.75", "--grid-n", "129", *expm1, "2", "--T", "1.5"))
+    out.append(("verify", "--grid-n", "257", "--lambda", "100", "--T", "2", "--psi", "square"))
+    out.append(("convergence", "--alpha", "0.75", *expm1, "2", "--T", "0.5"))
+    out.append(("eigen", *expm1, "-1", "--alpha", "0.3"))
     return out
 
 
